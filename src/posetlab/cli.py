@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -28,8 +27,10 @@ from .posets import (
 
 
 def _read_poset(path: str | None, stdin):
-    text = stdin.read() if path in (None, "-") else open(path, "r", encoding="utf-8").read()
-    return load_poset(text)
+    if path in (None, "-"):
+        return load_poset(stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_poset(fh.read())
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -165,7 +166,7 @@ def cmd_search(args, stdin, out) -> int:
         budget=args.budget,
         out=args.out,
     )
-    certs, summary = search.run(job, workers=args.threads)
+    certs, summary = search.run(job)
     if not args.out:
         for cert in certs:
             _emit(cert.to_json_obj(), out, args.human)
@@ -199,8 +200,6 @@ def cmd_volume_mc(args, stdin, out) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="posetlab")
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("POSETLAB_THREADS", os.cpu_count() or 1)))
     ap.add_argument("--human", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -5,6 +5,10 @@ class PosetLabError(Exception):
     """Base class for all package errors."""
 
 
+class MalformedInput(PosetLabError):
+    """Input text is not JSON, or a field has the wrong shape or type."""
+
+
 class CycleDetected(PosetLabError):
     """Requested relations are not acyclic."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .errors import BadParams, CycleDetected, IndexOutOfRange
+from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput
 
 MAX_ELEMENTS = 64        # down-sets must fit one machine word
 CANONICAL_EXACT_MAX = 9  # exact min-bitstring canonical form up to here
@@ -158,7 +158,7 @@ class Poset:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Poset":
-        return build(int(obj["n"]), [tuple(c) for c in obj.get("covers", [])])
+        return load_poset(obj)[0]
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
@@ -194,17 +194,53 @@ def antichain(n: int) -> Poset:
     return build(n, [])
 
 
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str, length: int | None = None):
+    if not isinstance(value, (list, tuple)) or length is not None and len(value) != length:
+        shape = "a list" if length is None else f"a list of {length}"
+        raise MalformedInput(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
 def load_poset(obj_or_text) -> tuple[Poset, "MarkedTriple | None", int | None]:
     """Parse poset JSON; returns (poset, marked triple or None, marked element or None).
 
-    Accepts non-reduced cover lists and extra keys.
+    Accepts non-reduced cover lists and extra keys.  Raises MalformedInput
+    when the text is not JSON or a field has the wrong shape or type, and
+    IndexOutOfRange when a marked element is not an element id.
     """
-    obj = json.loads(obj_or_text) if isinstance(obj_or_text, str) else obj_or_text
-    p = Poset.from_json_obj(obj)
+    if isinstance(obj_or_text, str):
+        try:
+            obj = json.loads(obj_or_text)
+        except json.JSONDecodeError as exc:
+            raise MalformedInput(f"poset input is not JSON: {exc}") from None
+    else:
+        obj = obj_or_text
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"poset JSON must be an object, got {type(obj).__name__}")
+    n = _json_int(obj.get("n"), "'n'")
+    pairs = [
+        tuple(_json_int(x, "cover element") for x in _json_list(c, "cover", 2))
+        for c in _json_list(obj.get("covers", []), "'covers'")
+    ]
+    p = build(n, pairs)
     z = obj.get("z")
-    triple = MarkedTriple(*map(int, z)) if z is not None else None
+    triple = None
+    if z is not None:
+        marks = [_json_int(x, "marked element") for x in _json_list(z, "'z'", 3)]
+        for x in marks:
+            _check_index(n, x)
+        triple = MarkedTriple(*marks)
     a = obj.get("a")
-    return p, triple, (int(a) if a is not None else None)
+    if a is not None:
+        a = _json_int(a, "'a'")
+        _check_index(n, a)
+    return p, triple, a
 
 
 # -- marked triple ---------------------------------------------------------

@@ -3,8 +3,17 @@
 The random model: draw a linear order uniformly, keep each order-compatible
 pair with probability p drawn per instance from {0.1, ..., 0.5}, close
 transitively, and pick the marked triple uniformly among chains
-z1 < z2 < z3.  Instances are seeded independently by index, so shards are
-reproducible and order-independent.
+z1 < z2 < z3.  ``run`` scans instance indices 0..budget-1 serially in one
+thread.  Each instance is seeded by its own index, so any disjoint split of
+the index range (for example one process per range) reproduces the same
+instances, and ``SearchSummary.absorb`` merges the parts into the same
+summary.  With ``job.out`` set, each certificate is appended and flushed
+as soon as it is found, so a killed run keeps everything found before it
+stopped.
+
+The scan reads the cells of F once per (k, l) and compares the cpc, cpc1
+and cpc2 products as integers; a Fraction is made only for a slack that
+enters ``min_slack`` and a Certificate only for a failure.
 
 Violations of the generalized product comparison (``gcpc``) are located
 through the signed-gap reduction: a ``cpc2`` violation at (k, l) yields,
@@ -18,14 +27,15 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
+from bisect import insort
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import TooLarge
-from .extensions import f_table, f_table_signed
+from .extensions import FTable, f_table, f_table_signed
 from .inequalities import FAILS, HOLDS, VACUOUS, check_cpc, check_cpc1, check_cpc2
-from .posets import SCHEMA, MarkedTriple, Poset, build, params
+from .posets import SCHEMA, MarkedTriple, Poset, build, width
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 _CHECKERS = {"cpc": check_cpc, "cpc1": check_cpc1, "cpc2": check_cpc2}
@@ -150,54 +160,114 @@ def random_instance(seed: int, index: int, n_min: int, n_max: int):
     order = list(range(n))
     rng.shuffle(order)
     prob = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < prob:
-                pairs.append((order[i], order[j]))
+    rand = rng.random
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rand() < prob]
     p = build(n, pairs)
-    chains = [
-        (a, b, c)
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-        if p.less(a, b) and p.less(b, c)
-    ]
+    chains = _chains(p)
     if not chains:
         return p, None
     return p, MarkedTriple(*rng.choice(chains))
 
 
-def _scan_instance(job: SearchJob, index: int):
-    summary = SearchSummary(job.target, instances=1)
+def _chains(p: Poset) -> list:
+    """All 3-chains a < b < c in lexicographic order, found by walking the
+    bits of up[a] and up[b] upwards."""
+    up = p.up
+    chains = []
+    for a in range(p.n):
+        above_a = up[a]
+        while above_a:
+            low = above_a & -above_a
+            above_a ^= low
+            b = low.bit_length() - 1
+            above_b = up[b]
+            while above_b:
+                low = above_b & -above_b
+                above_b ^= low
+                chains.append((a, b, low.bit_length() - 1))
+    return chains
+
+
+_ALL_VACUOUS = ((VACUOUS, 0, 0),) * 3
+
+
+def _cpc_trio(rows: list, k: int, l: int) -> tuple:
+    """(verdict, lhs, rhs) of cpc, cpc1 and cpc2 at (k, l), in that order.
+
+    ``rows[k][l]`` is F(k, l), zero-padded so that k + 2 and l + 2 are in
+    range.  Same cells, orientation and vacuity rule (all four cells zero)
+    as check_cpc, check_cpc1 and check_cpc2, in integers only.
+    """
+    r0, r1 = rows[k], rows[k + 1]
+    f_kl, f_kl1, f_kl2 = r0[l], r0[l + 1], r0[l + 2]
+    f_k1l, f_k1l1 = r1[l], r1[l + 1]
+    f_k2l = rows[k + 2][l]
+    shared = f_k1l or f_kl1 or f_k1l1  # read by all three comparisons
+    if not (shared or f_kl or f_k2l or f_kl2):
+        return _ALL_VACUOUS
+    lhs, rhs = f_kl * f_k1l1, f_k1l * f_kl1
+    cpc = (HOLDS if lhs <= rhs else FAILS, lhs, rhs) if shared or f_kl else (VACUOUS, 0, 0)
+    lhs, rhs = f_k2l * f_kl1, f_k1l * f_k1l1
+    cpc1 = (HOLDS if lhs <= rhs else FAILS, lhs, rhs) if shared or f_k2l else (VACUOUS, 0, 0)
+    lhs, rhs = f_kl2 * f_k1l, f_kl1 * f_k1l1
+    cpc2 = (HOLDS if lhs <= rhs else FAILS, lhs, rhs) if shared or f_kl2 else (VACUOUS, 0, 0)
+    return cpc, cpc1, cpc2
+
+
+def _dense_rows(F: FTable) -> list:
+    """F as a list of rows, zero-padded to (n + 2) x (n + 2)."""
+    size = F.n + 2
+    rows = [[0] * size for _ in range(size)]
+    for (k, l), v in F.entries.items():
+        rows[k][l] = v
+    return rows
+
+
+_TRIO_SLOT = {"cpc": 0, "cpc1": 1, "cpc2": 2, "gcpc": 2}
+
+
+def _scan_instance(job: SearchJob, index: int, summary: SearchSummary) -> list:
+    """Scan one instance into ``summary``; returns its certificates."""
+    summary.instances += 1
     certs: list[Certificate] = []
     p, z = random_instance(job.seed, index, job.n_min, job.n_max)
     if z is None:
-        return certs, summary
-    if job.width_max is not None and params(p).width > job.width_max:
-        return certs, summary
-    summary.usable = 1
-    F = f_table(p, z)
-    target_id = "cpc2" if job.target == "gcpc" else job.target
+        return certs
+    if job.width_max is not None and width(p) > job.width_max:
+        return certs
+    summary.usable += 1
+    n = p.n
+    rows = _dense_rows(f_table(p, z))
+    slot = _TRIO_SLOT[job.target]
+    min_slack = summary.min_slack
+    cutoff = min_slack[4].numerator if len(min_slack) == 5 else None
+    holds = vacuous = 0
     signed = None
-    for k in range(1, p.n):
-        for l in range(1, p.n - k + 1):
-            trio = {name: fn(F, k, l) for name, fn in _CHECKERS.items()}
+    for k in range(1, n):
+        for l in range(1, n - k + 1):
+            trio = _cpc_trio(rows, k, l)
+            if trio is _ALL_VACUOUS:
+                vacuous += 1
+                continue
             # a double failure among {cpc, cpc1, cpc2} is impossible; if one
             # ever shows up it is logged as critical, never discarded
-            if sum(1 for r in trio.values() if r.verdict == FAILS) >= 2:
+            if (trio[0][0] == FAILS) + (trio[1][0] == FAILS) + (trio[2][0] == FAILS) >= 2:
                 summary.critical.append(
                     {"covers": [list(c) for c in p.covers], "z": list(z.as_tuple()),
                      "k": k, "l": l, "index": index}
                 )
-            rep = trio[target_id]
-            if rep.verdict == VACUOUS:
-                summary.vacuous += 1
+            verdict, lhs, rhs = trio[slot]
+            if verdict == VACUOUS:
+                vacuous += 1
                 continue
-            if rep.verdict == HOLDS:
-                summary.holds += 1
-                if rep.slack > 0:
-                    summary.min_slack = sorted(summary.min_slack + [Fraction(rep.slack)])[:5]
+            if verdict == HOLDS:
+                holds += 1
+                slack = rhs - lhs
+                if slack > 0 and (cutoff is None or slack < cutoff):
+                    insort(min_slack, Fraction(slack))
+                    del min_slack[5:]
+                    if len(min_slack) == 5:
+                        cutoff = min_slack[4].numerator
                 continue
             summary.fails += 1
             if job.target == "gcpc":
@@ -207,46 +277,40 @@ def _scan_instance(job: SearchJob, index: int):
                 a, b = -k - 1, k + l + 1
                 lhs = signed.get((a, b), 0) * signed.get((a + 1, b + 1), 0)
                 rhs = signed.get((a + 1, b), 0) * signed.get((a, b + 1), 0)
-                if lhs > rhs:
-                    certs.append(
-                        Certificate(
-                            "gcpc", p.n, list(p.covers), z.swapped12().as_tuple(),
-                            {"k": a, "l": b, "p": a + 1, "q": b + 1}, lhs, rhs, index,
-                        )
+                if lhs <= rhs:
+                    continue
+                certs.append(
+                    Certificate(
+                        "gcpc", n, list(p.covers), z.swapped12().as_tuple(),
+                        {"k": a, "l": b, "p": a + 1, "q": b + 1}, lhs, rhs, index,
                     )
-                    summary.certificates += 1
+                )
             else:
                 certs.append(
                     Certificate(
-                        job.target, p.n, list(p.covers), z.as_tuple(),
-                        {"k": k, "l": l}, int(rep.lhs), int(rep.rhs), index,
+                        job.target, n, list(p.covers), z.as_tuple(),
+                        {"k": k, "l": l}, lhs, rhs, index,
                     )
                 )
-                summary.certificates += 1
-    return certs, summary
+            summary.certificates += 1
+    summary.holds += holds
+    summary.vacuous += vacuous
+    return certs
 
 
-def run(job: SearchJob, workers: int = 1):
-    """Execute the job; returns (certificates, summary), deterministic in
-    (seed, budget, filters) regardless of worker count."""
+def run(job: SearchJob):
+    """Execute the job serially; returns (certificates, summary), both
+    deterministic in (seed, budget, filters).  With ``job.out`` set, each
+    certificate is appended and flushed there as soon as it is found."""
     summary = SearchSummary(job.target)
     certificates: list[Certificate] = []
-    indices = range(job.budget)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(lambda i: _scan_instance(job, i), indices, chunksize=256)
-            for certs, s in results:
-                certificates.extend(certs)
-                summary.absorb(s)
-    else:
-        for i in indices:
-            certs, s = _scan_instance(job, i)
-            certificates.extend(certs)
-            summary.absorb(s)
-    if job.out:
-        with open(job.out, "a", encoding="utf-8") as fh:
-            for cert in certificates:
-                fh.write(json.dumps(cert.to_json_obj()) + "\n")
+    with open(job.out, "a", encoding="utf-8") if job.out else nullcontext() as fh:
+        for i in range(job.budget):
+            for cert in _scan_instance(job, i, summary):
+                certificates.append(cert)
+                if fh is not None:
+                    fh.write(json.dumps(cert.to_json_obj()) + "\n")
+                    fh.flush()
     return certificates, summary
 
 

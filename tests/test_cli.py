@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 
+import pytest
+
 from posetlab.cli import main
 from posetlab.posets import chain
 from posetlab.search import Certificate, verify_certificate
@@ -118,6 +120,28 @@ def test_usage_errors_exit_two(tmp_path):
     assert code == 2 and "error" in err
     code, _, err = run_cli(["table"], stdin_text=json.dumps({"n": 2, "covers": []}))
     assert code == 2  # no marked triple
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "garbage",  # not JSON
+        "[0, 1, 2]",  # JSON, not an object
+        '{"covers": [], "z": [0, 1, 2]}',  # no n
+        '{"n": "3", "covers": [], "z": [0, 1, 2]}',  # n not an integer
+        '{"n": 3, "covers": {"0": 1}, "z": [0, 1, 2]}',  # covers not a list
+        '{"n": 3, "covers": [[0]], "z": [0, 1, 2]}',  # cover not a pair
+        '{"n": 3, "covers": [[0, "x"]], "z": [0, 1, 2]}',  # cover element not an integer
+        '{"n": 3, "covers": [], "z": [0, 1]}',  # z too short
+        '{"n": 3, "covers": [], "z": [0, 1, "2"]}',  # z element not an integer
+        '{"n": 3, "covers": [], "z": [0, 1, 7]}',  # z element outside 0..n-1
+        '{"n": 3, "covers": [], "z": [0, 1, 2], "a": 1.5}',  # a not an integer
+    ],
+)
+def test_malformed_poset_exits_two(text):
+    code, out, err = run_cli(["table"], stdin_text=text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_human_mode_renders():

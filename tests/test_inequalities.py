@@ -234,6 +234,33 @@ def test_width_two_cpc2_violation_witness():
                 assert check_gcpc(F, k, l, pp, qq).verdict != FAILS
 
 
+def test_width_two_cpc1_six_element_witness():
+    """A 6-element width-2 poset already breaks cpc1.
+
+    With z = (5, 0, 4) and (k, l) = (1, 1): F(3,1) F(1,2) = 3 > 2 =
+    F(2,1) F(2,2).  The table is checked against the brute-force gap-class
+    oracle; cpc1 fails only at this cell, cpc and cpc2 hold everywhere, and
+    two-of-three is satisfied.  Whether 6 is the smallest size is left open.
+    """
+    from posetlab.extensions import gap_classes
+    from posetlab.posets import width
+
+    p = build(6, [(0, 4), (1, 0), (1, 3), (2, 3), (2, 4), (5, 0), (5, 2)])
+    z = MarkedTriple(5, 0, 4)
+    assert width(p) == 2
+    assert p.less(z.z1, z.z2) and p.less(z.z2, z.z3)
+    F = f_table(p, z)
+    assert F.entries == {kl: len(words) for kl, words in gap_classes(p, z).items()}
+    rep = check_cpc1(F, 1, 1)
+    assert rep.verdict == FAILS and rep.lhs == 3 and rep.rhs == 2
+    for k in range(1, 6):
+        for l in range(1, 6):
+            assert check_cpc1(F, k, l).verdict != FAILS or (k, l) == (1, 1)
+            assert check_cpc(F, k, l).verdict != FAILS
+            assert check_cpc2(F, k, l).verdict != FAILS
+            assert check_two_of_three(F, k, l).verdict != FAILS
+
+
 def test_stanley_equality_on_tight_family():
     inst = family_stanley_tight(5, 3)
     nv = n_vector(inst.poset, inst.a)

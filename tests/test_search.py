@@ -6,12 +6,16 @@ import json
 
 import pytest
 
+from posetlab import search
 from posetlab.errors import TooLarge
-from posetlab.extensions import count_extensions
+from posetlab.extensions import count_extensions, f_table
+from posetlab.inequalities import check_cpc, check_cpc1, check_cpc2
+from posetlab.posets import MarkedTriple
 from posetlab.search import (
     Certificate,
     POSET_CLASS_COUNTS,
     SearchJob,
+    SearchSummary,
     enumerate_posets,
     random_instance,
     run,
@@ -54,17 +58,80 @@ def test_search_cpc2_finds_and_reverifies(tmp_path):
     assert len(certs) == summary.certificates > 0
     assert all(verify_certificate(c) for c in certs)
     lines = out.read_text().splitlines()
-    assert len(lines) == len(certs)
+    assert [json.loads(line) for line in lines] == [c.to_json_obj() for c in certs]
     reloaded = [Certificate.from_json_obj(json.loads(line)) for line in lines]
     assert all(verify_certificate(c) for c in reloaded)
 
 
-def test_search_deterministic_across_workers():
+def test_search_out_survives_a_crash(tmp_path, monkeypatch):
+    job = SearchJob(target="cpc2", n_max=7, seed=42, budget=4000)
+    certs, _ = run(job)
+    crash_at = certs[len(certs) // 2].index + 1
+
+    def crashing(seed, index, n_min, n_max):
+        if index == crash_at:
+            raise RuntimeError("killed")
+        return random_instance(seed, index, n_min, n_max)
+
+    monkeypatch.setattr(search, "random_instance", crashing)
+    out = tmp_path / "found.jsonl"
+    with pytest.raises(RuntimeError):
+        run(SearchJob(target="cpc2", n_max=7, seed=42, budget=4000, out=str(out)))
+    lines = [json.loads(line) for line in out.read_text().splitlines()]
+    assert lines == [c.to_json_obj() for c in certs if c.index < crash_at]
+
+
+def test_search_deterministic_across_index_chunks():
+    # instances are seeded per index: scanning disjoint index ranges in any
+    # order and absorbing the summaries reproduces the whole run
     job = SearchJob(target="cpc2", n_max=6, seed=11, budget=1500)
-    certs1, s1 = run(job, workers=1)
-    certs2, s2 = run(job, workers=4)
-    assert [c.to_json_obj() for c in certs1] == [c.to_json_obj() for c in certs2]
-    assert s1.to_json_obj() == s2.to_json_obj()
+    certs, summary = run(job)
+    merged = SearchSummary(job.target)
+    chunk_certs = []
+    for lo, hi in ((1000, 1500), (0, 400), (400, 1000)):
+        part = SearchSummary(job.target)
+        chunk_certs += [c for i in range(lo, hi) for c in search._scan_instance(job, i, part)]
+        merged.absorb(part)
+    assert sorted((c.to_json_obj() for c in chunk_certs), key=lambda c: c["index"]) == [
+        c.to_json_obj() for c in certs
+    ]
+    assert merged.to_json_obj() == summary.to_json_obj()
+
+
+def _marked_sample():
+    """Every marked poset on n <= 5 elements, then a seeded random sample."""
+    for n in range(3, 6):
+        for p in enumerate_posets(n):
+            for chain in search._chains(p):
+                yield p, MarkedTriple(*chain)
+    for index in range(300):
+        p, z = random_instance(9, index, 3, 8)
+        if z is not None:
+            yield p, z
+
+
+def test_fast_path_matches_check_reports():
+    checkers = (check_cpc, check_cpc1, check_cpc2)
+    seen = set()
+    for p, z in _marked_sample():
+        if p.up not in seen:
+            seen.add(p.up)
+            loop = [
+                (a, b, c)
+                for a in range(p.n)
+                for b in range(p.n)
+                for c in range(p.n)
+                if p.less(a, b) and p.less(b, c)
+            ]
+            assert search._chains(p) == loop
+        F = f_table(p, z)
+        rows = search._dense_rows(F)
+        for k in range(1, p.n):
+            for l in range(1, p.n - k + 1):
+                trio = search._cpc_trio(rows, k, l)
+                for check, fast in zip(checkers, trio):
+                    rep = check(F, k, l)
+                    assert (rep.verdict, rep.lhs, rep.rhs) == fast, (p.covers, z, k, l)
 
 
 def test_gcpc_on_width_two_reverifies():
