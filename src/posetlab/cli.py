@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import families, geometry, injections, search, vanishing
-from .errors import PosetLabError
+from .errors import BadParams, MalformedInput, PosetLabError
 from .extensions import f_table, n_vector
 from .inequalities import FAILS, TABLE_CHECKS, check_gcpc, check_stanley, check_thin_flat
 from .posets import (
@@ -29,12 +29,19 @@ from .posets import (
 def _read_poset(path: str | None, stdin):
     if path in (None, "-"):
         return load_poset(stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_poset(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"cannot read poset file {path!r}: {exc}") from None
+    return load_poset(text)
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise BadParams(f"not a fraction: {text!r}") from None
 
 
 def _emit(obj: dict, out, human: bool) -> None:
@@ -270,10 +277,7 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args, stdin, stdout)
-    except PosetLabError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PosetLabError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
 

@@ -6,14 +6,21 @@ is the table
 
     F(k, l) = #{ extensions : pos(z2) - pos(z1) = k, pos(z3) - pos(z2) = l },
 
-computed exactly by dynamic programming over the lattice of down-sets
-(order ideals).  Two independent engines are provided:
+computed exactly from the lattice of down-sets (order ideals).  That
+lattice is built once per poset and cached on it (``Poset.lattice``, which
+also gives e(P)); every count is then one fold over it (``_fold``), with
+each ideal's counts Kronecker-packed into a single Python int:
 
-* ``f_table``       -- gap-phase DP, positions never materialized; fast.
-* ``positional_gap_counts`` -- records absolute insertion positions of the
-  marked elements; slower but works for un-normalized triples (signed gaps)
-  and any number of marks.  Used as a second route in tests and for the
-  signed-table reduction.
+* gap-phase fold (``f_table``) -- a normalized triple enters every
+  extension in order, so the gaps k and l only grow: k while z1 alone is
+  placed, l while z1 and z2 are.
+* positional fold (``f_table_signed``, ``pair_gap_table``, ``n_vector``,
+  ``positional_gap_counts``) -- any marks, gaps of either sign, absolute
+  positions; a mark not yet placed moves on with each step.
+
+Both are the same fold with different gap axes.  ``enumerate_extensions``,
+``is_extension`` and ``gap_classes`` stay lattice-free: they are the
+brute-force oracle the tests check both folds against.
 
 Counts are exact big integers throughout; no floating point.
 """
@@ -23,12 +30,12 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import product
 
-from .errors import BadChain, TooLarge
-from .posets import SCHEMA, MarkedTriple, Poset, is_normalized
+from .errors import BadChain, BadParams, IndexOutOfRange, TooLarge
+from .posets import DEFAULT_STATE_BUDGET, SCHEMA, MarkedTriple, Poset, is_normalized
 
 ENUMERATION_MAX = 14
-DEFAULT_STATE_BUDGET = 1 << 26
 
 
 def enumerate_extensions(p: Poset):
@@ -69,20 +76,8 @@ def is_extension(p: Poset, word) -> bool:
 
 
 def count_extensions(p: Poset) -> int:
-    """e(P): number of maximal chains in the down-set lattice."""
-    n, down = p.n, p.down
-    full = (1 << n) - 1
-    cur = {0: 1}
-    for _ in range(n):
-        nxt: dict[int, int] = defaultdict(int)
-        for ideal, c in cur.items():
-            for x in range(n):
-                bx = 1 << x
-                if ideal & bx or down[x] & ~ideal:
-                    continue
-                nxt[ideal | bx] += c
-        cur = dict(nxt)
-    return cur.get(full, 0)
+    """e(P): number of maximal chains in the cached ideal lattice."""
+    return p.lattice().count
 
 
 @dataclass
@@ -126,53 +121,103 @@ class FTable:
         return json.dumps(self.to_json_obj())
 
 
+def _gap_axis(p: Poset, u: int | None, v: int) -> tuple[int, int, int]:
+    """(sign, offset, size) such that sign * (pos(v) - pos(u)) + offset stays
+    in 0..size-1 at every step of a fold; u = None stands for position 0.
+
+    Every x has all of down[x] before it and all of up[x] after it, so
+    pos(v) - pos(u) lies in -lo..hi, with lo and hi as computed here.  A
+    mark not yet placed sits at the current step, so a gap starts at 0 and
+    stays inside those bounds on the way; when u and v are ordered it never
+    changes sign and is counted up from 0.
+    """
+    n, up, down = p.n, p.up, p.down
+    if u is None:
+        return 1, 0, n + 1 - up[v].bit_count()
+    hi = n - 1 - up[v].bit_count() - down[u].bit_count()
+    lo = n - 1 - up[u].bit_count() - down[v].bit_count()
+    if up[u] >> v & 1:
+        return 1, 0, hi + 1
+    if up[v] >> u & 1:
+        return -1, 0, lo + 1
+    return 1, lo, lo + hi + 1
+
+
+def _fold(
+    p: Poset, marks: tuple, gaps: tuple, state_budget: int
+) -> dict[tuple[int, ...], int]:
+    """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
+    ``gaps``, between the given ``marks`` (u = None stands for position 0).
+
+    One fold over the cached ideal lattice.  The gaps are the mixed-radix
+    digits of one slot number c (first gap most significant), and each
+    ideal holds one int with the count of slot c in bits W*c .. W*c + W - 1
+    (Kronecker packing).  W is e(P).bit_length() rounded up to whole bytes;
+    no slot overflows into the next, since a partial count at an ideal J is
+    at most e(J) <= e(P).  A mark not yet placed moves on with the step, so
+    all edges out of an ideal I shift by the same number of slots, the sum
+    of the weights of the marks outside I.  Every digit stays on its
+    ``_gap_axis``, which makes a negative (right) shift exact.
+
+    Raises IndexOutOfRange for a mark that is not an element, BadParams for
+    a repeated mark and TooLarge when a layer's ideals times the number of
+    slots exceed ``state_budget``.
+    """
+    n = p.n
+    for m in marks:
+        if not 0 <= m < n:
+            raise IndexOutOfRange(f"marked element {m} outside 0..{n - 1}")
+    if len(set(marks)) != len(marks):
+        raise BadParams(f"marked elements must be distinct, got {list(marks)}")
+    lat = p.lattice(state_budget)
+    nbytes = (lat.count.bit_length() + 7) // 8
+    width = 8 * nbytes
+    weight = dict.fromkeys(marks, 0)  # bits a count moves per step of each mark
+    origin, slots, axes = 0, 1, []
+    for u, v in reversed(gaps):
+        sign, offset, size = _gap_axis(p, u, v)
+        weight[v] += width * slots * sign
+        if u is not None:
+            weight[u] -= width * slots * sign
+        origin += slots * offset
+        slots *= size
+        axes.append(range(-offset * sign, (size - offset) * sign, sign))  # gap of digit d
+    if lat.widest * slots > state_budget:
+        raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {state_budget}")
+    shift = {0: sum(weight.values())}  # marks inside the ideal, as a mask -> bits
+    mark_mask = 0
+    for m, w in weight.items():
+        bit = 1 << m
+        mark_mask |= bit
+        for mask, bits in list(shift.items()):
+            shift[mask | bit] = bits - w
+    vals = [0] * len(lat.ideals)
+    vals[0] = 1 << width * origin
+    for t, (ideal, edges) in enumerate(zip(lat.ideals, lat.succ)):
+        c, s = vals[t], shift[ideal & mark_mask]
+        vals[t] = 0  # release it; the full ideal comes last, with shift 0
+        c = c << s if s >= 0 else c >> -s
+        for j in edges:
+            vals[j] += c
+    # one hex string per slot, highest slot first
+    hexes = c.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split()
+    zero = "00" * nbytes
+    keys = product(*reversed(axes))
+    return {key: int(h, 16) for key, h in zip(keys, reversed(hexes)) if h != zero}
+
+
 def f_table(p: Poset, z: MarkedTriple, state_budget: int = DEFAULT_STATE_BUDGET) -> FTable:
-    """Exact F(k, l) via down-set DP with gap-phase keys.
+    """Exact F(k, l) by the gap-phase fold.
 
     Requires a normalized triple (z1 < z2 < z3), so the marks always enter
-    any extension in order; the key only needs the current phase and the
-    two gap counters.  Raises TooLarge past ``state_budget`` live states.
+    any extension in order.  The phase rules (g1 grows with each step while
+    only z1 is placed, g2 while z1 and z2 are) are the fold's shifts for
+    the gaps (z1, z2) and (z2, z3), both counted up from 0.
     """
     if not is_normalized(p, z):
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
-    n, down = p.n, p.down
-    z1, z2, z3 = z.as_tuple()
-    full = (1 << n) - 1
-    # state: ideal -> {(phase, g1, g2): count}; phase = #marks inserted,
-    # g1/g2 accumulate the two gaps while in phase 1/2.
-    cur: dict[int, dict[tuple[int, int, int], int]] = {0: {(0, 0, 0): 1}}
-    for _ in range(n):
-        nxt: dict[int, dict[tuple[int, int, int], int]] = {}
-        states = 0
-        for ideal, keys in cur.items():
-            for x in range(n):
-                bx = 1 << x
-                if ideal & bx or down[x] & ~ideal:
-                    continue
-                bucket = nxt.setdefault(ideal | bx, {})
-                for (ph, g1, g2), c in keys.items():
-                    if x == z1:
-                        nk = (1, g1, g2)
-                    elif x == z2:
-                        nk = (2, g1 + 1, g2)
-                    elif x == z3:
-                        nk = (3, g1, g2 + 1)
-                    elif ph == 1:
-                        nk = (1, g1 + 1, g2)
-                    elif ph == 2:
-                        nk = (2, g1, g2 + 1)
-                    else:
-                        nk = (ph, g1, g2)
-                    bucket[nk] = bucket.get(nk, 0) + c
-                states += len(bucket)
-        if states > state_budget:
-            raise TooLarge(f"f_table state count {states} exceeds budget {state_budget}")
-        cur = nxt
-    entries: dict[tuple[int, int], int] = {}
-    for (ph, g1, g2), c in cur.get(full, {}).items():
-        assert ph == 3
-        entries[(g1, g2)] = entries.get((g1, g2), 0) + c
-    return FTable(n, z, entries)
+    z1, z2, z3 = marks = z.as_tuple()
+    return FTable(p.n, z, _fold(p, marks, ((z1, z2), (z2, z3)), state_budget))
 
 
 def positional_gap_counts(
@@ -180,34 +225,9 @@ def positional_gap_counts(
 ) -> dict[tuple[int, ...], int]:
     """Counts of extensions by the absolute positions (1-based) of ``marks``.
 
-    No order assumption on the marks; the DP key records, for the marks
-    already inside the ideal, their insertion positions.
+    No order assumption on the marks.
     """
-    n, down = p.n, p.down
-    full = (1 << n) - 1
-    mark_index = {m: i for i, m in enumerate(marks)}
-    cur: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * len(marks): 1}}
-    for step in range(1, n + 1):
-        nxt: dict[int, dict[tuple[int, ...], int]] = {}
-        states = 0
-        for ideal, keys in cur.items():
-            for x in range(n):
-                bx = 1 << x
-                if ideal & bx or down[x] & ~ideal:
-                    continue
-                bucket = nxt.setdefault(ideal | bx, {})
-                mi = mark_index.get(x)
-                for key, c in keys.items():
-                    if mi is None:
-                        nk = key
-                    else:
-                        nk = key[:mi] + (step,) + key[mi + 1 :]
-                    bucket[nk] = bucket.get(nk, 0) + c
-                states += len(bucket)
-        if states > state_budget:
-            raise TooLarge(f"positional DP state count {states} exceeds budget")
-        cur = nxt
-    return dict(cur.get(full, {}))
+    return _fold(p, marks, tuple((None, m) for m in marks), state_budget)
 
 
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
@@ -215,18 +235,14 @@ def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
 
     The triple need not be chain-ordered, so a and b may be negative.
     """
-    out: dict[tuple[int, int], int] = defaultdict(int)
-    for (p1, p2, p3), c in positional_gap_counts(p, z.as_tuple()).items():
-        out[(p2 - p1, p3 - p2)] += c
-    return dict(out)
+    z1, z2, z3 = marks = z.as_tuple()
+    return _fold(p, marks, ((z1, z2), (z2, z3)), DEFAULT_STATE_BUDGET)
 
 
 def pair_gap_table(p: Poset, x: int, y: int) -> dict[int, int]:
     """Counts of extensions by the signed gap pos(y) - pos(x)."""
-    out: dict[int, int] = defaultdict(int)
-    for (px, py), c in positional_gap_counts(p, (x, y)).items():
-        out[py - px] += c
-    return dict(out)
+    counts = _fold(p, (x, y), ((x, y),), DEFAULT_STATE_BUDGET)
+    return {g: v for (g,), v in counts.items()}
 
 
 @dataclass
@@ -253,10 +269,8 @@ class NVector:
 
 
 def n_vector(p: Poset, a: int) -> NVector:
-    counts: dict[int, int] = defaultdict(int)
-    for (pos,), c in positional_gap_counts(p, (a,)).items():
-        counts[pos] += c
-    return NVector(p.n, a, dict(counts))
+    counts = _fold(p, (a,), ((None, a),), DEFAULT_STATE_BUDGET)
+    return NVector(p.n, a, {k: v for (k,), v in counts.items()})
 
 
 def gap_classes(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], list[tuple[int, ...]]]:

@@ -109,6 +109,8 @@ def volume_mc(
     s, t = Fraction(s), Fraction(t)
     if not (0 < s and 0 < t and s + t < 1):
         raise BadParams("need 0 < s, 0 < t, s + t < 1")
+    if samples < 1:
+        raise BadParams(f"need at least one sample, got {samples}")
     try:
         empty = f_table(*_normalized(p, z)).total() == 0
     except CycleDetected:

@@ -23,11 +23,13 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput
+from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
 
 MAX_ELEMENTS = 64        # down-sets must fit one machine word
 CANONICAL_EXACT_MAX = 9  # exact min-bitstring canonical form up to here
+DEFAULT_STATE_BUDGET = 1 << 26  # live DP states allowed in one lattice layer
 
 SCHEMA = "posetlab/1"
 
@@ -98,6 +100,17 @@ class Poset:
                 down[b] |= 1 << a
         return tuple(down)
 
+    def lattice(self, state_budget: int = DEFAULT_STATE_BUDGET) -> "IdealLattice":
+        """The lattice of order ideals, built on first use and kept on the poset.
+
+        Raises TooLarge when a layer holds more than ``state_budget`` ideals;
+        nothing is kept then, so a later call with a larger budget rebuilds.
+        """
+        lat = self.__dict__.get("_lattice")
+        if lat is None:
+            lat = self.__dict__["_lattice"] = _build_lattice(self, state_budget)
+        return lat
+
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as a sorted tuple of (lower, upper) pairs."""
@@ -162,6 +175,59 @@ class Poset:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
+
+
+class IdealLattice(NamedTuple):
+    """Order ideals of a poset, smallest first.
+
+    ``ideals`` lists every ideal as a bitmask, layer by layer (all ideals of
+    size i before those of size i + 1), so it starts with the empty ideal
+    and ends with the full one.  ``succ[t]`` lists the indices of the
+    ideals ``I | 1 << x`` covering ``I = ideals[t]``, in ascending x.
+    ``widest`` is the size of the largest layer and ``count`` is e(P), the
+    number of maximal chains from the empty ideal to the full one.
+    """
+
+    ideals: list
+    succ: list
+    widest: int
+    count: int
+
+
+def _build_lattice(p: Poset, state_budget: int) -> IdealLattice:
+    """One breadth-first pass over the ideals: x covers I by I | 1 << x when
+    x is outside I and down[x] inside it.  The chain counts ride along to
+    give e(P)."""
+    down = p.down
+    full = (1 << p.n) - 1
+    ideals, succ, ways = [0], [], [1]
+    index = {0: 0}
+    layer_end = widest = 1
+    for t, ideal in enumerate(ideals):
+        if t == layer_end:  # the next layer is complete
+            widest = max(widest, len(ideals) - t)
+            if widest > state_budget:
+                raise TooLarge(f"ideal lattice layer of {widest} exceeds budget {state_budget}")
+            layer_end = len(ideals)
+        w = ways[t]
+        edges = []
+        free = outside = full ^ ideal
+        while free:
+            low = free & -free
+            free ^= low
+            if down[low.bit_length() - 1] & outside:
+                continue
+            nxt = ideal | low
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(ideals)
+                ideals.append(nxt)
+                ways.append(w)
+            else:
+                ways[j] += w
+            edges.append(j)
+        succ.append(edges)
+    return IdealLattice(ideals, succ, widest, ways[-1])
 
 
 def _check_index(n: int, x: int) -> None:

@@ -32,10 +32,10 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import TooLarge
+from .errors import BadParams, TooLarge
 from .extensions import FTable, f_table, f_table_signed
 from .inequalities import FAILS, HOLDS, VACUOUS, check_cpc, check_cpc1, check_cpc2
-from .posets import SCHEMA, MarkedTriple, Poset, build, width
+from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build, width
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 _CHECKERS = {"cpc": check_cpc, "cpc1": check_cpc1, "cpc2": check_cpc2}
@@ -57,6 +57,12 @@ class SearchJob:
     def __post_init__(self):
         if self.target not in SEARCH_TARGETS:
             raise ValueError(f"target must be one of {SEARCH_TARGETS}")
+        if not 3 <= self.n_min <= self.n_max <= MAX_ELEMENTS:
+            raise BadParams(
+                f"need 3 <= n_min <= n_max <= {MAX_ELEMENTS}, got {self.n_min}, {self.n_max}"
+            )
+        if self.budget < 0:
+            raise BadParams(f"budget must be >= 0, got {self.budget}")
 
 
 @dataclass
@@ -329,8 +335,7 @@ def enumerate_posets(n: int):
     for size in range(2, n + 1):
         seen = {}
         for p in reps:
-            ideals = _ideals(p)
-            for ideal in ideals:
+            for ideal in p.lattice().ideals:
                 up = list(p.up) + [0]
                 bits = ideal
                 while bits:
@@ -341,21 +346,3 @@ def enumerate_posets(n: int):
                 seen.setdefault(q.canonical_key(), q)
         reps = list(seen.values())
     return reps
-
-
-def _ideals(p: Poset) -> list[int]:
-    out = [0]
-    seen = {0}
-    stack = [0]
-    while stack:
-        ideal = stack.pop()
-        for x in range(p.n):
-            bx = 1 << x
-            if ideal & bx or p.down[x] & ~ideal:
-                continue
-            nxt = ideal | bx
-            if nxt not in seen:
-                seen.add(nxt)
-                out.append(nxt)
-                stack.append(nxt)
-    return out

@@ -144,6 +144,42 @@ def test_malformed_poset_exits_two(text):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("shape", ["directory", "non-utf8", "search-out-directory"])
+def test_unreadable_file_exits_two(tmp_path, shape):
+    if shape == "directory":
+        argv = ["table", "--poset", str(tmp_path)]
+    elif shape == "non-utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 3, "covers": [], "z": [0, 1, 2], "name": "\xe9"}')
+        argv = ["table", "--poset", str(path)]
+    else:
+        argv = ["search", "--target", "cpc", "--n-max", "5", "--budget", "50",
+                "--out", str(tmp_path)]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume-mc", "--s", "abc", "--t", "1/5"],  # not a number
+        ["volume-mc", "--s", "1/0", "--t", "1/5"],  # zero denominator
+        ["volume-mc", "--s", "1/5", "--t", "1/5", "--samples", "0"],
+        ["volume-mc", "--s", "1/5", "--t", "1/5", "--samples", "-3"],
+        ["search", "--target", "cpc", "--n-max", "2", "--budget", "10"],
+        ["search", "--target", "cpc", "--n-min", "9", "--n-max", "5", "--budget", "10"],
+        ["search", "--target", "cpc", "--n-max", "6", "--budget", "-1"],
+        ["check", "--ineq", "stanley", "--a", "99"],  # mark outside 0..n-1
+        ["check", "--ineq", "stanley", "--a", "-1"],
+    ],
+)
+def test_bad_numeric_argument_exits_two(argv):
+    code, out, err = run_cli(argv, stdin_text=chain3_json())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_human_mode_renders():
     code, out, _ = run_cli(["--human", "table"], stdin_text=chain3_json())
     assert code == 0 and "F=" in out and "{" not in out.splitlines()[0][:1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_f_entries, oracle_n_counts
-from posetlab.errors import BadChain, CycleDetected, TooLarge
+from posetlab.errors import BadChain, BadParams, CycleDetected, IndexOutOfRange, TooLarge
 from posetlab.extensions import (
     count_extensions,
     enumerate_extensions,
@@ -110,6 +112,20 @@ def test_translation_identity_via_signed_table(medium_corpus):
         assert sum(signed.values()) >= F.total()
 
 
+def test_signed_and_pair_tables_match_oracle_on_any_marks(medium_corpus):
+    # marks in any order, comparable or not, against plain enumeration
+    for p, _ in medium_corpus[:30]:
+        words = list(enumerate_extensions(p))
+        for a, b, c in list(permutations(range(p.n), 3))[::17]:
+            signed, pair = Counter(), Counter()
+            for w in words:
+                pa, pb, pc = w.index(a), w.index(b), w.index(c)
+                signed[(pb - pa, pc - pb)] += 1
+                pair[pc - pa] += 1
+            assert f_table_signed(p, MarkedTriple(a, b, c)) == signed
+            assert pair_gap_table(p, a, c) == pair
+
+
 def test_pair_gap_consistency(medium_corpus):
     # summing F over the second gap reproduces the two-mark count
     for p, z in medium_corpus:
@@ -168,3 +184,52 @@ def test_positional_engine_multi_mark(medium_corpus):
     assert total == count_extensions(p)
     for (p1, p2, p3), v in counts.items():
         assert v > 0 and len({p1, p2, p3}) == 3
+
+
+def test_bad_marks_are_rejected():
+    p = chain(3)
+    for call in (
+        lambda: n_vector(p, 7),
+        lambda: n_vector(p, -1),
+        lambda: pair_gap_table(p, 0, 3),
+        lambda: positional_gap_counts(p, (0, 5)),
+    ):
+        with pytest.raises(IndexOutOfRange):
+            call()
+    for call in (
+        lambda: pair_gap_table(p, 0, 0),
+        lambda: positional_gap_counts(p, (1, 2, 1)),
+    ):
+        with pytest.raises(BadParams):
+            call()
+
+
+def _ordinal_sum(levels: int):
+    """z1 < (``levels`` two-element antichains, one above the other) < z2 < z3.
+
+    Every extension puts z1 first and z2, z3 last, so all e(P) = 2**levels
+    extensions share one cell.  With 7 levels, n = 17 and e(P) = 128 fills
+    a one-byte slot exactly; with 8, e(P) = 256 needs the second byte.
+    """
+    n = 2 * levels + 3
+    layers = [[0]] + [[2 * i + 1, 2 * i + 2] for i in range(levels)] + [[n - 2], [n - 1]]
+    pairs = [(a, b) for lo, hi in zip(layers, layers[1:]) for a in lo for b in hi]
+    return build(n, pairs), MarkedTriple(0, n - 2, n - 1)
+
+
+@pytest.mark.parametrize("levels", [7, 8])
+def test_packed_slot_holding_a_power_of_two(levels):
+    p, z = _ordinal_sum(levels)
+    e, n = 2**levels, p.n
+    assert count_extensions(p) == e
+    assert f_table(p, z).entries == {(n - 2, 1): e}
+    # the swapped triple reaches the most negative first gap of the signed table
+    assert f_table_signed(p, z.swapped12()) == {(2 - n, n - 1): e}
+    assert pair_gap_table(p, n - 1, 0) == {1 - n: e}
+    assert n_vector(p, n - 2).counts == {n - 1: e}
+
+
+def test_positional_state_budget(medium_corpus):
+    p, z = medium_corpus[0]
+    with pytest.raises(TooLarge):
+        positional_gap_counts(p, z.as_tuple(), state_budget=3)
