@@ -20,7 +20,9 @@ each ideal's counts Kronecker-packed into a single Python int:
 
 Both are the same fold with different gap axes.  ``enumerate_extensions``,
 ``is_extension`` and ``gap_classes`` stay lattice-free: they are the
-brute-force oracle the tests check both folds against.
+brute-force oracle the tests check both folds against.  The enumerator is
+an iterative depth-first walk over bitmasks; it also supplies the words
+that ``injections`` certifies.
 
 Counts are exact big integers throughout; no floating point.
 """
@@ -39,29 +41,48 @@ ENUMERATION_MAX = 14
 
 
 def enumerate_extensions(p: Poset):
-    """Yield every linear extension exactly once, words in lexicographic order."""
+    """Yield every linear extension exactly once, words in lexicographic order.
+
+    Iterative depth-first walk.  ``free[d]`` is the set of minimal elements
+    among those not placed in ``word[:d]`` and ``todo[d]`` the part of it
+    not yet tried at position d, lowest element first.  Placing x frees
+    only upper covers of x, so ``free[d + 1]`` is found from ``free[d]``
+    and those covers alone.
+    """
     if p.n > ENUMERATION_MAX:
         raise TooLarge(f"enumeration guarded at n <= {ENUMERATION_MAX}")
     n, down = p.n, p.down
-    word: list[int] = []
-    used = 0
-
-    def rec():
-        nonlocal used
-        if len(word) == n:
+    covers_up = [0] * n
+    for a, b in p.covers:
+        covers_up[a] |= 1 << b
+    word, free, todo = [0] * n, [0] * n, [0] * n
+    free[0] = todo[0] = sum(1 << x for x in range(n) if not down[x])
+    used = d = 0
+    last = n - 1
+    while True:
+        t = todo[d]
+        if not t:
+            if not d:
+                return
+            d -= 1
+            used ^= 1 << word[d]
+            continue
+        low = t & -t
+        todo[d] = t ^ low
+        x = word[d] = low.bit_length() - 1
+        if d == last:
             yield tuple(word)
-            return
-        for x in range(n):
-            bx = 1 << x
-            if used & bx or down[x] & ~used:
-                continue
-            used |= bx
-            word.append(x)
-            yield from rec()
-            word.pop()
-            used &= ~bx
-
-    yield from rec()
+            continue
+        used |= low
+        nxt = free[d] ^ low
+        c = covers_up[x]
+        while c:
+            y = c & -c
+            c ^= y
+            if not down[y.bit_length() - 1] & ~used:
+                nxt |= y
+        d += 1
+        free[d] = todo[d] = nxt
 
 
 def is_extension(p: Poset, word) -> bool:

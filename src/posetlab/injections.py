@@ -21,6 +21,12 @@ ruled out first.  All moves are executed swap by swap with incomparability
 checked at every step, and certification re-verifies class membership,
 payload ranges, and global injectivity on the full domain.
 
+``verify_injections`` enumerates a poset's words once, bucketing each by
+its (k, l) gap class and by the position of z2 in the same pass, and checks
+both bucketings against the lattice counts (``f_table``, ``n_vector``)
+before it certifies anything.  The maps test order relations on the bitmask
+rows ``Poset.up``, ``down`` and ``comparable``, not by per-pair calls.
+
 The ``transfer`` intervals use min(b(z1,z2) - 1, t*(z1)) for the case-2
 box edge.  The edge cannot be tightened to b(z1,z2) - 2: the case-2 pivot
 may sit directly after z1, and a 6-element poset realizing payload
@@ -33,8 +39,8 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot
-from .extensions import FTable, f_table, gap_classes, n_vector
+from .errors import CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
+from .extensions import FTable, enumerate_extensions, f_table, gap_classes, n_vector
 from .posets import SCHEMA, MarkedTriple, Poset, PosetParams, params
 
 HASH_THRESHOLD = 100_000
@@ -47,58 +53,54 @@ def tau(p: Poset, word, i: int) -> Word:
     if not 1 <= i <= len(word) - 1:
         raise IndexOutOfRange(f"tau index {i} outside 1..{len(word) - 1}")
     a, b = word[i - 1], word[i]
-    if p.less(a, b):
+    if p.up[a] >> b & 1:
         return tuple(word)
-    if p.less(b, a):
+    if p.up[b] >> a & 1:
         raise ValueError("word is not a linear extension")
     w = list(word)
     w[i - 1], w[i] = b, a
     return tuple(w)
 
 
-def _move_right_past(p: Poset, word, src: int, target: int) -> Word:
+def _move_right_past(comp, word, src: int, target: int) -> Word:
     """Swap word[src] rightward until it has just passed ``target``.
 
-    Every swap must be between incomparable elements (guaranteed by the
-    case analyses; violation raises CaseExhaustion)."""
-    w = list(word)
-    pos = src
-    while True:
-        if pos + 1 >= len(w):
-            raise CaseExhaustion("ran off the word while moving right")
-        passed = w[pos + 1]
-        if not p.incomparable(w[pos], passed):
-            raise CaseExhaustion(f"blocked swap ({w[pos]},{passed})")
-        w[pos], w[pos + 1] = passed, w[pos]
-        pos += 1
+    ``comp`` is ``Poset.comparable``.  Every swap must be between
+    incomparable elements (guaranteed by the case analyses; violation
+    raises CaseExhaustion)."""
+    e = word[src]
+    ce = comp[e]
+    for pos in range(src + 1, len(word)):
+        passed = word[pos]
+        if ce >> passed & 1:
+            raise CaseExhaustion(f"blocked swap ({e},{passed})")
         if passed == target:
-            return tuple(w)
+            return (*word[:src], *word[src + 1:pos + 1], e, *word[pos + 1:])
+    raise CaseExhaustion("ran off the word while moving right")
 
 
-def _move_left_before(p: Poset, word, src: int, target: int) -> Word:
+def _move_left_before(comp, word, src: int, target: int) -> Word:
     """Swap word[src] leftward until it sits just before ``target``."""
-    w = list(word)
-    pos = src
-    while True:
-        if pos == 0:
-            raise CaseExhaustion("ran off the word while moving left")
-        passed = w[pos - 1]
-        if not p.incomparable(w[pos], passed):
-            raise CaseExhaustion(f"blocked swap ({passed},{w[pos]})")
-        w[pos - 1], w[pos] = w[pos], passed
-        pos -= 1
+    e = word[src]
+    ce = comp[e]
+    for pos in range(src - 1, -1, -1):
+        passed = word[pos]
+        if ce >> passed & 1:
+            raise CaseExhaustion(f"blocked swap ({passed},{e})")
         if passed == target:
-            return tuple(w)
+            return (*word[:pos], e, *word[pos:src], *word[src + 1:])
+    raise CaseExhaustion("ran off the word while moving left")
 
 
 def _zpos(word, z: MarkedTriple, k: int, l: int, dk: int, dl: int) -> int:
     """0-based index i of z1, validating gaps (k+dk, l+dl)."""
-    pos = {e: idx for idx, e in enumerate(word)}
-    i = pos[z.z1]
-    if pos[z.z2] - i != k + dk or pos[z.z3] - pos[z.z2] != l + dl:
-        raise HypothesesNotMet(f"word has gaps {pos[z.z2]-i},{pos[z.z3]-pos[z.z2]}, "
-                               f"expected {k+dk},{l+dl}")
-    return i
+    i = word.index(z.z1)
+    j = i + k + dk
+    m = j + l + dl
+    if 0 <= j < len(word) and 0 <= m < len(word) and word[j] == z.z2 and word[m] == z.z3:
+        return i
+    j, m = word.index(z.z2), word.index(z.z3)
+    raise HypothesesNotMet(f"word has gaps {j - i},{m - j}, expected {k+dk},{l+dl}")
 
 
 # -- single-element map -------------------------------------------------------
@@ -112,25 +114,28 @@ def phi_stanley(p: Poset, a: int, word, prm: PosetParams | None = None) -> tuple
     """
     prm = prm or params(p)
     kpos = word.index(a)  # 0-based; 1-based position is kpos+1
-    pivots = [i for i in range(kpos) if not p.less(word[i], a)]
-    if not pivots:
+    below = p.down[a]
+    for i in range(kpos - 1, -1, -1):
+        if not below >> word[i] & 1:
+            break
+    else:
         raise NoPivot("every element before the mark lies below it")
-    i = max(pivots)
     r = kpos - i
     if not 1 <= r <= prm.t[a]:
         raise CaseExhaustion(f"stanley payload {r} outside [1, t(a)={prm.t[a]}]")
-    return _move_right_past(p, word, i, a), r
+    return _move_right_past(p.comparable, word, i, a), r
 
 
 def phi_stanley_inverse(p: Poset, a: int, word, r: int) -> Word | None:
     """Reconstruct the preimage: move the element right after ``a`` back by r
     positions, provided it is incomparable to everything it passes."""
     kpos = word.index(a)
-    if kpos + 1 >= len(word):
+    if kpos + 1 >= len(word) or kpos + 1 < r:
         return None
     e = word[kpos + 1]
+    ce = p.comparable[e]
     for j in range(kpos - r + 1, kpos + 1):
-        if j < 0 or not p.incomparable(word[j], e):
+        if ce >> word[j] & 1:
             return None
     w = list(word)
     w.pop(kpos + 1)
@@ -152,38 +157,37 @@ def transfer_intervals(prm: PosetParams, z: MarkedTriple, k: int, l: int):
     ]
 
 
-def psi_transfer(p: Poset, z: MarkedTriple, k: int, l: int, word,
-                 prm: PosetParams | None = None) -> tuple[str, tuple[int, ...], Word]:
+def psi_transfer(p: Poset, z: MarkedTriple, k: int, l: int,
+                 word) -> tuple[str, tuple[int, ...], Word]:
     """One unit of gap moves from the first gap to the second:
     domain word in F(k+1,l+1), image in F(k,l+2)."""
-    prm = prm or params(p)
-    z1, z2, z3 = z.as_tuple()
+    z1, z2, z3 = z.z1, z.z2, z.z3
+    comp, below2 = p.comparable, p.down[z2]
     i = _zpos(word, z, k, l, 1, 1)
-    first = range(i + 1, i + k + 1)
     # Case 1: last element of the first block not below z2 hops past z2.
-    pivots = [j for j in first if not p.less(word[j], z2)]
-    if pivots:
-        j = max(pivots)
-        return "1", (i + k + 1 - j,), _move_right_past(p, word, j, z2)
+    for j in range(i + k, i, -1):
+        if not below2 >> word[j] & 1:
+            return "1", (i + k + 1 - j,), _move_right_past(comp, word, j, z2)
     # Case 2: first element of the first block incomparable to z1 hops
     # before z1, widening the second gap; a second move restores the first.
-    pivots = [j for j in first if p.incomparable(word[j], z1)]
-    if not pivots:
+    comp1 = comp[z1]
+    for j in range(i + 1, i + k + 1):
+        if not comp1 >> word[j] & 1:
+            break
+    else:
         raise NoPivot("no case-2 pivot; F(k,l+2) must vanish")
-    j = min(pivots)
     c1 = j - i
-    w1 = _move_left_before(p, word, j, z1)
+    w1 = _move_left_before(comp, word, j, z1)
     # 2.1: some element after z3 is not above it; pull it before z3.
-    tail = [r for r in range(i + k + l + 3, p.n) if not p.less(z3, w1[r])]
-    if tail:
-        r = min(tail)
-        return "2.1", (c1, r - (i + k + l + 2)), _move_left_before(p, w1, r, z3)
+    above3 = p.up[z3]
+    for r in range(i + k + l + 3, p.n):
+        if not above3 >> w1[r] & 1:
+            return "2.1", (c1, r - (i + k + l + 2)), _move_left_before(comp, w1, r, z3)
     # 2.2: last element before z1 not below z2 hops past z2.
-    heads = [s for s in range(i) if not p.less(w1[s], z2)]
-    if not heads:
-        raise CaseExhaustion("case 2.2 pivot missing; F(k,l+2) must vanish")
-    s = max(heads)
-    return "2.2", (c1, i - s), _move_right_past(p, w1, s, z2)
+    for s in range(i - 1, -1, -1):
+        if not below2 >> w1[s] & 1:
+            return "2.2", (c1, i - s), _move_right_past(comp, w1, s, z2)
+    raise CaseExhaustion("case 2.2 pivot missing; F(k,l+2) must vanish")
 
 
 def shrink_intervals(prm: PosetParams, z: MarkedTriple, k: int, l: int):
@@ -198,44 +202,43 @@ def shrink_intervals(prm: PosetParams, z: MarkedTriple, k: int, l: int):
     ]
 
 
-def psi_shrink(p: Poset, z: MarkedTriple, k: int, l: int, word,
-               prm: PosetParams | None = None) -> tuple[str, tuple[int, ...], Word]:
+def psi_shrink(p: Poset, z: MarkedTriple, k: int, l: int,
+               word) -> tuple[str, tuple[int, ...], Word]:
     """First gap shrinks by one: domain word in F(k+1,l), image in F(k,l)."""
-    prm = prm or params(p)
-    z1, z2, z3 = z.as_tuple()
+    z1, z2, z3 = z.z1, z.z2, z.z3
+    comp = p.comparable
+    comp1, comp3 = comp[z1], comp[z3]
     i = _zpos(word, z, k, l, 1, 0)
-    first = range(i + 1, i + k + 1)
     mid = range(i + k + 2, i + k + l + 1)
     # Case 1: first element of the first block incomparable to z1 hops before it.
-    pivots = [j for j in first if p.incomparable(word[j], z1)]
-    if pivots:
-        j = min(pivots)
-        return "1", (j - i,), _move_left_before(p, word, j, z1)
+    for j in range(i + 1, i + k + 1):
+        if not comp1 >> word[j] & 1:
+            return "1", (j - i,), _move_left_before(comp, word, j, z1)
     # Case 2: the middle block sits wholly inside the interval (z1, z3);
     # the last first-block element incomparable to z3 hops past z3.
-    if all(p.less(z1, word[r]) and p.less(word[r], z3) for r in mid):
-        pivots = [j for j in first if p.incomparable(word[j], z3)]
-        if not pivots:
-            raise NoPivot("no case-2 pivot; F(k,l) must vanish")
-        j = max(pivots)
-        return "2", (i + k + 1 - j,), _move_right_past(p, word, j, z3)
+    inside = p.up[z1] & p.down[z3]
+    if all(inside >> word[r] & 1 for r in mid):
+        for j in range(i + k, i, -1):
+            if not comp3 >> word[j] & 1:
+                return "2", (i + k + 1 - j,), _move_right_past(comp, word, j, z3)
+        raise NoPivot("no case-2 pivot; F(k,l) must vanish")
     # Case 3: move the last first-block element incomparable to z2 past z2,
     # then repair the second gap with a middle-block move.
-    pivots = [j for j in first if p.incomparable(word[j], z2)]
-    if not pivots:
+    comp2 = comp[z2]
+    for j in range(i + k, i, -1):
+        if not comp2 >> word[j] & 1:
+            break
+    else:
         raise NoPivot("no case-3 pivot; F(k,l) must vanish")
-    j = max(pivots)
     s = i + k + 1 - j
-    w1 = _move_right_past(p, word, j, z2)  # gaps now (k, l+1), middles unshifted
-    back = [r for r in mid if p.incomparable(w1[r], z3)]
-    if back:
-        r = max(back)
-        return "3.1", (s, i + k + l + 1 - r), _move_right_past(p, w1, r, z3)
-    fwd = [r for r in mid if p.incomparable(w1[r], z1)]
-    if not fwd:
-        raise CaseExhaustion("case 3 without a middle pivot")
-    r = min(fwd)
-    return "3.2", (s, r - i - k - 1), _move_left_before(p, w1, r, z1)
+    w1 = _move_right_past(comp, word, j, z2)  # gaps now (k, l+1), middles unshifted
+    for r in reversed(mid):
+        if not comp3 >> w1[r] & 1:
+            return "3.1", (s, i + k + l + 1 - r), _move_right_past(comp, w1, r, z3)
+    for r in mid:
+        if not comp1 >> w1[r] & 1:
+            return "3.2", (s, r - i - k - 1), _move_left_before(comp, w1, r, z1)
+    raise CaseExhaustion("case 3 without a middle pivot")
 
 
 def grow_intervals(prm: PosetParams, z: MarkedTriple, k: int, l: int):
@@ -248,31 +251,33 @@ def grow_intervals(prm: PosetParams, z: MarkedTriple, k: int, l: int):
     ]
 
 
-def psi_grow(p: Poset, z: MarkedTriple, k: int, l: int, word,
-             prm: PosetParams | None = None) -> tuple[str, tuple[int, ...], Word]:
+def psi_grow(p: Poset, z: MarkedTriple, k: int, l: int,
+             word) -> tuple[str, tuple[int, ...], Word]:
     """First gap grows by one: domain word in F(k+1,l), image in F(k+2,l)."""
-    prm = prm or params(p)
-    z1, z2, z3 = z.as_tuple()
+    z1, z2, z3 = z.z1, z.z2, z.z3
+    comp = p.comparable
     i = _zpos(word, z, k, l, 1, 0)
     # Case 1: last element before z1 incomparable to it hops just past z1.
-    pivots = [j for j in range(i) if p.incomparable(word[j], z1)]
-    if pivots:
-        j = max(pivots)
-        return "1", (i - j,), _move_right_past(p, word, j, z1)
+    comp1 = comp[z1]
+    for j in range(i - 1, -1, -1):
+        if not comp1 >> word[j] & 1:
+            return "1", (i - j,), _move_right_past(comp, word, j, z1)
     # Case 2: first element after z2 incomparable to z2 hops before z2.
-    pivots = [j for j in range(i + k + 2, p.n) if p.incomparable(word[j], z2)]
-    if not pivots:
+    comp2 = comp[z2]
+    for j in range(i + k + 2, p.n):
+        if not comp2 >> word[j] & 1:
+            break
+    else:
         raise NoPivot("no case-2 pivot; F(k+2,l) must vanish")
-    j = min(pivots)
     if j >= i + k + l + 2:
-        return "2.1", (j - i - k - l - 1,), _move_left_before(p, word, j, z2)
+        return "2.1", (j - i - k - l - 1,), _move_left_before(comp, word, j, z2)
     c1 = j - i - k - 1
-    w1 = _move_left_before(p, word, j, z2)  # gaps now (k+2, l-1)
-    tail = [r for r in range(i + k + l + 2, p.n) if p.incomparable(w1[r], z3)]
-    if not tail:
-        raise CaseExhaustion("case 2.2 without a tail pivot")
-    r = min(tail)
-    return "2.2", (c1, r - i - k - l - 1), _move_left_before(p, w1, r, z3)
+    w1 = _move_left_before(comp, word, j, z2)  # gaps now (k+2, l-1)
+    comp3 = comp[z3]
+    for r in range(i + k + l + 2, p.n):
+        if not comp3 >> w1[r] & 1:
+            return "2.2", (c1, r - i - k - l - 1), _move_left_before(comp, w1, r, z3)
+    raise CaseExhaustion("case 2.2 without a tail pivot")
 
 
 MAPS = {
@@ -282,36 +287,47 @@ MAPS = {
 }
 
 
+def _box_size(dims) -> int:
+    size = 1
+    for d in dims:
+        size *= max(d, 0)
+    return size
+
+
 def interval_total(boxes) -> int:
-    total = 0
-    for _, dims in boxes:
-        size = 1
-        for d in dims:
-            size *= max(d, 0)
-        total += size
-    return total
+    return sum(_box_size(dims) for _, dims in boxes)
+
+
+def _box_table(boxes) -> dict:
+    """tag -> (offset, dims): the indices of a box follow those of every
+    box listed before it; the first box wins when a tag repeats."""
+    table, offset = {}, 0
+    for name, dims in boxes:
+        table.setdefault(name, (offset, dims))
+        offset += _box_size(dims)
+    return table
+
+
+def _encode(table: dict, tag: str, payload: tuple[int, ...]) -> int:
+    entry = table.get(tag)
+    if entry is None:
+        raise CaseExhaustion(f"unknown case tag {tag}")
+    offset, dims = entry
+    if len(payload) != len(dims):
+        raise CaseExhaustion(f"payload {payload} outside box {tag}={dims}")
+    idx = 0
+    for v, d in zip(payload, dims):
+        if not 1 <= v <= d:
+            raise CaseExhaustion(f"payload {payload} outside box {tag}={dims}")
+        idx = idx * d + v - 1
+    return offset + idx + 1
 
 
 def encode_payload(boxes, tag: str, payload: tuple[int, ...]) -> int:
     """Index of (tag, payload) inside the disjoint union of boxes, 1-based.
 
     Raises CaseExhaustion when the payload leaves its declared box."""
-    offset = 0
-    for name, dims in boxes:
-        size = 1
-        for d in dims:
-            size *= max(d, 0)
-        if name == tag:
-            if len(payload) != len(dims) or any(
-                not 1 <= v <= d for v, d in zip(payload, dims)
-            ):
-                raise CaseExhaustion(f"payload {payload} outside box {name}={dims}")
-            idx = 0
-            for v, d in zip(payload, dims):
-                idx = idx * d + (v - 1)
-            return offset + idx + 1
-        offset += size
-    raise CaseExhaustion(f"unknown case tag {tag}")
+    return _encode(_box_table(boxes), tag, payload)
 
 
 # -- certification ------------------------------------------------------------
@@ -365,25 +381,26 @@ class InjectionCertificate:
 
 
 def _collision_tracker(domain_size: int):
-    """Full map below HASH_THRESHOLD, hash multiset above."""
+    """Full map below HASH_THRESHOLD, hash multiset above.  ``add(key, word)``
+    returns None for a new key and the (first, second) words as lists for a
+    repeated one."""
     if domain_size <= HASH_THRESHOLD:
         seen: dict = {}
 
-        def add(key, source):
-            if key in seen:
-                return (seen[key], source)
-            seen[key] = source
-            return None
+        def add(key, word):
+            size = len(seen)
+            first = seen.setdefault(key, word)
+            return None if len(seen) > size else (list(first), list(word))
 
         return add, False
 
     counts: Counter = Counter()
 
-    def add_hashed(key, source):
+    def add_hashed(key, word):
         digest = hashlib.sha256(repr(key).encode()).digest()
         counts[digest] += 1
         if counts[digest] > 1:
-            return ("<hashed>", source)
+            return ("<hashed>", list(word))
         return None
 
     return add_hashed, True
@@ -417,19 +434,20 @@ def certify_map(
         name, k, l, len(domain), 0, interval_total(boxes), F.get(*target)
     )
     add, cert.hashed = _collision_tracker(len(domain))
-    image = 0
+    table = _box_table(boxes)
     target_set = set(map(tuple, classes.get(target, [])))
+    image = 0
     for word in domain:
         try:
-            tag, payload, out = fn(p, z, k, l, word, prm)
-            idx = encode_payload(boxes, tag, payload)
+            tag, payload, out = fn(p, z, k, l, word)
+            idx = _encode(table, tag, payload)
         except Exception as exc:  # certification must report, not crash
             cert.errors.append({"word": list(word), "error": str(exc)})
             continue
         if out not in target_set:
             cert.errors.append({"word": list(word), "error": f"image not in F{target}"})
             continue
-        clash = add((idx, out), list(word))
+        clash = add((idx, out), word)
         if clash is not None:
             cert.collisions.append({"first": clash[0], "second": clash[1]})
         else:
@@ -446,28 +464,24 @@ def certify_stanley(
     prm: PosetParams | None = None,
 ) -> InjectionCertificate:
     """Certify the single-element map on N_kpos, including its round trip."""
-    from .extensions import enumerate_extensions
-
     prm = prm or params(p)
     if classes is None:
         classes = {}
         for w in enumerate_extensions(p):
             classes.setdefault(w.index(a) + 1, []).append(w)
-    nv = {pos: len(ws) for pos, ws in classes.items()}
-    if nv.get(kpos - 1, 0) <= 0:
+    below = len(classes.get(kpos - 1, ()))
+    if below <= 0:
         raise HypothesesNotMet("stanley: N_{k-1} is empty")
     domain = classes.get(kpos, [])
-    boxes = [("1", (prm.t[a],))]
-    cert = InjectionCertificate(
-        "stanley", kpos, None, len(domain), 0, prm.t[a], nv.get(kpos - 1, 0)
-    )
+    table = _box_table([("1", (prm.t[a],))])
+    cert = InjectionCertificate("stanley", kpos, None, len(domain), 0, prm.t[a], below)
     add, cert.hashed = _collision_tracker(len(domain))
     target_set = set(classes.get(kpos - 1, []))
     image = 0
     for word in domain:
         try:
             out, r = phi_stanley(p, a, word, prm)
-            idx = encode_payload(boxes, "1", (r,))
+            idx = _encode(table, "1", (r,))
         except Exception as exc:
             cert.errors.append({"word": list(word), "error": str(exc)})
             continue
@@ -477,7 +491,7 @@ def certify_stanley(
         if phi_stanley_inverse(p, a, out, r) != word:
             cert.errors.append({"word": list(word), "error": "round trip failed"})
             continue
-        clash = add((idx, out), list(word))
+        clash = add((idx, out), word)
         if clash is not None:
             cert.collisions.append({"first": clash[0], "second": clash[1]})
         else:
@@ -487,22 +501,36 @@ def certify_stanley(
 
 
 def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "shrink", "grow")):
-    """Certificates for every applicable (k, l) (or position) of each map."""
+    """Certificates for every applicable (k, l) (or position) of each map.
+
+    The words are enumerated once and bucketed by their (k, l) gap class
+    and by the position of z2 in the same pass.  Both bucketings are
+    checked against the counts of the lattice folds (``f_table``,
+    ``n_vector``); a mismatch raises PosetLabError before any certificate
+    is made.
+    """
     prm = params(p)
-    classes = gap_classes(p, z)
     F = f_table(p, z)
+    z1, z2, z3 = z.z1, z.z2, z.z3
+    classes: dict[tuple[int, int], list[Word]] = {}
+    positions: dict[int, list[Word]] = {}
+    for w in enumerate_extensions(p):
+        j = w.index(z2)
+        classes.setdefault((j - w.index(z1), w.index(z3) - j), []).append(w)
+        positions.setdefault(j + 1, []).append(w)
+    where = f"on covers {list(p.covers)} with z={list(z.as_tuple())}"
+    if {kl: len(ws) for kl, ws in classes.items()} != F.entries:
+        raise PosetLabError(f"gap classes by enumeration disagree with f_table {where}")
+    if "stanley" in maps:
+        nv = n_vector(p, z2)
+        if {pos: len(ws) for pos, ws in positions.items()} != nv.counts:
+            raise PosetLabError(f"positions of z2 by enumeration disagree with n_vector {where}")
     out: list[InjectionCertificate] = []
     for name in maps:
         if name == "stanley":
-            nv = n_vector(p, z.z2)
-            pos_classes: dict[int, list[Word]] = {}
-            from .extensions import enumerate_extensions
-
-            for w in enumerate_extensions(p):
-                pos_classes.setdefault(w.index(z.z2) + 1, []).append(w)
             for kpos in sorted(nv.counts):
                 if nv.get(kpos - 1) > 0:
-                    out.append(certify_stanley(p, z.z2, kpos, pos_classes, prm))
+                    out.append(certify_stanley(p, z2, kpos, positions, prm))
             continue
         fn, intervals_fn, dom_shift, img_shift = MAPS[name]
         seen_kl = set()

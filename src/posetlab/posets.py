@@ -100,6 +100,12 @@ class Poset:
                 down[b] |= 1 << a
         return tuple(down)
 
+    @cached_property
+    def comparable(self) -> tuple[int, ...]:
+        """comparable[x] = bitmask of elements comparable to x, x included,
+        so x and y are incomparable exactly when bit y of it is clear."""
+        return tuple(u | d | 1 << x for x, (u, d) in enumerate(zip(self.up, self.down)))
+
     def lattice(self, state_budget: int = DEFAULT_STATE_BUDGET) -> "IdealLattice":
         """The lattice of order ideals, built on first use and kept on the poset.
 

@@ -17,6 +17,7 @@ from posetlab.extensions import (
     enumerate_extensions,
     f_table,
     f_table_signed,
+    is_extension,
     n_vector,
     pair_gap_table,
     positional_gap_counts,
@@ -36,6 +37,18 @@ def test_enumerate_trivial_cases():
 def test_enumerate_guard():
     with pytest.raises(TooLarge):
         next(enumerate_extensions(antichain(15)))
+
+
+def test_enumerate_contract(medium_corpus):
+    # distinct words in strictly increasing lexicographic order, each an
+    # extension, as many as the lattice count
+    posets = [p for p, _ in medium_corpus]
+    posets += [random_instance(4242, idx, 1, 8)[0] for idx in range(200)]
+    for p in posets:
+        words = list(enumerate_extensions(p))
+        assert all(a < b for a, b in zip(words, words[1:]))
+        assert all(is_extension(p, w) for w in words)
+        assert len(words) == count_extensions(p)
 
 
 def test_count_trivial():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from posetlab import geometry
 from posetlab.errors import BadParams, DegenerateSlice
 from posetlab.extensions import FTable, f_table
 from posetlab.families import family_cpc2_witness
@@ -70,6 +71,47 @@ def test_mc_rejects_bad_parameters():
 def test_mc_degenerate_slice():
     with pytest.raises(DegenerateSlice):
         volume_mc(chain(3), MarkedTriple(1, 0, 2), Fraction(1, 5), Fraction(1, 5), 1000, 1)
+
+
+def _all_pairs_slice_system(p, z, s, t):
+    # reference: one constraint per comparable pair, not only per cover
+    z1, z2, z3 = z.as_tuple()
+    cols = [x for x in range(p.n) if x not in (z2, z3)]
+    col_of = {x: i for i, x in enumerate(cols)}
+    sf, tf = float(s), float(t)
+    offsets = {z2: sf, z3: sf + tf}
+    constraints = []
+    for a in range(p.n):
+        for b in range(p.n):
+            if p.less(a, b):
+                ia, ca = col_of[z1 if a in offsets else a], offsets.get(a, 0.0)
+                ib, cb = col_of[z1 if b in offsets else b], offsets.get(b, 0.0)
+                if ia != ib:
+                    constraints.append((ia, ib, ca - cb))
+                elif ca - cb > 0:
+                    constraints.append((None, None, 1.0))
+    constraints.append((col_of[z1], None, sf + tf - 1.0))
+    return cols, constraints
+
+
+def test_cover_constraints_give_the_all_pairs_hits(medium_corpus, monkeypatch):
+    s, t = Fraction(1, 5), Fraction(2, 7)
+    cases = list(medium_corpus)
+    # marks that need not form a chain of the poset (most raise DegenerateSlice)
+    cases += [(p, MarkedTriple(0, 1, 2)) for p, _ in medium_corpus[:20]]
+    compared = 0
+    for i, (p, z) in enumerate(cases):
+        cols, covers_only = geometry._slice_system(p, z, s, t)
+        assert len(covers_only) <= len(p.covers) + 1
+        try:
+            hits = volume_mc(p, z, s, t, samples=20_000, seed=7000 + i).hits
+        except DegenerateSlice:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_slice_system", _all_pairs_slice_system)
+            assert volume_mc(p, z, s, t, samples=20_000, seed=7000 + i).hits == hits
+        compared += 1
+    assert compared >= len(medium_corpus)
 
 
 def test_interpolation_node_count():

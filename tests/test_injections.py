@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from conftest import corpus
-from posetlab.errors import HypothesesNotMet, IndexOutOfRange
-from posetlab.extensions import f_table, n_vector
+from posetlab import injections
+from posetlab.cli import main
+from posetlab.errors import HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
+from posetlab.extensions import FTable, f_table, gap_classes, n_vector
 from posetlab.families import family_stanley_tight
 from posetlab.injections import (
+    MAPS,
     certify_map,
     certify_stanley,
     encode_payload,
@@ -22,7 +28,7 @@ from posetlab.injections import (
     transfer_intervals,
     verify_injections,
 )
-from posetlab.posets import MarkedTriple, antichain, build, chain, params
+from posetlab.posets import MarkedTriple, antichain, build, chain, normalize, params
 
 
 def test_tau_trivial_cases():
@@ -208,3 +214,104 @@ def test_shrink_handles_conditional_final_swap():
     assert tag == "2"
     pos = {e: i for i, e in enumerate(out)}
     assert pos[z.z2] - pos[z.z1] == 1 and pos[z.z3] - pos[z.z2] == 1
+
+
+# -- failure paths: a broken map must give a failing certificate --------------
+
+
+def _shrink_fixture():
+    # the 3-chain 0 < 1 < 2 plus two free elements; shrink at (1, 1) maps
+    # the 4 words of F(2, 1) into the 6 words of F(1, 1)
+    p, z = normalize(antichain(5), MarkedTriple(0, 1, 2))
+    classes = gap_classes(p, z)
+    assert len(classes[(2, 1)]) == 4 and len(classes[(1, 1)]) == 6
+    return p, z, classes[(2, 1)], classes[(1, 1)]
+
+
+def _swap_shrink(monkeypatch, fn):
+    _, intervals_fn, dom_shift, img_shift = MAPS["shrink"]
+    monkeypatch.setitem(MAPS, "shrink", (fn, intervals_fn, dom_shift, img_shift))
+
+
+def test_certify_map_reports_collisions(monkeypatch):
+    p, z, domain, target = _shrink_fixture()
+    _swap_shrink(monkeypatch, lambda p, z, k, l, word, prm=None: ("1", (1,), target[0]))
+    cert = certify_map(p, z, 1, 1, "shrink")
+    assert cert.ok is False and cert.errors == [] and cert.image_size == 1
+    assert cert.collisions == [
+        {"first": list(domain[0]), "second": list(w)} for w in domain[1:]
+    ]
+
+
+def test_certify_map_reports_payload_outside_box(monkeypatch):
+    p, z, domain, _ = _shrink_fixture()
+
+    def zero_payload(p, z, k, l, word):
+        tag, _, out = psi_shrink(p, z, k, l, word)
+        return tag, (0,), out
+
+    _swap_shrink(monkeypatch, zero_payload)
+    cert = certify_map(p, z, 1, 1, "shrink")
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
+    assert [e["word"] for e in cert.errors] == [list(w) for w in domain]
+    assert all(e["error"].startswith("payload (0,) outside box ") for e in cert.errors)
+
+
+def test_certify_map_reports_image_outside_target(monkeypatch):
+    p, z, domain, _ = _shrink_fixture()
+    _swap_shrink(monkeypatch, lambda p, z, k, l, word, prm=None: ("1", (1,), word))
+    cert = certify_map(p, z, 1, 1, "shrink")
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
+    assert cert.errors == [{"word": list(w), "error": "image not in F(1, 1)"} for w in domain]
+
+
+def test_certify_map_reports_a_raising_map(monkeypatch):
+    p, z, domain, _ = _shrink_fixture()
+
+    def broken(p, z, k, l, word):
+        raise NoPivot("no pivot here")
+
+    _swap_shrink(monkeypatch, broken)
+    cert = certify_map(p, z, 1, 1, "shrink")
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
+    assert cert.errors == [{"word": list(w), "error": "no pivot here"} for w in domain]
+
+
+def test_certify_stanley_reports_a_wrong_inverse(monkeypatch):
+    inst = family_stanley_tight(5, 3)
+    assert certify_stanley(inst.poset, inst.a, 3).ok
+    monkeypatch.setattr(injections, "phi_stanley_inverse", lambda p, a, word, r: word[::-1])
+    cert = certify_stanley(inst.poset, inst.a, 3)
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
+    assert len(cert.errors) == cert.domain_size == 4
+    assert all(e["error"] == "round trip failed" for e in cert.errors)
+
+
+def test_verify_injections_cross_checks_the_counts(monkeypatch):
+    # the enumerated classes must match the fold counts, else no certificate
+    p, z, _, _ = _shrink_fixture()
+    real_f_table, real_n_vector = injections.f_table, injections.n_vector
+
+    def f_table_off_by_one(p, z):
+        F = real_f_table(p, z)
+        return FTable(F.n, F.z, {**F.entries, (2, 1): F.get(2, 1) + 1})
+
+    def n_vector_off_by_one(p, a):
+        nv = real_n_vector(p, a)
+        nv.counts[2] += 1
+        return nv
+
+    stdin = json.dumps({**p.to_json_obj(), "z": list(z.as_tuple())})
+    for name, broken, match in (
+        ("f_table", f_table_off_by_one, "disagree with f_table"),
+        ("n_vector", n_vector_off_by_one, "disagree with n_vector"),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(injections, name, broken)
+            with pytest.raises(PosetLabError, match=match):
+                verify_injections(p, z)
+            err = io.StringIO()
+            code = main(["verify-injections"], stdin=io.StringIO(stdin),
+                        stdout=io.StringIO(), stderr=err)
+            assert code == 2 and err.getvalue().startswith("error: ")
+    assert all(cert.ok for cert in verify_injections(p, z))
