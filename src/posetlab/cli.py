@@ -15,7 +15,14 @@ from fractions import Fraction
 from . import families, geometry, injections, search, vanishing
 from .errors import BadParams, MalformedInput, PosetLabError
 from .extensions import f_table, n_vector
-from .inequalities import FAILS, TABLE_CHECKS, check_gcpc, check_stanley, check_thin_flat
+from .inequalities import (
+    ALL_CHECK_IDS,
+    FAILS,
+    TABLE_CHECKS,
+    check_gcpc,
+    check_stanley,
+    check_thin_flat,
+)
 from .posets import (
     SCHEMA,
     fraction_str,
@@ -52,10 +59,16 @@ def _emit(obj: dict, out, human: bool) -> None:
         print(json.dumps(obj), file=out)
 
 
-def _grid(n: int):
-    for k in range(1, n):
-        for l in range(1, n - k + 1):
-            yield k, l
+def _indices(args, names: tuple):
+    """The index arguments ``names`` as a tuple, or None for the whole grid
+    (``--all``, or none of them given); a partial set is a usage error."""
+    values = tuple(getattr(args, name) for name in names)
+    if args.all or values == (None,) * len(names):
+        return None
+    if None in values:
+        flags = " ".join(f"--{name}" for name in names)
+        raise BadParams(f"give {flags} together, or none of them")
+    return values
 
 
 def cmd_table(args, stdin, out) -> int:
@@ -104,28 +117,25 @@ def cmd_check(args, stdin, out) -> int:
         if z is None:
             raise PosetLabError("poset JSON lacks a marked triple 'z'")
         p, z = normalize(p, z)
+        given = _indices(args, ("k", "l", "p", "q") if args.ineq == "gcpc" else ("k", "l"))
         F = f_table(p, z)
         if args.ineq == "gcpc":
-            if args.all or args.k is None:
-                cells = sorted(F.support())
-                pairs = [
-                    (k, l, pp, qq)
-                    for (k, l) in cells
-                    for (pp, qq) in cells
-                    if k <= pp and l <= qq
-                ]
-            else:
-                pairs = [(args.k, args.l, args.p, args.q)]
-            reports = [check_gcpc(F, *quad) for quad in pairs]
-        elif args.ineq == "thin":
-            prm = params(p)
-            t = args.t if args.t is not None else thin_threshold(p, z, prm)
-            kls = list(_grid(p.n)) if args.all or args.k is None else [(args.k, args.l)]
-            reports = [check_thin_flat(F, prm, t, k, l) for k, l in kls]
+            cells = sorted(F.support())
+            quads = [given] if given else [
+                (k, l, pp, qq)
+                for (k, l) in cells
+                for (pp, qq) in cells
+                if k <= pp and l <= qq
+            ]
+            reports = [check_gcpc(F, *quad) for quad in quads]
         else:
-            checker = TABLE_CHECKS[args.ineq]
-            kls = list(_grid(p.n)) if args.all or args.k is None else [(args.k, args.l)]
-            reports = [checker(F, k, l) for k, l in kls]
+            kls = [given] if given else list(F.grid(margin=1))
+            if args.ineq == "thin":
+                prm = params(p)
+                t = args.t if args.t is not None else thin_threshold(p, z, prm)
+                reports = [check_thin_flat(F, prm, t, k, l) for k, l in kls]
+            else:
+                reports = [TABLE_CHECKS[args.ineq](F, k, l) for k, l in kls]
     for rep in reports:
         if rep.verdict == FAILS:
             failed = True
@@ -222,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="evaluate one inequality family")
     sp.add_argument("--poset")
-    sp.add_argument("--ineq", required=True,
-                    choices=sorted(TABLE_CHECKS) + ["thin", "stanley", "gcpc"])
+    sp.add_argument("--ineq", required=True, choices=ALL_CHECK_IDS)
     sp.add_argument("--k", type=int)
     sp.add_argument("--l", type=int)
     sp.add_argument("--p", type=int)

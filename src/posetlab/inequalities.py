@@ -8,6 +8,15 @@ floating point ever enters a verdict.  "vacuous" is a first-class verdict:
 it means a required positivity hypothesis fails (or every participating
 cell is zero), and is counted separately from "holds".
 
+The pure product comparisons (cpc, cpc1, cpc2, half*, logc1-3,
+logc-product, converse) are rows of one table: ``_product_check`` turns
+each row (lhs and rhs cells as (dk, dl) offsets, report cell order, rhs
+scale 1, 2 or c(k,l,n) = 2kl(min(k,l)+1)n, vacuity rule) into its check_*
+function, and check_gcpc compares its four corner cells with the same
+core.  sqrt-lower, vanish-lower, main, thin, two-of-three and stanley are
+bespoke; the first four read A = F(k+1,l) F(k,l+1), B = F(k,l) F(k+1,l+1)
+and their cells from ``ab_products``.
+
 Abbreviations used in the cell dictionaries: ``F_kl`` is F(k, l),
 ``F_k1l`` is F(k+1, l), ``F_kl2`` is F(k, l+2), and so on.
 """
@@ -17,6 +26,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
+from operator import itemgetter
 
 from .errors import BadParams
 from .extensions import FTable, NVector
@@ -72,95 +83,105 @@ class CheckReport:
 
 
 def _report(ineq, k, l, lhs, rhs, cells, vacuous=False, extra=None, note="") -> CheckReport:
-    lhs, rhs = Fraction(lhs), Fraction(rhs)
     if vacuous:
         verdict = VACUOUS
     else:
-        verdict = HOLDS if lhs <= rhs else FAILS
-    return CheckReport(ineq, k, l, lhs, rhs, verdict, cells, extra or {}, note)
+        verdict = HOLDS if lhs <= rhs else FAILS  # before Fraction(): int comparison is cheaper
+    return CheckReport(ineq, k, l, Fraction(lhs), Fraction(rhs), verdict, cells, extra or {}, note)
 
 
-# -- plain product comparisons ----------------------------------------------
+# -- the product-comparison table ---------------------------------------------
 
 
-def check_cpc(F: FTable, k: int, l: int) -> CheckReport:
-    """F(k,l) F(k+1,l+1) <= F(k+1,l) F(k,l+1)."""
-    cells = {
-        "F_kl": F.get(k, l),
-        "F_k1l1": F.get(k + 1, l + 1),
-        "F_k1l": F.get(k + 1, l),
-        "F_kl1": F.get(k, l + 1),
-    }
-    lhs = cells["F_kl"] * cells["F_k1l1"]
-    rhs = cells["F_k1l"] * cells["F_kl1"]
-    return _report("cpc", k, l, lhs, rhs, cells, vacuous=all(v == 0 for v in cells.values()))
+def _spec(offsets) -> tuple:
+    """(cell name, dk, dl) for each (dk, dl) offset from (k, l)."""
+    return tuple((f"F_k{dk or ''}l{dl or ''}", dk, dl) for dk, dl in offsets)
 
 
-def check_cpc1(F: FTable, k: int, l: int) -> CheckReport:
-    """F(k+2,l) F(k,l+1) <= F(k+1,l) F(k+1,l+1)."""
-    cells = {
-        "F_k2l": F.get(k + 2, l),
-        "F_kl1": F.get(k, l + 1),
-        "F_k1l": F.get(k + 1, l),
-        "F_k1l1": F.get(k + 1, l + 1),
-    }
-    lhs = cells["F_k2l"] * cells["F_kl1"]
-    rhs = cells["F_k1l"] * cells["F_k1l1"]
-    return _report("cpc1", k, l, lhs, rhs, cells, vacuous=all(v == 0 for v in cells.values()))
+def _read(F: FTable, k: int, l: int, spec: tuple) -> dict[str, int]:
+    get = F.entries.get
+    return {name: get((k + dk, l + dl), 0) for name, dk, dl in spec}
 
 
-def check_cpc2(F: FTable, k: int, l: int) -> CheckReport:
-    """F(k,l+2) F(k+1,l) <= F(k,l+1) F(k+1,l+1)."""
-    cells = {
-        "F_kl2": F.get(k, l + 2),
-        "F_k1l": F.get(k + 1, l),
-        "F_kl1": F.get(k, l + 1),
-        "F_k1l1": F.get(k + 1, l + 1),
-    }
-    lhs = cells["F_kl2"] * cells["F_k1l"]
-    rhs = cells["F_kl1"] * cells["F_k1l1"]
-    return _report("cpc2", k, l, lhs, rhs, cells, vacuous=all(v == 0 for v in cells.values()))
+def _compare(ineq, k, l, cells, lhs, rhs, scale=1, needs_b=False, extra=None) -> CheckReport:
+    """Report prod(lhs(cells)) <= scale * prod(rhs(cells)); ``lhs`` and ``rhs``
+    pick cell values by name.  Vacuous, with lhs = rhs = 0, when ``needs_b``
+    and F(k,l) F(k+1,l+1) = 0; otherwise vacuous when every cell is zero."""
+    if needs_b and not cells["F_kl"] * cells["F_k1l1"]:
+        return _report(ineq, k, l, 0, 0, cells, vacuous=True, extra=extra)
+    return _report(
+        ineq, k, l, prod(lhs(cells)), scale * prod(rhs(cells)), cells,
+        vacuous=not (needs_b or any(cells.values())), extra=extra,
+    )
 
 
-def check_half_cpc(F: FTable, k: int, l: int) -> CheckReport:
-    """F(k,l) F(k+1,l+1) <= 2 F(k+1,l) F(k,l+1)."""
-    r = check_cpc(F, k, l)
-    return _report("half", k, l, r.lhs, 2 * r.rhs, r.cells, vacuous=r.verdict == VACUOUS)
+def _product_check(ineq, lhs, rhs, cells=None, scale=1, needs_b=False):
+    """One table row as a checker (F, k, l) -> CheckReport for
+    prod(lhs) <= scale * prod(rhs), where ``lhs`` and ``rhs`` are (dk, dl)
+    offsets from (k, l) and ``scale`` is an int or a function of (k, l, n).
+    ``cells`` is the report's cell order (default: lhs cells, then rhs
+    cells); ``needs_b`` makes the row vacuous when F(k,l) F(k+1,l+1) = 0."""
+    spec = _spec(cells or dict.fromkeys(lhs + rhs))
+    pick_lhs = itemgetter(*(name for name, _, _ in _spec(lhs)))
+    pick_rhs = itemgetter(*(name for name, _, _ in _spec(rhs)))
+
+    def check(F: FTable, k: int, l: int) -> CheckReport:
+        c = scale(k, l, F.n) if callable(scale) else scale
+        return _compare(ineq, k, l, _read(F, k, l, spec), pick_lhs, pick_rhs, c, needs_b)
+
+    factor = {1: "", 2: "2 "}.get(scale, "c(k,l,n) ")
+    vacuity = "F(k,l) F(k+1,l+1) = 0" if needs_b else "every cell is zero"
+    check.__doc__ = f"{_formula(lhs)} <= {factor}{_formula(rhs)}; vacuous when {vacuity}."
+    return check
 
 
-def check_half_cpc1(F: FTable, k: int, l: int) -> CheckReport:
-    """F(k+2,l) F(k,l+1) <= 2 F(k+1,l) F(k+1,l+1)."""
-    r = check_cpc1(F, k, l)
-    return _report("half1", k, l, r.lhs, 2 * r.rhs, r.cells, vacuous=r.verdict == VACUOUS)
+def _formula(offsets) -> str:
+    return " ".join(
+        f"F(k{f'+{dk}' if dk else ''},l{f'+{dl}' if dl else ''})" for dk, dl in offsets
+    )
 
 
-def check_half_cpc2(F: FTable, k: int, l: int) -> CheckReport:
-    """F(k,l+2) F(k+1,l) <= 2 F(k,l+1) F(k+1,l+1)."""
-    r = check_cpc2(F, k, l)
-    return _report("half2", k, l, r.lhs, 2 * r.rhs, r.cells, vacuous=r.verdict == VACUOUS)
+_A = ((1, 0), (0, 1))  # A = F(k+1,l) F(k,l+1)
+_B = ((0, 0), (1, 1))  # B = F(k,l) F(k+1,l+1)
+_CPC1 = ((2, 0), (0, 1)), ((1, 0), (1, 1))  # F(k+2,l) F(k,l+1) <= F(k+1,l) F(k+1,l+1)
+_CPC2 = ((0, 2), (1, 0)), ((0, 1), (1, 1))  # F(k,l+2) F(k+1,l) <= F(k,l+1) F(k+1,l+1)
+
+check_cpc = _product_check("cpc", _B, _A)
+check_cpc1 = _product_check("cpc1", *_CPC1)
+check_cpc2 = _product_check("cpc2", *_CPC2)
+check_half_cpc = _product_check("half", _B, _A, scale=2)
+check_half_cpc1 = _product_check("half1", *_CPC1, scale=2)
+check_half_cpc2 = _product_check("half2", *_CPC2, scale=2)
+check_logc1 = _product_check("logc1", ((2, 0), (0, 2)), ((1, 1), (1, 1)))
+check_logc2 = _product_check("logc2", ((0, 0), (0, 2)), ((0, 1), (0, 1)))
+check_logc3 = _product_check("logc3", ((0, 0), (2, 0)), ((1, 0), (1, 0)))
+# F(k+2,l) F(k,l+2) / F(k+1,l+1)^2 <= A / B, cross-multiplied
+check_logconcave_product = _product_check(
+    "logc-product", _B + ((2, 0), (0, 2)), _A + ((1, 1), (1, 1)),
+    cells=_B + _A + ((2, 0), (0, 2)), needs_b=True,
+)
+check_converse = _product_check(
+    "converse", _A, _B, cells=_B + _A, needs_b=True,
+    scale=lambda k, l, n: 2 * k * l * (min(k, l) + 1) * n,  # c(k,l,n)
+)
 
 
 def check_logc(F: FTable, k: int, l: int, which: int) -> CheckReport:
-    """Log-concavity along the three lattice directions:
-
-    1: F(k+2,l) F(k,l+2)  <= F(k+1,l+1)^2
-    2: F(k,l)   F(k,l+2)  <= F(k,l+1)^2
-    3: F(k,l)   F(k+2,l)  <= F(k+1,l)^2
-    """
-    if which == 1:
-        cells = {"F_k2l": F.get(k + 2, l), "F_kl2": F.get(k, l + 2), "F_k1l1": F.get(k + 1, l + 1)}
-        lhs, rhs = cells["F_k2l"] * cells["F_kl2"], cells["F_k1l1"] ** 2
-    elif which == 2:
-        cells = {"F_kl": F.get(k, l), "F_kl2": F.get(k, l + 2), "F_kl1": F.get(k, l + 1)}
-        lhs, rhs = cells["F_kl"] * cells["F_kl2"], cells["F_kl1"] ** 2
-    elif which == 3:
-        cells = {"F_kl": F.get(k, l), "F_k2l": F.get(k + 2, l), "F_k1l": F.get(k + 1, l)}
-        lhs, rhs = cells["F_kl"] * cells["F_k2l"], cells["F_k1l"] ** 2
-    else:
+    """Log-concavity along lattice direction ``which``: check_logc1, 2 or 3."""
+    if which not in (1, 2, 3):
         raise BadParams("which must be 1, 2 or 3")
-    return _report(
-        f"logc{which}", k, l, lhs, rhs, cells, vacuous=all(v == 0 for v in cells.values())
-    )
+    return (check_logc1, check_logc2, check_logc3)[which - 1](F, k, l)
+
+
+_AB_SPEC = _spec(_B + _A)
+_AB_WIDE_SPEC = _spec(_B + _A + ((0, 2), (2, 0)))
+
+
+def ab_products(F: FTable, k: int, l: int, wide: bool = False) -> tuple[int, int, dict]:
+    """(A, B, cells) with A = F(k+1,l) F(k,l+1), B = F(k,l) F(k+1,l+1) and
+    their four cells in report order; with ``wide`` also F(k,l+2), F(k+2,l)."""
+    cells = _read(F, k, l, _AB_WIDE_SPEC if wide else _AB_SPEC)
+    return cells["F_k1l"] * cells["F_kl1"], cells["F_kl"] * cells["F_k1l1"], cells
 
 
 def check_two_of_three(F: FTable, k: int, l: int) -> CheckReport:
@@ -180,23 +201,6 @@ def check_two_of_three(F: FTable, k: int, l: int) -> CheckReport:
 # -- ratio lower bounds -------------------------------------------------------
 
 
-def check_logconcave_product(F: FTable, k: int, l: int) -> CheckReport:
-    """F(k+2,l) F(k,l+2) / F(k+1,l+1)^2 <= F(k+1,l) F(k,l+1) / (F(k,l) F(k+1,l+1)),
-    cross-multiplied; requires F(k,l) F(k+1,l+1) > 0."""
-    A = F.get(k + 1, l) * F.get(k, l + 1)
-    B = F.get(k, l) * F.get(k + 1, l + 1)
-    cells = {
-        "F_kl": F.get(k, l), "F_k1l1": F.get(k + 1, l + 1),
-        "F_k1l": F.get(k + 1, l), "F_kl1": F.get(k, l + 1),
-        "F_k2l": F.get(k + 2, l), "F_kl2": F.get(k, l + 2),
-    }
-    if B == 0:
-        return _report("logc-product", k, l, 0, 0, cells, vacuous=True)
-    lhs = B * cells["F_k2l"] * cells["F_kl2"]
-    rhs = A * cells["F_k1l1"] ** 2
-    return _report("logc-product", k, l, lhs, rhs, cells)
-
-
 def check_sqrt_lower(F: FTable, k: int, l: int) -> CheckReport:
     """A/B >= 1/2 + sqrt(F(k,l+2) F(k+2,l)) / (2 F(k+1,l+1)), B > 0 required;
     A = F(k+1,l) F(k,l+1), B = F(k,l) F(k+1,l+1).
@@ -204,17 +208,11 @@ def check_sqrt_lower(F: FTable, k: int, l: int) -> CheckReport:
     Decided exactly: (2A - B) F(k+1,l+1) >= B sqrt(CD) with both sides
     nonnegative, then squared.
     """
-    A = F.get(k + 1, l) * F.get(k, l + 1)
-    B = F.get(k, l) * F.get(k + 1, l + 1)
-    C, D = F.get(k, l + 2), F.get(k + 2, l)
-    cells = {
-        "F_kl": F.get(k, l), "F_k1l1": F.get(k + 1, l + 1),
-        "F_k1l": F.get(k + 1, l), "F_kl1": F.get(k, l + 1),
-        "F_kl2": C, "F_k2l": D,
-    }
+    A, B, cells = ab_products(F, k, l, wide=True)
+    C, D = cells["F_kl2"], cells["F_k2l"]
     if B == 0:
         return _report("sqrt-lower", k, l, 0, 0, cells, vacuous=True)
-    left = (2 * A - B) * F.get(k + 1, l + 1)
+    left = (2 * A - B) * cells["F_k1l1"]
     if left < 0:
         return _report("sqrt-lower", k, l, B * B * C * D + 1, 0, cells, note="2A < B")
     return _report("sqrt-lower", k, l, B * B * C * D, left * left, cells, note="squared")
@@ -227,19 +225,14 @@ def check_vanish_lower(F: FTable, k: int, l: int) -> CheckReport:
     Equivalent to A sqrt(F(k+1,l)^2 - F(k,l) F(k+2,l)) >= (B - A) F(k+1,l);
     immediate when A >= B, otherwise squared.
     """
-    A = F.get(k + 1, l) * F.get(k, l + 1)
-    B = F.get(k, l) * F.get(k + 1, l + 1)
-    cells = {
-        "F_kl": F.get(k, l), "F_k1l1": F.get(k + 1, l + 1),
-        "F_k1l": F.get(k + 1, l), "F_kl1": F.get(k, l + 1),
-        "F_kl2": F.get(k, l + 2), "F_k2l": F.get(k + 2, l),
-    }
-    if B == 0 or F.get(k, l + 2) != 0:
+    A, B, cells = ab_products(F, k, l, wide=True)
+    if B == 0 or cells["F_kl2"] != 0:
         return _report("vanish-lower", k, l, 0, 0, cells, vacuous=True)
     if A >= B:
         return _report("vanish-lower", k, l, B, A, cells, note="A >= B")
-    disc = F.get(k + 1, l) ** 2 - F.get(k, l) * F.get(k + 2, l)
-    lhs = (B - A) ** 2 * F.get(k + 1, l) ** 2
+    f_k1l = cells["F_k1l"]
+    disc = f_k1l ** 2 - cells["F_kl"] * cells["F_k2l"]
+    lhs = (B - A) ** 2 * f_k1l ** 2
     rhs = A * A * disc
     return _report("vanish-lower", k, l, lhs, rhs, cells, note="squared")
 
@@ -255,14 +248,8 @@ def check_main(F: FTable, k: int, l: int) -> CheckReport:
     Vacuous when B = F(k,l) F(k+1,l+1) = 0.
     """
     n = F.n
-    A = F.get(k + 1, l) * F.get(k, l + 1)
-    B = F.get(k, l) * F.get(k + 1, l + 1)
-    C, D = F.get(k, l + 2), F.get(k + 2, l)
-    cells = {
-        "F_kl": F.get(k, l), "F_k1l1": F.get(k + 1, l + 1),
-        "F_k1l": F.get(k + 1, l), "F_kl1": F.get(k, l + 1),
-        "F_kl2": C, "F_k2l": D,
-    }
+    A, B, cells = ab_products(F, k, l, wide=True)
+    C, D = cells["F_kl2"], cells["F_k2l"]
     if B == 0:
         return _report("main", k, l, 0, 0, cells, vacuous=True)
     if C > 0 and D > 0:
@@ -293,30 +280,14 @@ def check_thin_flat(F: FTable, prm: PosetParams, t: int, k: int, l: int) -> Chec
         prm.n - prm.b[u] - prm.b_star[u] <= t - 1 for u in range(prm.n) if u not in marked
     )
     flat = all(prm.b[u] + prm.b_star[u] <= t + 1 for u in marked)
-    A = F.get(k + 1, l) * F.get(k, l + 1)
-    B = F.get(k, l) * F.get(k + 1, l + 1)
-    cells = {
-        "F_kl": F.get(k, l), "F_k1l1": F.get(k + 1, l + 1),
-        "F_k1l": F.get(k + 1, l), "F_kl1": F.get(k, l + 1),
-    }
+    A, B, cells = ab_products(F, k, l)
     if not (thin or flat) or B == 0:
         return _report("thin", k, l, 0, 0, cells, vacuous=True, extra={"t": t})
     factor = Fraction(1, 2) + Fraction(1, 16 * t * (t + 1) ** 3)
     return _report("thin", k, l, factor * B, A, cells, extra={"t": t})
 
 
-def check_converse(F: FTable, k: int, l: int) -> CheckReport:
-    """A <= 2 k l (min(k,l) + 1) n B, requiring B > 0."""
-    n = F.n
-    A = F.get(k + 1, l) * F.get(k, l + 1)
-    B = F.get(k, l) * F.get(k + 1, l + 1)
-    cells = {
-        "F_kl": F.get(k, l), "F_k1l1": F.get(k + 1, l + 1),
-        "F_k1l": F.get(k + 1, l), "F_kl1": F.get(k, l + 1),
-    }
-    if B == 0:
-        return _report("converse", k, l, 0, 0, cells, vacuous=True)
-    return _report("converse", k, l, A, 2 * k * l * (min(k, l) + 1) * n * B, cells)
+_GCPC_LHS, _GCPC_RHS = itemgetter("F_kl", "F_pq"), itemgetter("F_pl", "F_kq")
 
 
 def check_gcpc(table, k: int, l: int, p: int, q: int) -> CheckReport:
@@ -332,12 +303,7 @@ def check_gcpc(table, k: int, l: int, p: int, q: int) -> CheckReport:
         "F_pl": get((p, l), 0),
         "F_kq": get((k, q), 0),
     }
-    lhs = cells["F_kl"] * cells["F_pq"]
-    rhs = cells["F_pl"] * cells["F_kq"]
-    return _report(
-        "gcpc", k, l, lhs, rhs, cells,
-        vacuous=all(v == 0 for v in cells.values()), extra={"p": p, "q": q},
-    )
+    return _compare("gcpc", k, l, cells, _GCPC_LHS, _GCPC_RHS, extra={"p": p, "q": q})
 
 
 def check_stanley(N: NVector, k: int) -> CheckReport:
@@ -385,9 +351,9 @@ TABLE_CHECKS = {
     "half": check_half_cpc,
     "half1": check_half_cpc1,
     "half2": check_half_cpc2,
-    "logc1": lambda F, k, l: check_logc(F, k, l, 1),
-    "logc2": lambda F, k, l: check_logc(F, k, l, 2),
-    "logc3": lambda F, k, l: check_logc(F, k, l, 3),
+    "logc1": check_logc1,
+    "logc2": check_logc2,
+    "logc3": check_logc3,
     "logc-product": check_logconcave_product,
     "sqrt-lower": check_sqrt_lower,
     "vanish-lower": check_vanish_lower,

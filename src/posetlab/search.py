@@ -19,8 +19,10 @@ Violations of the generalized product comparison (``gcpc``) are located
 through the signed-gap reduction: a ``cpc2`` violation at (k, l) yields,
 after swapping the roles of z1 and z2, a signed table F' with
 F'(a, b) = F(-a, a+b), and the four cells at a = -k-1, b = k+l+1 violate
-F'(a,b) F'(a+1,b+1) <= F'(a+1,b) F'(a,b+1).  Certificates embed the poset
-and re-verify from scratch on reload.
+F'(a,b) F'(a+1,b+1) <= F'(a+1,b) F'(a,b+1).  Those four cells are cpc2's
+own cells, so the certificate takes cpc2's products; ``verify_certificate``
+recounts them on the signed table.  Certificates embed the poset and
+re-verify from scratch on reload.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from fractions import Fraction
 
 from .errors import BadParams, TooLarge
 from .extensions import FTable, f_table, f_table_signed
-from .inequalities import FAILS, HOLDS, VACUOUS, check_cpc, check_cpc1, check_cpc2
+from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build, width
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
-_CHECKERS = {"cpc": check_cpc, "cpc1": check_cpc1, "cpc2": check_cpc2}
 
 POSET_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 ENUMERATION_MAX_N = 6
@@ -110,13 +111,9 @@ def verify_certificate(cert: Certificate) -> bool:
     z = MarkedTriple(*cert.z)
     idx = cert.indices
     if cert.ineq == "gcpc":
-        table = f_table_signed(p, z)
-        a, b, pp, qq = idx["k"], idx["l"], idx["p"], idx["q"]
-        lhs = table.get((a, b), 0) * table.get((pp, qq), 0)
-        rhs = table.get((pp, b), 0) * table.get((a, qq), 0)
-        return lhs == cert.lhs and rhs == cert.rhs and lhs > rhs
-    F = f_table(p, z)
-    rep = _CHECKERS[cert.ineq](F, idx["k"], idx["l"])
+        rep = check_gcpc(f_table_signed(p, z), idx["k"], idx["l"], idx["p"], idx["q"])
+    else:
+        rep = TABLE_CHECKS[cert.ineq](f_table(p, z), idx["k"], idx["l"])
     return rep.lhs == cert.lhs and rep.rhs == cert.rhs and rep.verdict == FAILS
 
 
@@ -248,7 +245,6 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary) -> list:
     min_slack = summary.min_slack
     cutoff = min_slack[4].numerator if len(min_slack) == 5 else None
     holds = vacuous = 0
-    signed = None
     for k in range(1, n):
         for l in range(1, n - k + 1):
             trio = _cpc_trio(rows, k, l)
@@ -277,14 +273,9 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary) -> list:
                 continue
             summary.fails += 1
             if job.target == "gcpc":
-                # signed-gap reduction: swap z1, z2 and translate indices
-                if signed is None:
-                    signed = f_table_signed(p, z.swapped12())
+                # signed-gap reduction: swap z1, z2 and translate indices; the
+                # signed cells there are cpc2's cells, so lhs and rhs carry over
                 a, b = -k - 1, k + l + 1
-                lhs = signed.get((a, b), 0) * signed.get((a + 1, b + 1), 0)
-                rhs = signed.get((a + 1, b), 0) * signed.get((a, b + 1), 0)
-                if lhs <= rhs:
-                    continue
                 certs.append(
                     Certificate(
                         "gcpc", n, list(p.covers), z.swapped12().as_tuple(),

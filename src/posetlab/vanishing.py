@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import BadChain, HypothesesNotMet, IndexOutOfRange
 from .extensions import FTable, f_table
-from .inequalities import FAILS, HOLDS, CheckReport
+from .inequalities import FAILS, HOLDS, CheckReport, ab_products
 from .posets import MarkedTriple, Poset, PosetParams, is_normalized, params
 
 
@@ -131,16 +131,11 @@ def equality_case_check(
     F = F if F is not None else f_table(p, z)
     if F.get(k, l + 2) != 0 or F.get(k + 2, l) != 0:
         raise HypothesesNotMet("F(k,l+2) and F(k+2,l) must both vanish")
-    B = F.get(k, l) * F.get(k + 1, l + 1)
+    A, B, cells = ab_products(F, k, l)
     if B == 0:
         raise HypothesesNotMet("F(k,l) F(k+1,l+1) must be positive")
     prm = params(p)
     all_comparable = prm.b[z.z2] + prm.b_star[z.z2] == p.n + 1
-    A = F.get(k, l + 1) * F.get(k + 1, l)
-    cells = {
-        "F_kl": F.get(k, l), "F_k1l1": F.get(k + 1, l + 1),
-        "F_k1l": F.get(k + 1, l), "F_kl1": F.get(k, l + 1),
-    }
     verdict = HOLDS if (A == B and all_comparable) else FAILS
     return CheckReport(
         "vanishing-equality", k, l, Fraction(B), Fraction(A), verdict, cells,

@@ -172,6 +172,11 @@ def test_unreadable_file_exits_two(tmp_path, shape):
         ["search", "--target", "cpc", "--n-max", "6", "--budget", "-1"],
         ["check", "--ineq", "stanley", "--a", "99"],  # mark outside 0..n-1
         ["check", "--ineq", "stanley", "--a", "-1"],
+        ["check", "--ineq", "cpc", "--k", "1"],  # --k without --l
+        ["check", "--ineq", "cpc", "--l", "2"],  # --l without --k
+        ["check", "--ineq", "thin", "--k", "1"],
+        ["check", "--ineq", "gcpc", "--k", "1", "--l", "1"],  # gcpc needs --p --q too
+        ["check", "--ineq", "gcpc", "--k", "1", "--l", "1", "--p", "1"],
     ],
 )
 def test_bad_numeric_argument_exits_two(argv):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from posetlab.errors import BadParams
+from conftest import corpus
+from posetlab.errors import BadParams, HypothesesNotMet
 from posetlab.extensions import f_table, f_table_signed, n_vector
 from posetlab.families import (
     family_converse_tight,
@@ -16,6 +18,7 @@ from posetlab.families import (
 from posetlab.inequalities import (
     FAILS,
     HOLDS,
+    TABLE_CHECKS,
     VACUOUS,
     check_converse,
     check_cpc,
@@ -302,3 +305,79 @@ def test_report_json_shape(witness):
     assert obj["verdict"] == "fails"
     assert obj["lhs"] == "12" and obj["rhs"] == "8" and obj["slack"] == "-4"
     assert set(obj["cells"]) == {"F_kl2", "F_k1l", "F_kl1", "F_k1l1"}
+
+
+def test_registry_values_are_the_module_checkers():
+    """Each TABLE_CHECKS value is a module-level check_* function, so code
+    that looks checkers up by either route finds the same object."""
+    import posetlab.inequalities as ineq
+
+    checkers = {fn for name, fn in vars(ineq).items() if name.startswith("check_")}
+    assert all(fn in checkers for fn in ineq.TABLE_CHECKS.values())
+    assert list(ineq.TABLE_CHECKS) == [
+        "cpc", "cpc1", "cpc2", "half", "half1", "half2", "logc1", "logc2", "logc3",
+        "logc-product", "sqrt-lower", "vanish-lower", "main", "converse", "two-of-three",
+    ]
+    assert ineq.ALL_CHECK_IDS == sorted(ineq.TABLE_CHECKS) + ["thin", "stanley", "gcpc"]
+
+
+# SHA-256 of every report line below, recorded before the product
+# comparisons became table rows; any change to a verdict, a number, a field
+# or the order of the cells changes it.
+REPORT_BYTES_SHA256 = "b4f06037fb062c30d844f118f78529bd185f0e31bcb797716efa626aa2ab3f58"
+
+
+def _report_corpus():
+    marked = [
+        (family_cpc2_witness(1, 2).poset, family_cpc2_witness(1, 2).z),
+        (family_converse_tight(8, 2, 1).poset, family_converse_tight(8, 2, 1).z),
+        (build(7, [(0, 4), (1, 5), (4, 6), (5, 3), (6, 2), (6, 5)]), MarkedTriple(0, 6, 5)),
+        (build(6, [(0, 4), (1, 0), (1, 3), (2, 3), (2, 4), (5, 0), (5, 2)]), MarkedTriple(5, 0, 4)),
+        normalize(
+            build(7, [(0, 1), (1, 2), (3, 2), (2, 4), (4, 5), (4, 6)]), MarkedTriple(1, 2, 5)
+        ),
+    ]
+    marked += [(p.dual(), z.reversed()) for p, z in marked[:2]]
+    return marked + corpus(24, 3, 8, seed=4242)
+
+
+def _every_report(p, z):
+    """Every report the CLI's check command can print for (p, z), plus the
+    signed gcpc windows and the equality-case reports."""
+    F = f_table(p, z)
+    grid = list(F.grid())
+    for checker in TABLE_CHECKS.values():
+        for k, l in grid:
+            yield checker(F, k, l)
+    cells = sorted(F.support())
+    for k, l in cells:
+        for pp, qq in cells:
+            if k <= pp and l <= qq:
+                yield check_gcpc(F, k, l, pp, qq)
+    signed = f_table_signed(p, z.swapped12())
+    for a, b in sorted(signed):
+        yield check_gcpc(signed, a, b, a + 1, b + 1)
+    prm = params(p)
+    t = thin_threshold(p, z, prm)
+    for tt in sorted({t, max(1, t - 1)}):
+        for k, l in grid:
+            yield check_thin_flat(F, prm, tt, k, l)
+    nv = n_vector(p, z.z2)
+    for k in sorted(set(nv.counts) | {k + 1 for k in nv.counts}):
+        yield check_stanley(nv, k)
+    for k, l in grid:
+        try:
+            yield equality_case_check(p, z, k, l, F)
+        except HypothesesNotMet:
+            pass
+
+
+def test_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for p, z in _report_corpus():
+        for rep in _every_report(p, z):
+            digest.update(rep.to_json().encode() + b"\n")
+            count += 1
+    assert count > 10_000
+    assert digest.hexdigest() == REPORT_BYTES_SHA256

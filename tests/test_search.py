@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -162,6 +163,7 @@ def test_gcpc_certificates_via_signed_reduction():
         assert cert.ineq == "gcpc"
         assert cert.indices["k"] < 0 < cert.indices["l"]
         assert verify_certificate(cert)
+        assert not verify_certificate(replace(cert, lhs=cert.lhs + 1))
 
 
 def test_bad_target_rejected():
