@@ -24,7 +24,7 @@ from .extensions import (
 )
 from .families import FAMILY_IDS, build_family
 from .inequalities import CheckReport, TABLE_CHECKS
-from .posets import MarkedTriple, Poset, PosetParams, antichain, build, chain, normalize, params
+from .posets import MarkedTriple, Poset, antichain, build, chain, normalize, params
 from .search import Certificate, SearchJob, enumerate_posets, run, verify_certificate
 from .vanishing import SupportRegion, exists_extension_at, hexagon_closure_check, support
 
@@ -37,7 +37,7 @@ __all__ = [
     "f_table_signed", "n_vector", "pair_gap_table",
     "FAMILY_IDS", "build_family",
     "CheckReport", "TABLE_CHECKS",
-    "MarkedTriple", "Poset", "PosetParams", "antichain", "build", "chain",
+    "MarkedTriple", "Poset", "antichain", "build", "chain",
     "normalize", "params",
     "Certificate", "SearchJob", "enumerate_posets", "run", "verify_certificate",
     "SupportRegion", "exists_extension_at", "hexagon_closure_check", "support",

@@ -28,7 +28,6 @@ from .posets import (
     fraction_str,
     load_poset,
     normalize,
-    params,
     thin_threshold,
 )
 
@@ -59,11 +58,22 @@ def _emit(obj: dict, out, human: bool) -> None:
         print(json.dumps(obj), file=out)
 
 
+def _check_flags(args) -> None:
+    """Refuse a flag that ``--ineq`` does not read, and ``--all`` with an
+    index: either would otherwise be dropped without a word."""
+    reads = {"stanley": "ka", "gcpc": "klpq", "thin": "klt"}.get(args.ineq, "kl")
+    unread = [f"--{c}" for c in "klpqta" if c not in reads and getattr(args, c) is not None]
+    if unread:
+        raise BadParams(f"--ineq {args.ineq} does not read {' '.join(unread)}")
+    if args.all and any(getattr(args, c) is not None for c in "klpq"):
+        raise BadParams("--all takes no --k, --l, --p or --q")
+
+
 def _indices(args, names: tuple):
     """The index arguments ``names`` as a tuple, or None for the whole grid
-    (``--all``, or none of them given); a partial set is a usage error."""
+    (none of them given, as with ``--all``); a partial set is a usage error."""
     values = tuple(getattr(args, name) for name in names)
-    if args.all or values == (None,) * len(names):
+    if values == (None,) * len(names):
         return None
     if None in values:
         flags = " ".join(f"--{name}" for name in names)
@@ -99,6 +109,7 @@ def cmd_vanish(args, stdin, out) -> int:
 
 
 def cmd_check(args, stdin, out) -> int:
+    _check_flags(args)
     p, z, a = _read_poset(args.poset, stdin)
     failed = False
     reports = []
@@ -131,9 +142,8 @@ def cmd_check(args, stdin, out) -> int:
         else:
             kls = [given] if given else list(F.grid(margin=1))
             if args.ineq == "thin":
-                prm = params(p)
-                t = args.t if args.t is not None else thin_threshold(p, z, prm)
-                reports = [check_thin_flat(F, prm, t, k, l) for k, l in kls]
+                t = args.t if args.t is not None else thin_threshold(p, z)
+                reports = [check_thin_flat(F, p, t, k, l) for k, l in kls]
             else:
                 reports = [TABLE_CHECKS[args.ineq](F, k, l) for k, l in kls]
     for rep in reports:

@@ -31,7 +31,7 @@ from operator import itemgetter
 
 from .errors import BadParams
 from .extensions import FTable, NVector
-from .posets import SCHEMA, PosetParams, fraction_str
+from .posets import SCHEMA, Poset, fraction_str, is_flat, is_thin
 
 HOLDS, FAILS, VACUOUS = "holds", "fails", "vacuous"
 
@@ -271,17 +271,12 @@ def check_main(F: FTable, k: int, l: int) -> CheckReport:
                        note="branch=equality")
 
 
-def check_thin_flat(F: FTable, prm: PosetParams, t: int, k: int, l: int) -> CheckReport:
+def check_thin_flat(F: FTable, p: Poset, t: int, k: int, l: int) -> CheckReport:
     """A >= (1/2 + 1/(16 t (t+1)^3)) B for posets that are t-thin or t-flat
     with respect to the marked triple.  Vacuous when neither holds or B = 0.
     """
-    marked = set(F.z.as_tuple())
-    thin = all(
-        prm.n - prm.b[u] - prm.b_star[u] <= t - 1 for u in range(prm.n) if u not in marked
-    )
-    flat = all(prm.b[u] + prm.b_star[u] <= t + 1 for u in marked)
     A, B, cells = ab_products(F, k, l)
-    if not (thin or flat) or B == 0:
+    if not (is_thin(p, F.z, t) or is_flat(p, F.z, t)) or B == 0:
         return _report("thin", k, l, 0, 0, cells, vacuous=True, extra={"t": t})
     factor = Fraction(1, 2) + Fraction(1, 16 * t * (t + 1) ** 3)
     return _report("thin", k, l, factor * B, A, cells, extra={"t": t})

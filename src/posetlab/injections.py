@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from .errors import CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
 from .extensions import FTable, enumerate_extensions, f_table, gap_classes, n_vector
-from .posets import SCHEMA, MarkedTriple, Poset, PosetParams, params
+from .posets import SCHEMA, MarkedTriple, Poset
 
 HASH_THRESHOLD = 100_000
 
@@ -106,13 +106,12 @@ def _zpos(word, z: MarkedTriple, k: int, l: int, dk: int, dl: int) -> int:
 # -- single-element map -------------------------------------------------------
 
 
-def phi_stanley(p: Poset, a: int, word, prm: PosetParams | None = None) -> tuple[Word, int]:
+def phi_stanley(p: Poset, a: int, word) -> tuple[Word, int]:
     """Map a word with ``a`` at position k to (word with ``a`` at k-1, r).
 
     The pivot is the last element before ``a`` not below it; r = k - i is
     its distance to ``a`` and satisfies 1 <= r <= t(a).
     """
-    prm = prm or params(p)
     kpos = word.index(a)  # 0-based; 1-based position is kpos+1
     below = p.down[a]
     for i in range(kpos - 1, -1, -1):
@@ -121,8 +120,8 @@ def phi_stanley(p: Poset, a: int, word, prm: PosetParams | None = None) -> tuple
     else:
         raise NoPivot("every element before the mark lies below it")
     r = kpos - i
-    if not 1 <= r <= prm.t[a]:
-        raise CaseExhaustion(f"stanley payload {r} outside [1, t(a)={prm.t[a]}]")
+    if not 1 <= r <= p.t[a]:
+        raise CaseExhaustion(f"stanley payload {r} outside [1, t(a)={p.t[a]}]")
     return _move_right_past(p.comparable, word, i, a), r
 
 
@@ -146,14 +145,14 @@ def phi_stanley_inverse(p: Poset, a: int, word, r: int) -> Word | None:
 # -- gap-pair maps ------------------------------------------------------------
 
 
-def transfer_intervals(prm: PosetParams, z: MarkedTriple, k: int, l: int):
+def transfer_intervals(p: Poset, z: MarkedTriple, k: int, l: int):
     """Case boxes for F(k+1,l+1) -> I x F(k,l+2)."""
     z1, z2, z3 = z.as_tuple()
-    edge = min(prm.interval(z1, z2) - 1, prm.t_star[z1])
+    edge = min(p.interval(z1, z2) - 1, p.t_star[z1])
     return [
-        ("1", (min(prm.t[z2], k),)),
-        ("2.1", (edge, prm.t_star[z3])),
-        ("2.2", (edge, prm.t[z2])),
+        ("1", (min(p.t[z2], k),)),
+        ("2.1", (edge, p.t_star[z3])),
+        ("2.2", (edge, p.t[z2])),
     ]
 
 
@@ -190,15 +189,15 @@ def psi_transfer(p: Poset, z: MarkedTriple, k: int, l: int,
     raise CaseExhaustion("case 2.2 pivot missing; F(k,l+2) must vanish")
 
 
-def shrink_intervals(prm: PosetParams, z: MarkedTriple, k: int, l: int):
+def shrink_intervals(p: Poset, z: MarkedTriple, k: int, l: int):
     """Case boxes for F(k+1,l) -> I x F(k,l)."""
     z1, z2, z3 = z.as_tuple()
-    edge = min(prm.interval(z1, z2) - 1, prm.t[z2])
+    edge = min(p.interval(z1, z2) - 1, p.t[z2])
     return [
-        ("1", (min(k, prm.t_star[z1]),)),
-        ("2", (min(k, prm.t[z3] - 1),)),
-        ("3.1", (edge, min(l - 1, prm.t[z3]))),
-        ("3.2", (edge, min(l - 1, prm.t_star[z1] - 1))),
+        ("1", (min(k, p.t_star[z1]),)),
+        ("2", (min(k, p.t[z3] - 1),)),
+        ("3.1", (edge, min(l - 1, p.t[z3]))),
+        ("3.2", (edge, min(l - 1, p.t_star[z1] - 1))),
     ]
 
 
@@ -241,13 +240,13 @@ def psi_shrink(p: Poset, z: MarkedTriple, k: int, l: int,
     raise CaseExhaustion("case 3 without a middle pivot")
 
 
-def grow_intervals(prm: PosetParams, z: MarkedTriple, k: int, l: int):
+def grow_intervals(p: Poset, z: MarkedTriple, k: int, l: int):
     """Case boxes for F(k+1,l) -> I x F(k+2,l)."""
     z1, z2, z3 = z.as_tuple()
     return [
-        ("1", (prm.t[z1],)),
-        ("2.1", (prm.t_star[z2] - 1,)),
-        ("2.2", (min(l - 1, prm.t_star[z2]), prm.t_star[z3])),
+        ("1", (p.t[z1],)),
+        ("2.1", (p.t_star[z2] - 1,)),
+        ("2.2", (min(l - 1, p.t_star[z2]), p.t_star[z3])),
     ]
 
 
@@ -413,7 +412,6 @@ def certify_map(
     l: int,
     name: str,
     classes: dict | None = None,
-    prm: PosetParams | None = None,
     F: FTable | None = None,
 ) -> InjectionCertificate:
     """Run one gap-pair injection over all of its domain and certify it.
@@ -422,14 +420,13 @@ def certify_map(
     their hypotheses are not claims).
     """
     fn, intervals_fn, dom_shift, img_shift = MAPS[name]
-    prm = prm or params(p)
     classes = classes if classes is not None else gap_classes(p, z)
     F = F or f_table(p, z)
     target = (k + img_shift[0], l + img_shift[1])
     if F.get(*target) <= 0:
         raise HypothesesNotMet(f"{name}: target class F{target} is empty")
     domain = classes.get((k + dom_shift[0], l + dom_shift[1]), [])
-    boxes = intervals_fn(prm, z, k, l)
+    boxes = intervals_fn(p, z, k, l)
     cert = InjectionCertificate(
         name, k, l, len(domain), 0, interval_total(boxes), F.get(*target)
     )
@@ -461,10 +458,8 @@ def certify_stanley(
     a: int,
     kpos: int,
     classes: dict[int, list[Word]] | None = None,
-    prm: PosetParams | None = None,
 ) -> InjectionCertificate:
     """Certify the single-element map on N_kpos, including its round trip."""
-    prm = prm or params(p)
     if classes is None:
         classes = {}
         for w in enumerate_extensions(p):
@@ -473,14 +468,14 @@ def certify_stanley(
     if below <= 0:
         raise HypothesesNotMet("stanley: N_{k-1} is empty")
     domain = classes.get(kpos, [])
-    table = _box_table([("1", (prm.t[a],))])
-    cert = InjectionCertificate("stanley", kpos, None, len(domain), 0, prm.t[a], below)
+    table = _box_table([("1", (p.t[a],))])
+    cert = InjectionCertificate("stanley", kpos, None, len(domain), 0, p.t[a], below)
     add, cert.hashed = _collision_tracker(len(domain))
     target_set = set(classes.get(kpos - 1, []))
     image = 0
     for word in domain:
         try:
-            out, r = phi_stanley(p, a, word, prm)
+            out, r = phi_stanley(p, a, word)
             idx = _encode(table, "1", (r,))
         except Exception as exc:
             cert.errors.append({"word": list(word), "error": str(exc)})
@@ -509,7 +504,6 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
     ``n_vector``); a mismatch raises PosetLabError before any certificate
     is made.
     """
-    prm = params(p)
     F = f_table(p, z)
     z1, z2, z3 = z.z1, z.z2, z.z3
     classes: dict[tuple[int, int], list[Word]] = {}
@@ -530,7 +524,7 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
         if name == "stanley":
             for kpos in sorted(nv.counts):
                 if nv.get(kpos - 1) > 0:
-                    out.append(certify_stanley(p, z2, kpos, positions, prm))
+                    out.append(certify_stanley(p, z2, kpos, positions))
             continue
         fn, intervals_fn, dom_shift, img_shift = MAPS[name]
         seen_kl = set()
@@ -540,5 +534,5 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
                 continue
             seen_kl.add((k, l))
             if F.get(k + img_shift[0], l + img_shift[1]) > 0:
-                out.append(certify_map(p, z, k, l, name, classes, prm, F))
+                out.append(certify_map(p, z, k, l, name, classes, F))
     return out

@@ -5,15 +5,14 @@ bitmask per element (``up[x]`` = set of elements strictly above x), always
 transitively closed and irreflexive.  All types are immutable after
 construction and safe to share across threads.
 
-Order-theoretic parameters follow the usual conventions:
+The order parameters of the bounds are ``Poset`` attributes, computed on
+first use and kept like ``down`` and ``comparable``:
 
-* ``b(x)``  = |{y : y <= x}|   (lower ideal, x included)
-* ``b*(x)`` = |{y : y >= x}|   (upper ideal)
-* ``b(x,y)`` = |{z : x <= z <= y}|  (interval; 0 unless x <= y)
-* ``u(x,y)``  = |{z : z || y, z <= x}|  for incomparable x, y
-* ``u*(x,y)`` = |{z : z || y, z >= x}|
-* ``t(x)``  = max_y u(x,y), ``t*(x)`` = max_y u*(x,y), both 1 when x is
-  comparable to everything.
+* ``b[x]`` = b(x) = |{y : y <= x}|, ``b_star[x]`` = b*(x) = |{y : y >= x}|
+* ``interval(x, y)`` = b(x,y) = |{z : x <= z <= y}|, 0 unless x <= y (no table)
+* ``t[x]`` = max u(x,y), ``t_star[x]`` = max u*(x,y) over y || x, 1 if none,
+  where u(x,y) = |{z <= x : z || y}| and u*(x,y) = |{z >= x : z || y}|
+* ``width`` (largest antichain) and ``height`` (longest chain).
 """
 
 from __future__ import annotations
@@ -130,6 +129,46 @@ class Poset:
                     out.append((x, y))
         return tuple(sorted(out))
 
+    # -- order parameters, cached on first use ---------------------------
+
+    @cached_property
+    def b(self) -> tuple[int, ...]:
+        """b[x] = |{y : y <= x}|, the lower ideal of x with x included."""
+        return tuple(d.bit_count() + 1 for d in self.down)
+
+    @cached_property
+    def b_star(self) -> tuple[int, ...]:
+        """b_star[x] = |{y : y >= x}|, the upper ideal of x with x included."""
+        return tuple(u.bit_count() + 1 for u in self.up)
+
+    def interval(self, x: int, y: int) -> int:
+        """b(x, y) = |{z : x <= z <= y}|; 0 unless x <= y."""
+        return ((self.up[x] | 1 << x) & (self.down[y] | 1 << y)).bit_count()
+
+    @cached_property
+    def t(self) -> tuple[int, ...]:
+        """t[x] = max over y || x of |{z <= x : z || y}|, 1 if there is no y."""
+        return _incomparable_max(self, self.down)
+
+    @cached_property
+    def t_star(self) -> tuple[int, ...]:
+        """t_star[x] = max over y || x of |{z >= x : z || y}|, 1 if there is no y."""
+        return _incomparable_max(self, self.up)
+
+    @cached_property
+    def width(self) -> int:
+        """Maximum antichain size, via minimum chain cover (Dilworth)."""
+        return self.n - _max_matching(self.n, self.up)
+
+    @cached_property
+    def height(self) -> int:
+        """Number of elements in a longest chain."""
+        depth = [0] * self.n
+        for x in sorted(range(self.n), key=lambda x: self.down[x].bit_count()):
+            below = self.down[x]
+            depth[x] = 1 + max((depth[y] for y in range(self.n) if below >> y & 1), default=0)
+        return max(depth)
+
     def relation_pairs(self) -> list[tuple[int, int]]:
         return [(x, y) for x in range(self.n) for y in range(self.n) if self.less(x, y)]
 
@@ -165,10 +204,8 @@ class Poset:
                 if best is None or code < best:
                     best = code
             return (self.n, best)
-        profile = sorted(
-            (bin(self.down[x]).count("1"), bin(self.up[x]).count("1")) for x in range(self.n)
-        )
-        return (self.n, "hash", hash((self.n, tuple(profile), len(pairs))))
+        profile = tuple(sorted(zip(self.b, self.b_star)))
+        return (self.n, "hash", hash((self.n, profile, len(pairs))))
 
     # -- serialization ----------------------------------------------------
 
@@ -361,28 +398,20 @@ def normalize(p: Poset, z: MarkedTriple) -> tuple[Poset, MarkedTriple]:
 # -- parameters ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PosetParams:
-    """All per-element / per-pair order parameters of one poset."""
-
-    n: int
-    b: tuple[int, ...]
-    b_star: tuple[int, ...]
-    t: tuple[int, ...]
-    t_star: tuple[int, ...]
-    b_interval: tuple[tuple[int, ...], ...]
-    width: int
-    height: int
-
-    def interval(self, x: int, y: int) -> int:
-        return self.b_interval[x][y]
+def _incomparable_max(p: Poset, strict_rows) -> tuple[int, ...]:
+    """t (down rows) or t* (up rows): for each x, the most elements of
+    ``strict_rows[x] | x`` incomparable to one y || x, or 1 without such y."""
+    full = (1 << p.n) - 1
+    incomp = [full ^ c for c in p.comparable]
+    out = []
+    for x, row in enumerate(strict_rows):
+        ideal, others = row | 1 << x, incomp[x]
+        ys = (y for y in range(p.n) if others >> y & 1)
+        out.append(max(((incomp[y] & ideal).bit_count() for y in ys), default=1))
+    return tuple(out)
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
-def _max_matching(n: int, adj: list[int]) -> int:
+def _max_matching(n: int, adj: tuple[int, ...]) -> int:
     """Maximum bipartite matching, left/right both 0..n-1, adj as bitmasks."""
     match_r = [-1] * n
 
@@ -407,104 +436,69 @@ def _max_matching(n: int, adj: list[int]) -> int:
 
 
 def width(p: Poset) -> int:
-    """Maximum antichain size, via minimum chain cover (Dilworth)."""
-    return p.n - _max_matching(p.n, list(p.up))
+    """Maximum antichain size: ``p.width``."""
+    return p.width
 
 
 def width_bruteforce(p: Poset) -> int:
     """Maximum antichain by scanning all subsets; oracle for small n."""
     if p.n > 20:
         raise BadParams("brute-force width restricted to n <= 20")
-    comparable = [p.up[x] | p.down[x] for x in range(p.n)]
+    comparable = p.comparable
     best = 1
     for mask in range(1, 1 << p.n):
-        bits, ok = mask, True
+        bits = mask
         while bits:
             x = (bits & -bits).bit_length() - 1
             bits &= bits - 1
-            if comparable[x] & mask:
-                ok = False
+            if (comparable[x] & mask) != 1 << x:
                 break
-        if ok:
-            best = max(best, _popcount(mask))
+        else:
+            best = max(best, mask.bit_count())
     return best
 
 
 def height(p: Poset) -> int:
-    """Number of elements in a longest chain."""
-    depth = [0] * p.n
-    order = sorted(range(p.n), key=lambda x: _popcount(p.down[x]))
-    for x in order:
-        bits = p.down[x]
-        d = 0
-        while bits:
-            y = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            d = max(d, depth[y])
-        depth[x] = d + 1
-    return max(depth)
+    """Number of elements in a longest chain: ``p.height``."""
+    return p.height
 
 
-def params(p: Poset) -> PosetParams:
-    """Compute b, b*, t, t*, all interval sizes, width and height."""
-    n = p.n
-    b = tuple(_popcount(p.down[x]) + 1 for x in range(n))
-    b_star = tuple(_popcount(p.up[x]) + 1 for x in range(n))
-    full = (1 << n) - 1
-    incomp = [full & ~(p.up[x] | p.down[x] | (1 << x)) for x in range(n)]
-    t, t_star = [], []
-    for x in range(n):
-        dx = p.down[x] | (1 << x)
-        ux = p.up[x] | (1 << x)
-        best_t = best_ts = 1
-        bits = incomp[x]
-        while bits:
-            y = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            best_t = max(best_t, _popcount(incomp[y] & dx))
-            best_ts = max(best_ts, _popcount(incomp[y] & ux))
-        t.append(best_t)
-        t_star.append(best_ts)
-    b_interval = tuple(
-        tuple(_popcount((p.up[x] | (1 << x)) & (p.down[y] | (1 << y))) for y in range(n))
-        for x in range(n)
-    )
-    return PosetParams(n, b, b_star, tuple(t), tuple(t_star), b_interval, width(p), height(p))
+def params(p: Poset) -> Poset:
+    """The poset itself, whose cached attributes ``b``, ``b_star``, ``t``,
+    ``t_star``, ``width``, ``height`` and ``interval(x, y)`` are the order
+    parameters; kept so that ``params(p).b`` and the like still read them."""
+    return p
 
 
 # -- thin / flat -----------------------------------------------------------
 
 
-def is_thin(p: Poset, z: MarkedTriple, t: int, prm: PosetParams | None = None) -> bool:
+def is_thin(p: Poset, z: MarkedTriple, t: int) -> bool:
     """Every element outside the marked set has n - b(u) - b*(u) <= t - 1."""
-    prm = prm or params(p)
     marked = set(z.as_tuple())
     return all(
-        p.n - prm.b[u] - prm.b_star[u] <= t - 1 for u in range(p.n) if u not in marked
+        p.n - p.b[u] - p.b_star[u] <= t - 1 for u in range(p.n) if u not in marked
     )
 
 
-def is_flat(p: Poset, z: MarkedTriple, t: int, prm: PosetParams | None = None) -> bool:
+def is_flat(p: Poset, z: MarkedTriple, t: int) -> bool:
     """Every marked element has b(u) + b*(u) <= t + 1."""
-    prm = prm or params(p)
-    return all(prm.b[u] + prm.b_star[u] <= t + 1 for u in z.as_tuple())
+    return all(p.b[u] + p.b_star[u] <= t + 1 for u in z.as_tuple())
 
 
-def thin_threshold(p: Poset, z: MarkedTriple, prm: PosetParams | None = None) -> int:
+def thin_threshold(p: Poset, z: MarkedTriple) -> int:
     """Smallest t for which the poset is t-thin w.r.t. the marked set."""
-    prm = prm or params(p)
     marked = set(z.as_tuple())
     worst = max(
-        (p.n - prm.b[u] - prm.b_star[u] for u in range(p.n) if u not in marked),
+        (p.n - p.b[u] - p.b_star[u] for u in range(p.n) if u not in marked),
         default=0,
     )
     return max(1, worst + 1)
 
 
-def flat_threshold(p: Poset, z: MarkedTriple, prm: PosetParams | None = None) -> int:
+def flat_threshold(p: Poset, z: MarkedTriple) -> int:
     """Smallest t for which the poset is t-flat w.r.t. the marked set."""
-    prm = prm or params(p)
-    return max(1, max(prm.b[u] + prm.b_star[u] for u in z.as_tuple()) - 1)
+    return max(1, max(p.b[u] + p.b_star[u] for u in z.as_tuple()) - 1)
 
 
 def fraction_str(q: Fraction) -> str:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from .errors import BadParams, TooLarge
 from .extensions import FTable, f_table, f_table_signed
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
-from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build, width
+from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 
@@ -106,7 +106,14 @@ class Certificate:
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Recompute the embedded instance and confirm the recorded violation."""
+    """Recompute the embedded instance and confirm the recorded violation.
+    BadParams when ``ineq`` is not gcpc or a table check, or ``indices``
+    lacks a key that check reads."""
+    if cert.ineq != "gcpc" and cert.ineq not in TABLE_CHECKS:
+        raise BadParams(f"certificate names an unknown check {cert.ineq!r}")
+    missing = [key for key in ("klpq" if cert.ineq == "gcpc" else "kl") if key not in cert.indices]
+    if missing:
+        raise BadParams(f"{cert.ineq} certificate indices lack {', '.join(missing)}")
     p = build(cert.n, cert.covers)
     z = MarkedTriple(*cert.z)
     idx = cert.indices
@@ -236,7 +243,7 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary) -> list:
     p, z = random_instance(job.seed, index, job.n_min, job.n_max)
     if z is None:
         return certs
-    if job.width_max is not None and width(p) > job.width_max:
+    if job.width_max is not None and p.width > job.width_max:
         return certs
     summary.usable += 1
     n = p.n

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import BadChain, HypothesesNotMet, IndexOutOfRange
 from .extensions import FTable, f_table
 from .inequalities import FAILS, HOLDS, CheckReport, ab_products
-from .posets import MarkedTriple, Poset, PosetParams, is_normalized, params
+from .posets import MarkedTriple, Poset, is_normalized
 
 
 @dataclass(frozen=True)
@@ -56,24 +56,23 @@ class SupportRegion:
         }
 
 
-def support(p: Poset, z: MarkedTriple, prm: PosetParams | None = None) -> SupportRegion:
+def support(p: Poset, z: MarkedTriple) -> SupportRegion:
     """Support region of F for a normalized triple; membership is O(1)."""
     if not is_normalized(p, z):
         raise BadChain("support requires z1 < z2 < z3")
-    prm = prm or params(p)
     n = p.n
     z1, z2, z3 = z.as_tuple()
     return SupportRegion(
-        k_lo=prm.interval(z1, z2) - 1,
-        k_hi=n + 1 - prm.b[z1] - prm.b_star[z2],
-        l_lo=prm.interval(z2, z3) - 1,
-        l_hi=n + 1 - prm.b_star[z3] - prm.b[z2],
-        s_lo=prm.interval(z1, z3) - 1,
-        s_hi=n + 1 - prm.b_star[z3] - prm.b[z1],
+        k_lo=p.interval(z1, z2) - 1,
+        k_hi=n + 1 - p.b[z1] - p.b_star[z2],
+        l_lo=p.interval(z2, z3) - 1,
+        l_hi=n + 1 - p.b_star[z3] - p.b[z2],
+        s_lo=p.interval(z1, z3) - 1,
+        s_hi=n + 1 - p.b_star[z3] - p.b[z1],
     )
 
 
-def exists_extension_at(p: Poset, zs, positions, prm: PosetParams | None = None) -> bool:
+def exists_extension_at(p: Poset, zs, positions) -> bool:
     """Is there an extension with the chain zs[i] at position positions[i]?
 
     ``zs`` must be strictly chain-ordered, ``positions`` strictly increasing
@@ -91,14 +90,13 @@ def exists_extension_at(p: Poset, zs, positions, prm: PosetParams | None = None)
             raise IndexOutOfRange(f"position {a} outside 1..{p.n}")
     if any(positions[i] >= positions[i + 1] for i in range(len(positions) - 1)):
         raise BadChain("positions must be strictly increasing")
-    prm = prm or params(p)
     n = p.n
     for z, a in zip(zs, positions):
-        if prm.b[z] > a or prm.b_star[z] > n - a + 1:
+        if p.b[z] > a or p.b_star[z] > n - a + 1:
             return False
     for i in range(len(zs)):
         for j in range(i + 1, len(zs)):
-            if positions[j] - positions[i] < prm.interval(zs[i], zs[j]) - 1:
+            if positions[j] - positions[i] < p.interval(zs[i], zs[j]) - 1:
                 return False
     return True
 
@@ -134,8 +132,7 @@ def equality_case_check(
     A, B, cells = ab_products(F, k, l)
     if B == 0:
         raise HypothesesNotMet("F(k,l) F(k+1,l+1) must be positive")
-    prm = params(p)
-    all_comparable = prm.b[z.z2] + prm.b_star[z.z2] == p.n + 1
+    all_comparable = p.b[z.z2] + p.b_star[z.z2] == p.n + 1
     verdict = HOLDS if (A == B and all_comparable) else FAILS
     return CheckReport(
         "vanishing-equality", k, l, Fraction(B), Fraction(A), verdict, cells,

@@ -185,6 +185,39 @@ def test_bad_numeric_argument_exits_two(argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--ineq", "cpc", "--p", "3"],  # cpc reads --k --l only
+        ["--ineq", "stanley", "--l", "3"],  # stanley reads --k --a only
+        ["--ineq", "cpc2", "--t", "2"],  # only thin reads --t
+        ["--ineq", "gcpc", "--t", "2"],
+        ["--ineq", "thin", "--p", "1", "--q", "2"],
+        ["--ineq", "cpc", "--a", "1"],  # only stanley reads --a
+        ["--ineq", "cpc", "--all", "--k", "1", "--l", "2"],
+        ["--ineq", "gcpc", "--all", "--k", "1", "--l", "1", "--p", "2", "--q", "2"],
+        ["--ineq", "stanley", "--all", "--k", "2"],
+    ],
+)
+def test_unread_check_flag_exits_two(flags):
+    _, family_out, _ = run_cli(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"])
+    code, out, err = run_cli(["check", *flags], stdin_text=family_out)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_check_accepts_the_flags_it_reads():
+    _, family_out, _ = run_cli(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"])
+    for flags in (
+        ["--ineq", "thin", "--all", "--t", "2"],
+        ["--ineq", "thin", "--k", "1", "--l", "2", "--t", "2"],
+        ["--ineq", "stanley", "--all", "--a", "1"],
+        ["--ineq", "gcpc", "--k", "1", "--l", "1", "--p", "2", "--q", "2"],
+    ):
+        code, out, err = run_cli(["check", *flags], stdin_text=family_out)
+        assert code in (0, 1) and out and err == "", flags
+
+
 def test_human_mode_renders():
     code, out, _ = run_cli(["--human", "table"], stdin_text=chain3_json())
     assert code == 0 and "F=" in out and "{" not in out.splitlines()[0][:1]

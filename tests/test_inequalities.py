@@ -141,7 +141,7 @@ def test_thin_factor_and_verdicts():
     p, z = normalize(inst.poset, MarkedTriple(3, 0, 4))
     F = f_table(p, z)
     prm = params(p)
-    t = thin_threshold(p, z, prm)
+    t = thin_threshold(p, z)
     factor = Fraction(1, 2) + Fraction(1, 16 * t * (t + 1) ** 3)
     hit = False
     for k in range(1, p.n):
@@ -159,7 +159,7 @@ def test_thin_vacuous_when_threshold_too_small():
     inst = family_cpc2_witness(1, 3)
     F = f_table(inst.poset, inst.z)
     prm = params(inst.poset)
-    t = thin_threshold(inst.poset, inst.z, prm)
+    t = thin_threshold(inst.poset, inst.z)
     if t > 1:
         assert check_thin_flat(F, prm, t - 1, 1, 3).verdict == VACUOUS
 
@@ -358,7 +358,7 @@ def _every_report(p, z):
     for a, b in sorted(signed):
         yield check_gcpc(signed, a, b, a + 1, b + 1)
     prm = params(p)
-    t = thin_threshold(p, z, prm)
+    t = thin_threshold(p, z)
     for tt in sorted({t, max(1, t - 1)}):
         for k, l in grid:
             yield check_thin_flat(F, prm, tt, k, l)

@@ -148,7 +148,7 @@ def test_stanley_round_trip_and_bounds(medium_corpus):
         nv = {pos: len(ws) for pos, ws in classes.items()}
         for kpos, count in sorted(nv.items()):
             if nv.get(kpos - 1, 0) > 0:
-                cert = certify_stanley(p, a, kpos, classes, prm)
+                cert = certify_stanley(p, a, kpos, classes)
                 assert cert.ok
                 assert count <= prm.t[a] * nv[kpos - 1]
                 assert count <= (kpos - 1) * nv[kpos - 1]

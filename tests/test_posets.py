@@ -28,6 +28,8 @@ from posetlab.posets import (
     width,
     width_bruteforce,
 )
+from posetlab.search import random_instance
+from posetlab.vanishing import support
 
 
 @st.composite
@@ -125,6 +127,47 @@ def test_witness_family_interval():
     inst = family_cpc2_witness(1, 2)
     prm = params(inst.poset)
     assert prm.interval(inst.z.z1, inst.z.z2) == 2
+
+
+def _reference_params(p: Poset):
+    """b, b*, t, t*, the interval table and the height, straight from their
+    definitions with one full n x n interval table."""
+    n, pc = p.n, lambda m: bin(m).count("1")
+    b = tuple(pc(p.down[x]) + 1 for x in range(n))
+    b_star = tuple(pc(p.up[x]) + 1 for x in range(n))
+    full = (1 << n) - 1
+    incomp = [full & ~(p.up[x] | p.down[x] | (1 << x)) for x in range(n)]
+    t, t_star = [], []
+    for x in range(n):
+        dx, ux = p.down[x] | (1 << x), p.up[x] | (1 << x)
+        ys = [y for y in range(n) if incomp[x] >> y & 1]
+        t.append(max([1] + [pc(incomp[y] & dx) for y in ys]))
+        t_star.append(max([1] + [pc(incomp[y] & ux) for y in ys]))
+    interval = [
+        [pc((p.up[x] | (1 << x)) & (p.down[y] | (1 << y))) for y in range(n)] for x in range(n)
+    ]
+    depth = {}
+    for x in sorted(range(n), key=lambda x: pc(p.down[x])):
+        depth[x] = 1 + max((depth[y] for y in range(n) if p.less(y, x)), default=0)
+    return b, b_star, tuple(t), tuple(t_star), interval, max(depth.values())
+
+
+def test_cached_params_match_reference(medium_corpus):
+    corpus = [p for p, _ in medium_corpus]
+    corpus += [p.dual() for p in corpus]
+    corpus += [random_instance(31, i, 3, 10)[0] for i in range(200)]
+    for p in corpus:
+        b, b_star, t, t_star, interval, height = _reference_params(p)
+        assert (p.b, p.b_star, p.t, p.t_star) == (b, b_star, t, t_star)
+        assert [[p.interval(x, y) for y in range(p.n)] for x in range(p.n)] == interval
+        assert p.width == width_bruteforce(p) and p.height == height
+        assert params(p) is p
+    # support reads b, b* and three interval sizes, nothing else
+    for p, z in medium_corpus:
+        fresh = Poset(p.n, p.up)
+        support(fresh, z)
+        assert {"b", "b_star"} <= set(fresh.__dict__)
+        assert not {"t", "t_star", "width", "height"} & set(fresh.__dict__)
 
 
 def test_marked_triple_validation_and_normalize():

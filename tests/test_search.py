@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from posetlab import search
-from posetlab.errors import TooLarge
+from posetlab.errors import BadParams, TooLarge
 from posetlab.extensions import count_extensions, f_table
 from posetlab.inequalities import check_cpc, check_cpc1, check_cpc2
 from posetlab.posets import MarkedTriple
@@ -164,6 +164,18 @@ def test_gcpc_certificates_via_signed_reduction():
         assert cert.indices["k"] < 0 < cert.indices["l"]
         assert verify_certificate(cert)
         assert not verify_certificate(replace(cert, lhs=cert.lhs + 1))
+
+
+def test_verify_certificate_rejects_malformed_certificates():
+    covers = [(0, 1), (1, 2)]
+    with pytest.raises(BadParams, match="'stanley'"):
+        verify_certificate(Certificate("stanley", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
+    with pytest.raises(BadParams, match="lack l"):
+        verify_certificate(Certificate("cpc2", 3, covers, (0, 1, 2), {"k": 1}, 1, 0, 0))
+    with pytest.raises(BadParams, match="lack p, q"):
+        verify_certificate(Certificate("gcpc", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
+    # well formed but not a violation on the chain
+    assert not verify_certificate(Certificate("cpc2", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
 
 
 def test_bad_target_rejected():
