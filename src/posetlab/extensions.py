@@ -9,7 +9,8 @@ is the table
 computed exactly from the lattice of down-sets (order ideals).  That
 lattice is built once per poset and cached on it (``Poset.lattice``, which
 also gives e(P)); every count is then one fold over it (``_fold``), with
-each ideal's counts Kronecker-packed into a single Python int:
+each ideal's counts Kronecker-packed into a single Python int, first gap
+in the lowest digits:
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
@@ -22,7 +23,8 @@ Both are the same fold with different gap axes.  ``enumerate_extensions``,
 ``is_extension`` and ``gap_classes`` stay lattice-free: they are the
 brute-force oracle the tests check both folds against.  The enumerator is
 an iterative depth-first walk over bitmasks; it also supplies the words
-that ``injections`` certifies.
+that ``injections`` certifies.  It and the gap axes read the rows ``down``
+and ``cover_up``, which the poset fills in while it validates its relation.
 
 Counts are exact big integers throughout; no floating point.
 """
@@ -47,14 +49,11 @@ def enumerate_extensions(p: Poset):
     among those not placed in ``word[:d]`` and ``todo[d]`` the part of it
     not yet tried at position d, lowest element first.  Placing x frees
     only upper covers of x, so ``free[d + 1]`` is found from ``free[d]``
-    and those covers alone.
+    and those covers alone (``p.cover_up``, kept on the poset).
     """
     if p.n > ENUMERATION_MAX:
         raise TooLarge(f"enumeration guarded at n <= {ENUMERATION_MAX}")
-    n, down = p.n, p.down
-    covers_up = [0] * n
-    for a, b in p.covers:
-        covers_up[a] |= 1 << b
+    n, down, covers_up = p.n, p.down, p.cover_up
     word, free, todo = [0] * n, [0] * n, [0] * n
     free[0] = todo[0] = sum(1 << x for x in range(n) if not down[x])
     used = d = 0
@@ -171,7 +170,7 @@ def _fold(
     ``gaps``, between the given ``marks`` (u = None stands for position 0).
 
     One fold over the cached ideal lattice.  The gaps are the mixed-radix
-    digits of one slot number c (first gap most significant), and each
+    digits of one slot number c (first gap least significant), and each
     ideal holds one int with the count of slot c in bits W*c .. W*c + W - 1
     (Kronecker packing).  W is e(P).bit_length() rounded up to whole bytes;
     no slot overflows into the next, since a partial count at an ideal J is
@@ -179,6 +178,12 @@ def _fold(
     all edges out of an ideal I shift by the same number of slots, the sum
     of the weights of the marks outside I.  Every digit stays on its
     ``_gap_axis``, which makes a negative (right) shift exact.
+
+    The first gap goes lowest because it is the one that opens first in
+    the gap-phase fold of ``f_table``: until z2 is placed a count sits in
+    slot k < n and stays a short int, where with the first gap highest it
+    would be strided by the size of the second gap's axis.  The keys are
+    returned in gap order all the same.
 
     Raises IndexOutOfRange for a mark that is not an element, BadParams for
     a repeated mark and TooLarge when a layer's ideals times the number of
@@ -195,7 +200,7 @@ def _fold(
     width = 8 * nbytes
     weight = dict.fromkeys(marks, 0)  # bits a count moves per step of each mark
     origin, slots, axes = 0, 1, []
-    for u, v in reversed(gaps):
+    for u, v in gaps:
         sign, offset, size = _gap_axis(p, u, v)
         weight[v] += width * slots * sign
         if u is not None:
@@ -220,11 +225,12 @@ def _fold(
         c = c << s if s >= 0 else c >> -s
         for j in edges:
             vals[j] += c
-    # one hex string per slot, highest slot first
+    # one hex string per slot, highest slot first; product() runs its last
+    # axis fastest, so the keys come out last gap first and are reversed
     hexes = c.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split()
     zero = "00" * nbytes
     keys = product(*reversed(axes))
-    return {key: int(h, 16) for key, h in zip(keys, reversed(hexes)) if h != zero}
+    return {key[::-1]: int(h, 16) for key, h in zip(keys, reversed(hexes)) if h != zero}
 
 
 def f_table(p: Poset, z: MarkedTriple, state_budget: int = DEFAULT_STATE_BUDGET) -> FTable:

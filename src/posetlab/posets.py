@@ -5,8 +5,14 @@ bitmask per element (``up[x]`` = set of elements strictly above x), always
 transitively closed and irreflexive.  All types are immutable after
 construction and safe to share across threads.
 
-The order parameters of the bounds are ``Poset`` attributes, computed on
-first use and kept like ``down`` and ``comparable``:
+The construction check walks every relation pair x < y once: the relation
+is transitively closed when the union of ``up[y]`` over y above x lies in
+``up[x]``.  The same walk fills in ``down[y]`` (elements strictly below y)
+and ``cover_up[x]`` (the upper covers of x: ``up[x]`` minus that union), so
+both rows are attributes of every poset.  Everything else is computed on
+first read and kept in the instance dict: ``comparable``, ``covers`` (read
+off ``cover_up``), the ideal lattice (``lattice()``) and the order
+parameters of the bounds:
 
 * ``b[x]`` = b(x) = |{y : y <= x}|, ``b_star[x]`` = b*(x) = |{y : y >= x}|
 * ``interval(x, y)`` = b(x,y) = |{z : x <= z <= y}|, 0 unless x <= y (no table)
@@ -20,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -47,12 +52,34 @@ def _closure(n: int, up: list[int]) -> list[int]:
     return up
 
 
+class _cached:
+    """A read-only attribute computed on first read and stored in the
+    instance dict, which then shadows this (non-data) descriptor.  Unlike
+    ``functools.cached_property`` it takes no lock: the value is a pure
+    function of a frozen object, so a race at worst computes it twice."""
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Poset:
     """Immutable strict partial order on 0..n-1.
 
     ``up[x]`` is the bitmask of elements strictly above x; it is checked to
-    be irreflexive and transitively closed on construction.
+    be irreflexive and transitively closed on construction.  The same walk
+    sets ``down[x]``, the bitmask of elements strictly below x, and
+    ``cover_up[x]``, the bitmask of upper covers of x.
     """
 
     n: int
@@ -61,20 +88,27 @@ class Poset:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_ELEMENTS:
             raise IndexOutOfRange(f"n={self.n} outside 1..{MAX_ELEMENTS}")
-        full = (1 << self.n) - 1
-        for x, mask in enumerate(self.up):
+        full, up = (1 << self.n) - 1, self.up
+        for x, mask in enumerate(up):
             if mask & ~full:
                 raise IndexOutOfRange(f"relation row {x} mentions elements >= n")
             if mask >> x & 1:
                 raise CycleDetected(f"relation is reflexive at {x}")
+        down, cover_up = [0] * self.n, []
         for x in range(self.n):
-            m = self.up[x]
-            y_bits = m
+            m = up[x]
+            bit, above, y_bits = 1 << x, 0, m
             while y_bits:
                 y = (y_bits & -y_bits).bit_length() - 1
                 y_bits &= y_bits - 1
-                if self.up[y] & ~m:
-                    raise CycleDetected(f"relation not transitively closed at ({x},{y})")
+                down[y] |= bit
+                above |= up[y]
+            if above & ~m:
+                y = next(y for y in range(self.n) if m >> y & 1 and up[y] & ~m)
+                raise CycleDetected(f"relation not transitively closed at ({x},{y})")
+            cover_up.append(m ^ above)
+        object.__setattr__(self, "down", tuple(down))
+        object.__setattr__(self, "cover_up", tuple(cover_up))
 
     # -- basic queries ----------------------------------------------------
 
@@ -87,19 +121,7 @@ class Poset:
     def incomparable(self, x: int, y: int) -> bool:
         return x != y and not self.less(x, y) and not self.less(y, x)
 
-    @cached_property
-    def down(self) -> tuple[int, ...]:
-        """down[x] = bitmask of elements strictly below x."""
-        down = [0] * self.n
-        for a in range(self.n):
-            bits = self.up[a]
-            while bits:
-                b = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                down[b] |= 1 << a
-        return tuple(down)
-
-    @cached_property
+    @_cached
     def comparable(self) -> tuple[int, ...]:
         """comparable[x] = bitmask of elements comparable to x, x included,
         so x and y are incomparable exactly when bit y of it is clear."""
@@ -116,27 +138,21 @@ class Poset:
             lat = self.__dict__["_lattice"] = _build_lattice(self, state_budget)
         return lat
 
-    @cached_property
+    @_cached
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as a sorted tuple of (lower, upper) pairs."""
-        out = []
-        for x in range(self.n):
-            bits = self.up[x]
-            while bits:
-                y = (bits & -bits).bit_length() - 1
-                bits &= bits - 1
-                if not self.up[x] & self.down[y]:
-                    out.append((x, y))
-        return tuple(sorted(out))
+        return tuple(
+            (x, y) for x, row in enumerate(self.cover_up) for y in range(self.n) if row >> y & 1
+        )
 
     # -- order parameters, cached on first use ---------------------------
 
-    @cached_property
+    @_cached
     def b(self) -> tuple[int, ...]:
         """b[x] = |{y : y <= x}|, the lower ideal of x with x included."""
         return tuple(d.bit_count() + 1 for d in self.down)
 
-    @cached_property
+    @_cached
     def b_star(self) -> tuple[int, ...]:
         """b_star[x] = |{y : y >= x}|, the upper ideal of x with x included."""
         return tuple(u.bit_count() + 1 for u in self.up)
@@ -145,22 +161,22 @@ class Poset:
         """b(x, y) = |{z : x <= z <= y}|; 0 unless x <= y."""
         return ((self.up[x] | 1 << x) & (self.down[y] | 1 << y)).bit_count()
 
-    @cached_property
+    @_cached
     def t(self) -> tuple[int, ...]:
         """t[x] = max over y || x of |{z <= x : z || y}|, 1 if there is no y."""
         return _incomparable_max(self, self.down)
 
-    @cached_property
+    @_cached
     def t_star(self) -> tuple[int, ...]:
         """t_star[x] = max over y || x of |{z >= x : z || y}|, 1 if there is no y."""
         return _incomparable_max(self, self.up)
 
-    @cached_property
+    @_cached
     def width(self) -> int:
         """Maximum antichain size, via minimum chain cover (Dilworth)."""
         return self.n - _max_matching(self.n, self.up)
 
-    @cached_property
+    @_cached
     def height(self) -> int:
         """Number of elements in a longest chain."""
         depth = [0] * self.n
@@ -239,11 +255,14 @@ class IdealLattice(NamedTuple):
 
 def _build_lattice(p: Poset, state_budget: int) -> IdealLattice:
     """One breadth-first pass over the ideals: x covers I by I | 1 << x when
-    x is outside I and down[x] inside it.  The chain counts ride along to
-    give e(P)."""
-    down = p.down
-    full = (1 << p.n) - 1
+    x is addable to I, that is, a minimal element of its complement.  Each
+    ideal's addable set is found once, when the ideal is first reached from
+    I by x: the addable set of I without x, plus the upper covers y of x
+    whose down[y] now lies inside (De Loof, De Meyer & De Baets, Fundamenta
+    Informaticae 71, 2006).  The chain counts ride along to give e(P)."""
+    down, cover_up = p.down, p.cover_up
     ideals, succ, ways = [0], [], [1]
+    addable = [sum(1 << x for x, below in enumerate(down) if not below)]
     index = {0: 0}
     layer_end = widest = 1
     for t, ideal in enumerate(ideals):
@@ -254,18 +273,25 @@ def _build_lattice(p: Poset, state_budget: int) -> IdealLattice:
             layer_end = len(ideals)
         w = ways[t]
         edges = []
-        free = outside = full ^ ideal
+        free = here = addable[t]
         while free:
             low = free & -free
             free ^= low
-            if down[low.bit_length() - 1] & outside:
-                continue
             nxt = ideal | low
             j = index.get(nxt)
             if j is None:
                 j = index[nxt] = len(ideals)
                 ideals.append(nxt)
                 ways.append(w)
+                more = here ^ low
+                above = cover_up[low.bit_length() - 1]
+                while above:
+                    y = above & -above
+                    above ^= y
+                    below = down[y.bit_length() - 1]
+                    if below & nxt == below:
+                        more |= y
+                addable.append(more)
             else:
                 ways[j] += w
             edges.append(j)

@@ -191,12 +191,21 @@ def test_ftable_json_round_trip():
 
 
 def test_positional_engine_multi_mark(medium_corpus):
-    p, z = medium_corpus[0]
-    counts = positional_gap_counts(p, z.as_tuple())
-    total = sum(counts.values())
-    assert total == count_extensions(p)
-    for (p1, p2, p3), v in counts.items():
-        assert v > 0 and len({p1, p2, p3}) == 3
+    # three gaps in one fold: every digit of every key checked against the
+    # absolute positions read off the words, for the chain-ordered triple,
+    # two orders of it that are not chain orders, and the first three ids
+    for p, z in medium_corpus:
+        z1, z2, z3 = z.as_tuple()
+        triples = [(z1, z2, z3), (z3, z1, z2), (z2, z3, z1), (0, 1, 2)]
+        expected = {marks: Counter() for marks in triples}
+        for w in enumerate_extensions(p):
+            pos = {e: i + 1 for i, e in enumerate(w)}
+            for marks, counter in expected.items():
+                counter[tuple(pos[m] for m in marks)] += 1
+        for marks in triples:
+            counts = positional_gap_counts(p, marks)
+            assert counts == dict(expected[marks]), (p.covers, marks)
+            assert sum(counts.values()) == count_extensions(p)
 
 
 def test_bad_marks_are_rejected():

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange
+from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, TooLarge
 from posetlab.extensions import count_extensions
 from posetlab.families import family_cpc2_witness
 from posetlab.posets import (
+    IdealLattice,
     MarkedTriple,
     Poset,
     antichain,
@@ -127,6 +128,87 @@ def test_witness_family_interval():
     inst = family_cpc2_witness(1, 2)
     prm = params(inst.poset)
     assert prm.interval(inst.z.z1, inst.z.z2) == 2
+
+
+def _reference_lattice(p: Poset) -> IdealLattice:
+    """The ideal lattice by the full-scan walk: every element outside an
+    ideal I is tried in ascending order and kept when all of its lower
+    elements lie in I."""
+    full = (1 << p.n) - 1
+    below = [sum(1 << y for y in range(p.n) if p.less(y, x)) for x in range(p.n)]
+    ideals, succ, ways, index = [0], [], [1], {0: 0}
+    layers = [0] * (p.n + 1)
+    for t, ideal in enumerate(ideals):
+        layers[ideal.bit_count()] += 1
+        edges = []
+        for x in range(p.n):
+            if ideal >> x & 1 or below[x] & (full ^ ideal):
+                continue
+            nxt = ideal | 1 << x
+            if nxt not in index:
+                index[nxt] = len(ideals)
+                ideals.append(nxt)
+                ways.append(0)
+            ways[index[nxt]] += ways[t]
+            edges.append(index[nxt])
+        succ.append(edges)
+    return IdealLattice(ideals, succ, max(layers), ways[-1])
+
+
+def _assert_rows_and_lattice(p: Poset) -> None:
+    n, less = p.n, p.less
+    between = [[any(less(x, z) and less(z, y) for z in range(n)) for y in range(n)] for x in range(n)]
+    down = tuple(sum(1 << y for y in range(n) if less(y, x)) for x in range(n))
+    cover_up = tuple(
+        sum(1 << y for y in range(n) if less(x, y) and not between[x][y]) for x in range(n)
+    )
+    reduction = tuple((x, y) for x in range(n) for y in range(n) if less(x, y) and not between[x][y])
+    assert p.down == down and p.cover_up == cover_up
+    assert p.covers == reduction and build(n, p.covers).up == p.up
+    assert p.lattice() == _reference_lattice(p)
+
+
+def _width_five_poset(n: int = 28, seed: int = 2006) -> Poset:
+    """Five chains of near-equal length with random relations from a level
+    of one chain to a higher level of another, never out of a chain's top
+    element, so the five tops stay an antichain."""
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    chains = [ids[j::5] for j in range(5)]
+    pairs = [(c[i], c[i + 1]) for c in chains for i in range(len(c) - 1)]
+    for _ in range(15):
+        lo, hi = rng.sample(chains, 2)
+        a = rng.randrange(len(lo) - 1)
+        if a + 1 < len(hi):
+            pairs.append((lo[a], hi[rng.randrange(a + 1, len(hi))]))
+    return build(n, pairs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(posets())
+def test_lattice_and_rows_match_reference(p: Poset):
+    _assert_rows_and_lattice(p)
+
+
+def test_lattice_and_rows_match_reference_on_corpus(medium_corpus):
+    corpus = [p for p, _ in medium_corpus]
+    corpus += [p.dual() for p in corpus]
+    wide = _width_five_poset()
+    assert wide.n == 28 and wide.width == 5
+    for p in corpus + [wide, wide.dual()]:
+        _assert_rows_and_lattice(p)
+
+
+def test_lattice_budget_keeps_nothing_on_too_large():
+    p = antichain(6)
+    widest = _reference_lattice(p).widest
+    with pytest.raises(TooLarge):
+        p.lattice(state_budget=widest - 1)
+    assert "_lattice" not in p.__dict__
+    lat = p.lattice()
+    assert lat == _reference_lattice(p) and (lat.widest, lat.count) == (20, 720)
+    assert p.lattice(state_budget=1) is lat  # kept now, so the budget is not looked at again
 
 
 def _reference_params(p: Poset):
