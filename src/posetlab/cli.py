@@ -43,6 +43,14 @@ def _read_poset(path: str | None, stdin):
     return load_poset(text)
 
 
+def _marked(p, z):
+    """The poset with its marked triple z1 < z2 < z3 added; a data error
+    when the input has no triple."""
+    if z is None:
+        raise PosetLabError("poset JSON lacks a marked triple 'z'")
+    return normalize(p, z)
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -83,18 +91,14 @@ def _indices(args, names: tuple):
 
 def cmd_table(args, stdin, out) -> int:
     p, z, _ = _read_poset(args.poset, stdin)
-    if z is None:
-        raise PosetLabError("poset JSON lacks a marked triple 'z'")
-    p, z = normalize(p, z)
+    p, z = _marked(p, z)
     _emit(f_table(p, z).to_json_obj(), out, args.human)
     return 0
 
 
 def cmd_vanish(args, stdin, out) -> int:
     p, z, _ = _read_poset(args.poset, stdin)
-    if z is None:
-        raise PosetLabError("poset JSON lacks a marked triple 'z'")
-    p, z = normalize(p, z)
+    p, z = _marked(p, z)
     region = vanishing.support(p, z)
     obj = {
         "schema": SCHEMA,
@@ -114,7 +118,7 @@ def cmd_check(args, stdin, out) -> int:
     failed = False
     reports = []
     if args.ineq == "stanley":
-        mark = args.a if args.a is not None else (a if a is not None else None)
+        mark = args.a if args.a is not None else a
         if mark is None:
             if z is None:
                 raise PosetLabError("stanley check needs --a or an 'a'/'z' field")
@@ -125,9 +129,7 @@ def cmd_check(args, stdin, out) -> int:
         )
         reports = [check_stanley(nv, k) for k in ks]
     else:
-        if z is None:
-            raise PosetLabError("poset JSON lacks a marked triple 'z'")
-        p, z = normalize(p, z)
+        p, z = _marked(p, z)
         given = _indices(args, ("k", "l", "p", "q") if args.ineq == "gcpc" else ("k", "l"))
         F = f_table(p, z)
         if args.ineq == "gcpc":
@@ -171,9 +173,7 @@ def cmd_family(args, stdin, out) -> int:
 
 def cmd_verify_injections(args, stdin, out) -> int:
     p, z, _ = _read_poset(args.poset, stdin)
-    if z is None:
-        raise PosetLabError("poset JSON lacks a marked triple 'z'")
-    p, z = normalize(p, z)
+    p, z = _marked(p, z)
     maps = (args.map,) if args.map else ("stanley", "transfer", "shrink", "grow")
     bad = False
     for cert in injections.verify_injections(p, z, maps):
@@ -203,9 +203,7 @@ def cmd_search(args, stdin, out) -> int:
 
 def cmd_volume_mc(args, stdin, out) -> int:
     p, z, _ = _read_poset(args.poset, stdin)
-    if z is None:
-        raise PosetLabError("poset JSON lacks a marked triple 'z'")
-    p, z = normalize(p, z)
+    p, z = _marked(p, z)
     s, t = _parse_fraction(args.s), _parse_fraction(args.t)
     exact = geometry.volume_formula(f_table(p, z), s, t)
     est = geometry.volume_mc(p, z, s, t, args.samples, args.seed)

@@ -18,8 +18,11 @@ Each I is a disjoint union of per-case integer boxes whose total size is
 the bound being certified.  Case dispatch order is semantic: the images of
 later cases are only disjoint from earlier ones because earlier cases were
 ruled out first.  All moves are executed swap by swap with incomparability
-checked at every step, and certification re-verifies class membership,
-payload ranges, and global injectivity on the full domain.
+checked at every step.  Every map, ``stanley`` included, is certified by
+the same loop over its full domain, which re-verifies payload ranges, class
+membership, the round trip where there is an inverse, and global
+injectivity; collisions are found with an exact map of every (box index,
+image) key, never a hash.
 
 ``verify_injections`` enumerates a poset's words once, bucketing each by
 its (k, l) gap class and by the position of z2 in the same pass, and checks
@@ -35,15 +38,12 @@ b(z1,z2) - 1 lives in the test suite.
 
 from __future__ import annotations
 
-import hashlib
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
 from .extensions import FTable, enumerate_extensions, f_table, gap_classes, n_vector
 from .posets import SCHEMA, MarkedTriple, Poset
-
-HASH_THRESHOLD = 100_000
 
 Word = tuple[int, ...]
 
@@ -345,7 +345,6 @@ class InjectionCertificate:
     codomain_cells: int
     collisions: list = field(default_factory=list)
     errors: list = field(default_factory=list)
-    hashed: bool = False
 
     @property
     def codomain_bound(self) -> int:
@@ -374,35 +373,40 @@ class InjectionCertificate:
             "codomain_bound": str(self.codomain_bound),
             "collisions": self.collisions[:16],
             "errors": self.errors[:16],
-            "hashed": self.hashed,
+            "hashed": False,
             "ok": self.ok,
         }
 
 
-def _collision_tracker(domain_size: int):
-    """Full map below HASH_THRESHOLD, hash multiset above.  ``add(key, word)``
-    returns None for a new key and the (first, second) words as lists for a
-    repeated one."""
-    if domain_size <= HASH_THRESHOLD:
-        seen: dict = {}
+def _certify(cert, boxes, domain, targets, where, step, inverse=None):
+    """Run ``step(word) -> (tag, payload, image)`` over ``domain`` into ``cert``.
 
-        def add(key, word):
-            size = len(seen)
-            first = seen.setdefault(key, word)
-            return None if len(seen) > size else (list(first), list(word))
-
-        return add, False
-
-    counts: Counter = Counter()
-
-    def add_hashed(key, word):
-        digest = hashlib.sha256(repr(key).encode()).digest()
-        counts[digest] += 1
-        if counts[digest] > 1:
-            return ("<hashed>", list(word))
-        return None
-
-    return add_hashed, True
+    Per word, in this order: a raise, a payload outside ``boxes``, an image
+    outside ``targets`` and, given ``inverse``, ``inverse(image, *payload) !=
+    word`` are errors; a repeated (box index, image) key is a collision,
+    found with an exact map of the keys seen."""
+    table = _box_table(boxes)
+    target_set = set(map(tuple, targets))
+    seen: dict = {}
+    for word in domain:
+        try:
+            tag, payload, out = step(word)
+            idx = _encode(table, tag, payload)
+        except Exception as exc:  # certification must report, not crash
+            cert.errors.append({"word": list(word), "error": str(exc)})
+            continue
+        if out not in target_set:
+            cert.errors.append({"word": list(word), "error": f"image not in {where}"})
+            continue
+        if inverse is not None and inverse(out, *payload) != word:
+            cert.errors.append({"word": list(word), "error": "round trip failed"})
+            continue
+        size = len(seen)
+        first = seen.setdefault((idx, out), word)
+        if len(seen) == size:
+            cert.collisions.append({"first": list(first), "second": list(word)})
+    cert.image_size = len(seen)
+    return cert
 
 
 def certify_map(
@@ -430,27 +434,8 @@ def certify_map(
     cert = InjectionCertificate(
         name, k, l, len(domain), 0, interval_total(boxes), F.get(*target)
     )
-    add, cert.hashed = _collision_tracker(len(domain))
-    table = _box_table(boxes)
-    target_set = set(map(tuple, classes.get(target, [])))
-    image = 0
-    for word in domain:
-        try:
-            tag, payload, out = fn(p, z, k, l, word)
-            idx = _encode(table, tag, payload)
-        except Exception as exc:  # certification must report, not crash
-            cert.errors.append({"word": list(word), "error": str(exc)})
-            continue
-        if out not in target_set:
-            cert.errors.append({"word": list(word), "error": f"image not in F{target}"})
-            continue
-        clash = add((idx, out), word)
-        if clash is not None:
-            cert.collisions.append({"first": clash[0], "second": clash[1]})
-        else:
-            image += 1
-    cert.image_size = image
-    return cert
+    return _certify(cert, boxes, domain, classes.get(target, []), f"F{target}",
+                    partial(fn, p, z, k, l))
 
 
 def certify_stanley(
@@ -468,31 +453,14 @@ def certify_stanley(
     if below <= 0:
         raise HypothesesNotMet("stanley: N_{k-1} is empty")
     domain = classes.get(kpos, [])
-    table = _box_table([("1", (p.t[a],))])
     cert = InjectionCertificate("stanley", kpos, None, len(domain), 0, p.t[a], below)
-    add, cert.hashed = _collision_tracker(len(domain))
-    target_set = set(classes.get(kpos - 1, []))
-    image = 0
-    for word in domain:
-        try:
-            out, r = phi_stanley(p, a, word)
-            idx = _encode(table, "1", (r,))
-        except Exception as exc:
-            cert.errors.append({"word": list(word), "error": str(exc)})
-            continue
-        if out not in target_set:
-            cert.errors.append({"word": list(word), "error": "image not in N_{k-1}"})
-            continue
-        if phi_stanley_inverse(p, a, out, r) != word:
-            cert.errors.append({"word": list(word), "error": "round trip failed"})
-            continue
-        clash = add((idx, out), word)
-        if clash is not None:
-            cert.collisions.append({"first": clash[0], "second": clash[1]})
-        else:
-            image += 1
-    cert.image_size = image
-    return cert
+
+    def step(word):
+        out, r = phi_stanley(p, a, word)
+        return "1", (r,), out
+
+    return _certify(cert, [("1", (p.t[a],))], domain, classes.get(kpos - 1, []),
+                    "N_{k-1}", step, partial(phi_stanley_inverse, p, a))
 
 
 def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "shrink", "grow")):
@@ -526,13 +494,11 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
                 if nv.get(kpos - 1) > 0:
                     out.append(certify_stanley(p, z2, kpos, positions))
             continue
-        fn, intervals_fn, dom_shift, img_shift = MAPS[name]
-        seen_kl = set()
+        _, _, dom_shift, img_shift = MAPS[name]
         for (kk, ll) in classes:
             k, l = kk - dom_shift[0], ll - dom_shift[1]
-            if k < 1 or l < 1 or (k, l) in seen_kl:
+            if k < 1 or l < 1:
                 continue
-            seen_kl.add((k, l))
             if F.get(k + img_shift[0], l + img_shift[1]) > 0:
                 out.append(certify_map(p, z, k, l, name, classes, F))
     return out

@@ -196,14 +196,7 @@ class Poset:
 
     def with_relations(self, pairs) -> "Poset":
         """New poset with extra strict relations added and re-closed."""
-        up = list(self.up)
-        for a, b in pairs:
-            _check_index(self.n, a)
-            _check_index(self.n, b)
-            if a == b:
-                raise CycleDetected(f"self-relation at {a}")
-            up[a] |= 1 << b
-        return Poset(self.n, tuple(_closure(self.n, up)))
+        return build(self.n, [*self.relation_pairs(), *pairs])
 
     # -- canonical form ---------------------------------------------------
 

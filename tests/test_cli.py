@@ -123,6 +123,22 @@ def test_usage_errors_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        ["vanish", "--k", "1", "--l", "1"],
+        ["check", "--ineq", "cpc"],
+        ["verify-injections"],
+        ["volume-mc", "--s", "1/5", "--t", "1/5"],
+    ],
+)
+def test_missing_marked_triple_exits_two(argv):
+    code, out, err = run_cli(argv, stdin_text=json.dumps({"n": 3, "covers": [[0, 1]]}))
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: poset JSON lacks a marked triple 'z'"]
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "garbage",  # not JSON

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -11,7 +12,7 @@ from conftest import corpus
 from posetlab import injections
 from posetlab.cli import main
 from posetlab.errors import HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
-from posetlab.extensions import FTable, f_table, gap_classes, n_vector
+from posetlab.extensions import FTable, enumerate_extensions, f_table, gap_classes, n_vector
 from posetlab.families import family_stanley_tight
 from posetlab.injections import (
     MAPS,
@@ -42,8 +43,6 @@ def test_tau_trivial_cases():
 
 
 def test_tau_involution_on_swaps(medium_corpus):
-    from posetlab.extensions import enumerate_extensions
-
     for p, _ in medium_corpus[:10]:
         for w in list(enumerate_extensions(p))[:50]:
             for i in range(1, p.n):
@@ -137,8 +136,6 @@ def test_ratio_bounds_hold_independently(medium_corpus):
 
 
 def test_stanley_round_trip_and_bounds(medium_corpus):
-    from posetlab.extensions import enumerate_extensions
-
     for p, z in medium_corpus[:20]:
         a = z.z2
         prm = params(p)
@@ -233,10 +230,70 @@ def _swap_shrink(monkeypatch, fn):
     monkeypatch.setitem(MAPS, "shrink", (fn, intervals_fn, dom_shift, img_shift))
 
 
-def test_certify_map_reports_collisions(monkeypatch):
+def _broken_shrink_cert(monkeypatch, kind):
+    """Certify shrink at (1, 1) on the fixture with one kind of broken map."""
     p, z, domain, target = _shrink_fixture()
-    _swap_shrink(monkeypatch, lambda p, z, k, l, word, prm=None: ("1", (1,), target[0]))
-    cert = certify_map(p, z, 1, 1, "shrink")
+
+    def zero_payload(p, z, k, l, word):
+        tag, _, out = psi_shrink(p, z, k, l, word)
+        return tag, (0,), out
+
+    def broken(p, z, k, l, word):
+        raise NoPivot("no pivot here")
+
+    fn = {
+        "collision": lambda p, z, k, l, word: ("1", (1,), target[0]),
+        "payload": zero_payload,
+        "image": lambda p, z, k, l, word: ("1", (1,), word),
+        "raise": broken,
+    }[kind]
+    _swap_shrink(monkeypatch, fn)
+    return certify_map(p, z, 1, 1, "shrink"), domain
+
+
+def _broken_stanley_cert(monkeypatch, kind):
+    """Certify stanley on N_3 of the tight family (4 words into the 2 words
+    of N_2) with one kind of broken map or inverse."""
+    inst = family_stanley_tight(5, 3)
+    p, a = inst.poset, inst.a
+    positions: dict[int, list] = {}
+    for w in enumerate_extensions(p):
+        positions.setdefault(w.index(a) + 1, []).append(w)
+    domain, target = positions[3], positions[2]
+    assert len(domain) == 4 and len(target) == 2
+    real_phi = injections.phi_stanley
+    last = []
+
+    def same_image(p, a, word):
+        last.append(word)  # the fake inverse below hands the word back
+        return target[0], 1
+
+    def zero_payload(p, a, word):
+        out, _ = real_phi(p, a, word)
+        return out, 0
+
+    def broken(p, a, word):
+        raise NoPivot("no pivot here")
+
+    maps = {
+        "collision": same_image,
+        "payload": zero_payload,
+        "image": lambda p, a, word: (word, 1),
+        "raise": broken,
+    }
+    inverses = {
+        "collision": lambda p, a, word, r: last[-1],
+        "inverse": lambda p, a, word, r: word[::-1],
+    }
+    if kind in maps:
+        monkeypatch.setattr(injections, "phi_stanley", maps[kind])
+    if kind in inverses:
+        monkeypatch.setattr(injections, "phi_stanley_inverse", inverses[kind])
+    return certify_stanley(p, a, 3), domain
+
+
+def test_certify_map_reports_collisions(monkeypatch):
+    cert, domain = _broken_shrink_cert(monkeypatch, "collision")
     assert cert.ok is False and cert.errors == [] and cert.image_size == 1
     assert cert.collisions == [
         {"first": list(domain[0]), "second": list(w)} for w in domain[1:]
@@ -244,35 +301,20 @@ def test_certify_map_reports_collisions(monkeypatch):
 
 
 def test_certify_map_reports_payload_outside_box(monkeypatch):
-    p, z, domain, _ = _shrink_fixture()
-
-    def zero_payload(p, z, k, l, word):
-        tag, _, out = psi_shrink(p, z, k, l, word)
-        return tag, (0,), out
-
-    _swap_shrink(monkeypatch, zero_payload)
-    cert = certify_map(p, z, 1, 1, "shrink")
+    cert, domain = _broken_shrink_cert(monkeypatch, "payload")
     assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
     assert [e["word"] for e in cert.errors] == [list(w) for w in domain]
     assert all(e["error"].startswith("payload (0,) outside box ") for e in cert.errors)
 
 
 def test_certify_map_reports_image_outside_target(monkeypatch):
-    p, z, domain, _ = _shrink_fixture()
-    _swap_shrink(monkeypatch, lambda p, z, k, l, word, prm=None: ("1", (1,), word))
-    cert = certify_map(p, z, 1, 1, "shrink")
+    cert, domain = _broken_shrink_cert(monkeypatch, "image")
     assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
     assert cert.errors == [{"word": list(w), "error": "image not in F(1, 1)"} for w in domain]
 
 
 def test_certify_map_reports_a_raising_map(monkeypatch):
-    p, z, domain, _ = _shrink_fixture()
-
-    def broken(p, z, k, l, word):
-        raise NoPivot("no pivot here")
-
-    _swap_shrink(monkeypatch, broken)
-    cert = certify_map(p, z, 1, 1, "shrink")
+    cert, domain = _broken_shrink_cert(monkeypatch, "raise")
     assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
     assert cert.errors == [{"word": list(w), "error": "no pivot here"} for w in domain]
 
@@ -280,11 +322,56 @@ def test_certify_map_reports_a_raising_map(monkeypatch):
 def test_certify_stanley_reports_a_wrong_inverse(monkeypatch):
     inst = family_stanley_tight(5, 3)
     assert certify_stanley(inst.poset, inst.a, 3).ok
-    monkeypatch.setattr(injections, "phi_stanley_inverse", lambda p, a, word, r: word[::-1])
-    cert = certify_stanley(inst.poset, inst.a, 3)
+    cert, _ = _broken_stanley_cert(monkeypatch, "inverse")
     assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
     assert len(cert.errors) == cert.domain_size == 4
     assert all(e["error"] == "round trip failed" for e in cert.errors)
+
+
+def test_certify_stanley_reports_collisions(monkeypatch):
+    cert, domain = _broken_stanley_cert(monkeypatch, "collision")
+    assert cert.ok is False and cert.errors == [] and cert.image_size == 1
+    assert cert.collisions == [
+        {"first": list(domain[0]), "second": list(w)} for w in domain[1:]
+    ]
+
+
+def test_certify_stanley_reports_payload_outside_box(monkeypatch):
+    cert, domain = _broken_stanley_cert(monkeypatch, "payload")
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
+    assert cert.errors == [
+        {"word": list(w), "error": "payload (0,) outside box 1=(2,)"} for w in domain
+    ]
+
+
+def test_certify_stanley_reports_image_outside_target(monkeypatch):
+    cert, domain = _broken_stanley_cert(monkeypatch, "image")
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
+    assert cert.errors == [{"word": list(w), "error": "image not in N_{k-1}"} for w in domain]
+
+
+def test_certify_stanley_reports_a_raising_map(monkeypatch):
+    cert, domain = _broken_stanley_cert(monkeypatch, "raise")
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
+    assert cert.errors == [{"word": list(w), "error": "no pivot here"} for w in domain]
+
+
+# SHA-256 over the sorted-key JSON of every certificate below, one per line,
+# recorded before certify_map and certify_stanley shared one loop; a change
+# in any certificate byte, healthy or broken, changes it.
+PINNED_CERTIFICATES_SHA256 = "8a1d27e08595913d08382052a4ba5b7f16f3d2c133112da5c0e5dabbdabc08ca"
+
+
+def test_injection_certificate_bytes_are_pinned(monkeypatch, medium_corpus, wide_corpus):
+    certs = [c for p, z in medium_corpus + wide_corpus for c in verify_injections(p, z)]
+    for kind in ("collision", "payload", "image", "raise"):
+        with monkeypatch.context() as m:
+            certs.append(_broken_shrink_cert(m, kind)[0])
+    for kind in ("inverse", "collision", "payload", "image", "raise"):
+        with monkeypatch.context() as m:
+            certs.append(_broken_stanley_cert(m, kind)[0])
+    lines = "".join(json.dumps(c.to_json_obj(), sort_keys=True) + "\n" for c in certs)
+    assert hashlib.sha256(lines.encode()).hexdigest() == PINNED_CERTIFICATES_SHA256
 
 
 def test_verify_injections_cross_checks_the_counts(monkeypatch):
