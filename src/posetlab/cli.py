@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from . import families, geometry, injections, search, vanishing
@@ -156,12 +157,8 @@ def cmd_check(args, stdin, out) -> int:
 
 
 def cmd_family(args, stdin, out) -> int:
-    kwargs = {}
-    for name in ("n", "k", "l"):
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = value
-    inst = families.build_family(args.id, **kwargs)
+    params = {name: getattr(args, name) for name in "nkl" if getattr(args, name) is not None}
+    inst = families.build_family(args.id, **params)
     obj = inst.to_json_obj()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -288,8 +285,9 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # argparse prints usage errors and --help to sys.stderr and sys.stdout
+        with redirect_stderr(stderr), redirect_stdout(stdout):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

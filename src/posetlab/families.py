@@ -27,9 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import BadParams
-from .posets import SCHEMA, MarkedTriple, Poset, build
-
-FAMILY_IDS = ("antichain", "cpc2-witness", "stanley-tight", "converse-tight")
+from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build
 
 
 @dataclass
@@ -195,13 +193,23 @@ def family_converse_tight(n: int, k: int, l: int) -> FamilyInstance:
     )
 
 
-def build_family(family: str, **kwargs) -> FamilyInstance:
-    if family == "antichain":
-        return family_antichain(kwargs["k"], kwargs["l"])
-    if family == "cpc2-witness":
-        return family_cpc2_witness(kwargs["k"], kwargs["l"])
-    if family == "stanley-tight":
-        return family_stanley_tight(kwargs["n"], kwargs["k"])
-    if family == "converse-tight":
-        return family_converse_tight(kwargs["n"], kwargs["k"], kwargs["l"])
-    raise BadParams(f"unknown family {family!r}; choose from {FAMILY_IDS}")
+FAMILIES = {
+    "antichain": (family_antichain, ("k", "l")),
+    "cpc2-witness": (family_cpc2_witness, ("k", "l")),
+    "stanley-tight": (family_stanley_tight, ("n", "k")),
+    "converse-tight": (family_converse_tight, ("n", "k", "l")),
+}
+FAMILY_IDS = tuple(FAMILIES)
+
+
+def build_family(family: str, **params) -> FamilyInstance:
+    """The instance of ``family``; BadParams unless ``params`` are exactly
+    the family's parameters, none above MAX_ELEMENTS."""
+    if family not in FAMILIES:
+        raise BadParams(f"unknown family {family!r}; choose from {FAMILY_IDS}")
+    builder, names = FAMILIES[family]
+    if sorted(params) != sorted(names) or max(params.values()) > MAX_ELEMENTS:
+        given = " ".join(f"--{name} {value}" for name, value in params.items()) or "none"
+        flags = " ".join(f"--{name}" for name in names)
+        raise BadParams(f"family {family} takes {flags}, each at most {MAX_ELEMENTS}; got {given}")
+    return builder(*(params[name] for name in names))

@@ -25,6 +25,8 @@ from .errors import BadParams, CycleDetected, DegenerateSlice
 from .extensions import FTable, f_table
 from .posets import MarkedTriple, Poset, normalize
 
+MC_BATCH = 1 << 17  # sample points drawn and tested per numpy call
+
 
 def volume_formula(F: FTable, s: Fraction, t: Fraction) -> Fraction:
     """Exact rational value of the slice-volume polynomial at (s, t)."""
@@ -102,7 +104,6 @@ def volume_mc(
     t: Fraction,
     samples: int,
     seed: int,
-    batch: int = 1 << 17,
 ) -> McEstimate:
     """Hit-or-miss Monte Carlo estimate of the slice volume.
 
@@ -114,8 +115,8 @@ def volume_mc(
     s, t = Fraction(s), Fraction(t)
     if not (0 < s and 0 < t and s + t < 1):
         raise BadParams("need 0 < s, 0 < t, s + t < 1")
-    if samples < 1:
-        raise BadParams(f"need at least one sample, got {samples}")
+    if samples < 1 or seed < 0:
+        raise BadParams(f"need samples >= 1 and seed >= 0, got {samples} and {seed}")
     try:
         empty = f_table(*normalize(p, z)).total() == 0
     except CycleDetected:
@@ -128,7 +129,7 @@ def volume_mc(
     hits = 0
     done = 0
     while done < samples:
-        m = min(batch, samples - done)
+        m = min(MC_BATCH, samples - done)
         pts = rng.random((m, dim))
         ok = np.ones(m, dtype=bool)
         for ia, ib, c in constraints:

@@ -5,14 +5,14 @@ bitmask per element (``up[x]`` = set of elements strictly above x), always
 transitively closed and irreflexive.  All types are immutable after
 construction and safe to share across threads.
 
-The construction check walks every relation pair x < y once: the relation
-is transitively closed when the union of ``up[y]`` over y above x lies in
-``up[x]``.  The same walk fills in ``down[y]`` (elements strictly below y)
-and ``cover_up[x]`` (the upper covers of x: ``up[x]`` minus that union), so
-both rows are attributes of every poset.  Everything else is computed on
-first read and kept in the instance dict: ``comparable``, ``covers`` (read
-off ``cover_up``), the ideal lattice (``lattice()``) and the order
-parameters of the bounds:
+``Poset(n, rows)`` is the one constructor: it closes any acyclic relation
+in one walk that takes each element once its successors are closed, and
+raises CycleDetected on a cycle, a self-pair included.  The walk also fills
+in ``cover_up[x]`` (the upper covers of x) and ``down[y]`` (elements
+strictly below y), so both rows are attributes of every poset.  Everything
+else is computed on first read and kept in the instance dict:
+``comparable``, ``covers`` (read off ``cover_up``), the ideal lattice
+(``lattice()``) and the order parameters of the bounds:
 
 * ``b[x]`` = b(x) = |{y : y <= x}|, ``b_star[x]`` = b*(x) = |{y : y >= x}|
 * ``interval(x, y)`` = b(x,y) = |{z : x <= z <= y}|, 0 unless x <= y (no table)
@@ -38,20 +38,6 @@ DEFAULT_STATE_BUDGET = 1 << 26  # live DP states allowed in one lattice layer
 SCHEMA = "posetlab/1"
 
 
-def _closure(n: int, up: list[int]) -> list[int]:
-    """Transitive closure of bitmask rows; raises on cycles."""
-    up = list(up)
-    for m in range(n):
-        bm = 1 << m
-        for a in range(n):
-            if up[a] & bm:
-                up[a] |= up[m]
-    for a in range(n):
-        if up[a] >> a & 1:
-            raise CycleDetected(f"element {a} lies on a cycle")
-    return up
-
-
 class _cached:
     """A read-only attribute computed on first read and stored in the
     instance dict, which then shadows this (non-data) descriptor.  Unlike
@@ -74,39 +60,55 @@ class _cached:
 
 @dataclass(frozen=True)
 class Poset:
-    """Immutable strict partial order on 0..n-1.
-
-    ``up[x]`` is the bitmask of elements strictly above x; it is checked to
-    be irreflexive and transitively closed on construction.  The same walk
-    sets ``down[x]``, the bitmask of elements strictly below x, and
-    ``cover_up[x]``, the bitmask of upper covers of x.
-    """
+    """Immutable strict partial order on 0..n-1, built from the bitmask rows
+    of any acyclic relation (``rows[x]``: some elements above x), closed or
+    not.  ``up[x]``, ``down[x]`` and ``cover_up[x]`` are the elements above,
+    below and covering x.  Raises IndexOutOfRange on a bad n or row and
+    CycleDetected on a cycle."""
 
     n: int
     up: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_ELEMENTS:
-            raise IndexOutOfRange(f"n={self.n} outside 1..{MAX_ELEMENTS}")
-        full, up = (1 << self.n) - 1, self.up
-        for x, mask in enumerate(up):
-            if mask & ~full:
+        n, rows = self.n, self.up
+        if not 1 <= n <= MAX_ELEMENTS:
+            raise IndexOutOfRange(f"n={n} outside 1..{MAX_ELEMENTS}")
+        if len(rows) != n:
+            raise IndexOutOfRange(f"{len(rows)} relation rows for n={n}")
+        full = pending = (1 << n) - 1  # pending: elements not closed yet
+        for x, row in enumerate(rows):
+            if row & ~full:
                 raise IndexOutOfRange(f"relation row {x} mentions elements >= n")
-            if mask >> x & 1:
-                raise CycleDetected(f"relation is reflexive at {x}")
-        down, cover_up = [0] * self.n, []
-        for x in range(self.n):
-            m = up[x]
-            bit, above, y_bits = 1 << x, 0, m
-            while y_bits:
-                y = (y_bits & -y_bits).bit_length() - 1
-                y_bits &= y_bits - 1
-                down[y] |= bit
-                above |= up[y]
-            if above & ~m:
-                y = next(y for y in range(self.n) if m >> y & 1 and up[y] & ~m)
-                raise CycleDetected(f"relation not transitively closed at ({x},{y})")
-            cover_up.append(m ^ above)
+        up, down, cover_up, order = [0] * n, [0] * n, [0] * n, []
+        while pending:
+            before = left = pending
+            while left:  # highest first: one sweep closes 0 < 1 < ... < n-1
+                x = left.bit_length() - 1
+                bit = 1 << x
+                left ^= bit
+                row = rows[x]
+                if row & pending:  # a successor is still open
+                    continue
+                above, rest = 0, row
+                while rest:  # a y already inside ``above`` adds nothing
+                    y = rest & -rest
+                    above |= up[y.bit_length() - 1]
+                    rest &= ~above & (rest ^ y)
+                up[x] = row | above
+                cover_up[x] = row & ~above
+                pending ^= bit
+                order.append(x)
+            if pending == before:  # every open element has an open successor
+                for _ in range(n):  # n steps along open successors end on the cycle
+                    x = (rows[x] & pending).bit_length() - 1
+                raise CycleDetected(f"element {x} lies on a cycle")
+        for x in reversed(order):  # lower covers first, so down[x] is complete
+            below, above = down[x] | 1 << x, cover_up[x]
+            while above:
+                y = above & -above
+                above ^= y
+                down[y.bit_length() - 1] |= below
+        object.__setattr__(self, "up", tuple(up))
         object.__setattr__(self, "down", tuple(down))
         object.__setattr__(self, "cover_up", tuple(cover_up))
 
@@ -193,10 +195,6 @@ class Poset:
     def dual(self) -> "Poset":
         """Same ground set, relation reversed."""
         return Poset(self.n, self.down)
-
-    def with_relations(self, pairs) -> "Poset":
-        """New poset with extra strict relations added and re-closed."""
-        return build(self.n, [*self.relation_pairs(), *pairs])
 
     # -- canonical form ---------------------------------------------------
 
@@ -300,18 +298,16 @@ def _check_index(n: int, x: int) -> None:
 def build(n: int, cover_pairs) -> Poset:
     """Poset from (lower, upper) pairs; pairs need not be reduced.
 
-    Raises CycleDetected on cyclic input, IndexOutOfRange on bad ids.
+    Raises CycleDetected on cyclic input or a self-pair, IndexOutOfRange on bad ids.
     """
     if not 1 <= n <= MAX_ELEMENTS:
         raise IndexOutOfRange(f"n={n} outside 1..{MAX_ELEMENTS}")
-    up = [0] * n
+    rows = [0] * n
     for a, b in cover_pairs:
         _check_index(n, a)
         _check_index(n, b)
-        if a == b:
-            raise CycleDetected(f"self-relation at {a}")
-        up[a] |= 1 << b
-    return Poset(n, tuple(_closure(n, up)))
+        rows[a] |= 1 << b
+    return Poset(n, tuple(rows))
 
 
 def chain(n: int) -> Poset:
@@ -406,12 +402,12 @@ def normalize(p: Poset, z: MarkedTriple) -> tuple[Poset, MarkedTriple]:
     """
     for a in z.as_tuple():
         _check_index(p.n, a)
-    extra = []
-    if not p.less(z.z1, z.z2):
-        extra.append((z.z1, z.z2))
-    if not p.less(z.z2, z.z3):
-        extra.append((z.z2, z.z3))
-    return (p.with_relations(extra), z) if extra else (p, z)
+    if is_normalized(p, z):
+        return p, z
+    rows = list(p.up)
+    rows[z.z1] |= 1 << z.z2
+    rows[z.z2] |= 1 << z.z3
+    return Poset(p.n, tuple(rows)), z
 
 
 # -- parameters ------------------------------------------------------------

@@ -334,13 +334,8 @@ def enumerate_posets(n: int):
         seen = {}
         for p in reps:
             for ideal in p.lattice().ideals:
-                up = list(p.up) + [0]
-                bits = ideal
-                while bits:
-                    x = (bits & -bits).bit_length() - 1
-                    bits &= bits - 1
-                    up[x] |= 1 << (size - 1)
-                q = Poset(size, tuple(up))
+                # the new element's row in the dual is the ideal, its strict down-set
+                q = Poset(size, (*p.down, ideal)).dual()
                 seen.setdefault(q.canonical_key(), q)
         reps = list(seen.values())
     return reps

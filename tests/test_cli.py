@@ -6,10 +6,14 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from posetlab.cli import main
-from posetlab.posets import chain
-from posetlab.search import Certificate, verify_certificate
+from posetlab.families import FAMILY_IDS, family_cpc2_witness, family_stanley_tight
+from posetlab.inequalities import ALL_CHECK_IDS
+from posetlab.posets import MAX_ELEMENTS, chain
+from posetlab.search import SEARCH_TARGETS, Certificate, verify_certificate
 
 
 def run_cli(argv, stdin_text: str = ""):
@@ -114,8 +118,8 @@ def test_volume_mc_command():
 
 
 def test_usage_errors_exit_two(tmp_path):
-    code, _, _ = run_cli(["check", "--ineq", "not-an-ineq"], stdin_text=chain3_json())
-    assert code == 2
+    code, out, err = run_cli(["check", "--ineq", "not-an-ineq"], stdin_text=chain3_json())
+    assert code == 2 and out == "" and "error: argument --ineq" in err
     code, _, err = run_cli(["table", "--poset", str(tmp_path / "missing.json")])
     assert code == 2 and "error" in err
     code, _, err = run_cli(["table"], stdin_text=json.dumps({"n": 2, "covers": []}))
@@ -193,6 +197,10 @@ def test_unreadable_file_exits_two(tmp_path, shape):
         ["check", "--ineq", "thin", "--k", "1"],
         ["check", "--ineq", "gcpc", "--k", "1", "--l", "1"],  # gcpc needs --p --q too
         ["check", "--ineq", "gcpc", "--k", "1", "--l", "1", "--p", "1"],
+        ["volume-mc", "--s", "1/5", "--t", "1/5", "--seed", "-1"],
+        ["family", "--id", "converse-tight", "--k", "2"],  # --n and --l missing
+        ["family", "--id", "antichain", "--k", "1", "--l", "1", "--n", "9"],  # --n unread
+        ["family", "--id", "antichain", "--k", "10000000000", "--l", "1"],
     ],
 )
 def test_bad_numeric_argument_exits_two(argv):
@@ -251,3 +259,116 @@ def test_every_json_line_carries_schema():
         assert code in (0, 1)
         for line in out.splitlines():
             assert json.loads(line)["schema"] == "posetlab/1"
+
+
+# -- property: the exit-code contract over mutated argv and poset JSON --------
+
+_ANY_INT = st.integers(-2, 8) | st.integers()
+_FRACTION_TEXT = st.sampled_from(["1/5", "2/5", "1/2", "0", "-1/3", "1/0", "abc", "0.1"])
+# flag -> (usually given, strategy for its value or None for a switch);
+# search budgets and sizes and MC samples are capped so that runs stay small
+_SUBCOMMANDS = {
+    "table": {},
+    "vanish": {"--k": (True, _ANY_INT), "--l": (True, _ANY_INT)},
+    "check": {
+        "--ineq": (True, st.sampled_from(ALL_CHECK_IDS)),
+        **{flag: (False, _ANY_INT) for flag in ("--k", "--l", "--p", "--q", "--t", "--a")},
+        "--all": (False, None),
+    },
+    "family": {
+        "--id": (True, st.sampled_from(FAMILY_IDS)),
+        **{flag: (True, _ANY_INT) for flag in ("--n", "--k", "--l")},  # no family reads all
+    },
+    "verify-injections": {
+        "--map": (False, st.sampled_from(["stanley", "transfer", "shrink", "grow"])),
+    },
+    "search": {
+        "--target": (True, st.sampled_from(SEARCH_TARGETS)),
+        "--n-max": (True, st.integers(3, 12) | st.integers(max_value=12)
+                    | st.integers(min_value=MAX_ELEMENTS + 1)),
+        "--n-min": (False, _ANY_INT),
+        "--width-max": (False, _ANY_INT),
+        "--seed": (False, _ANY_INT),
+        "--budget": (True, st.integers(-2, 3)),
+    },
+    "volume-mc": {
+        "--s": (True, _FRACTION_TEXT),
+        "--t": (True, _FRACTION_TEXT),
+        "--samples": (True, st.integers(-2, 400)),
+        "--seed": (False, _ANY_INT),
+    },
+}
+_READS_POSET = {"table", "vanish", "check", "verify-injections", "volume-mc"}
+_ALL_FLAGS = sorted({flag for flags in _SUBCOMMANDS.values() for flag in flags})
+# poset documents of at most 7 elements, so that word enumeration stays small
+_DOCS = [
+    json.loads(chain3_json()),
+    family_cpc2_witness(1, 2).to_json_obj(),
+    family_stanley_tight(6, 3).to_json_obj(),
+]
+_SMALL = st.integers(min_value=-2, max_value=7)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELD_VALUES = {
+    "n": _SMALL,
+    "covers": st.lists(st.lists(_SMALL, min_size=2, max_size=2), max_size=8),
+    "z": st.lists(_SMALL, min_size=3, max_size=3),
+    "a": _SMALL,
+}
+_RARELY = st.sampled_from([False] * 7 + [True])  # shrinks to False
+
+
+@st.composite
+def _poset_text(draw) -> str:
+    doc = dict(draw(st.sampled_from(_DOCS)))
+    while draw(_RARELY):
+        key = draw(st.sampled_from(sorted(_FIELD_VALUES)))
+        action = draw(st.sampled_from(["drop", "json", "ints"]))
+        if action == "drop":
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_JSON if action == "json" else _FIELD_VALUES[key])
+    text = json.dumps(doc)
+    if draw(_RARELY):
+        text = text[: draw(st.integers(0, len(text)))]  # cut short
+    return text
+
+
+@st.composite
+def _invocation(draw):
+    """One subcommand with its flags, each kept or dropped, any numeric flag
+    set to any int, maybe a flag that belongs to another subcommand, and
+    poset JSON with fields dropped, retyped or renumbered."""
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    flags = [flag for flag, (required, _) in _SUBCOMMANDS[command].items()
+             if draw(_RARELY) != required]
+    while draw(_RARELY):
+        flags.append(draw(st.sampled_from(_ALL_FLAGS)))
+    argv = [command]
+    for flag in flags:  # a borrowed flag takes the value kind of its first owner
+        specs = (_SUBCOMMANDS[command], *_SUBCOMMANDS.values())
+        strategy = next(spec[flag][1] for spec in specs if flag in spec)
+        argv += [flag] if strategy is None else [flag, str(draw(strategy))]
+    stdin = draw(_poset_text()) if command in _READS_POSET else ""
+    return argv, stdin
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_invocation())
+@example((["family", "--id", "converse-tight", "--k", "2"], ""))
+@example((["volume-mc", "--s", "1/5", "--t", "1/5", "--seed", "-1"], chain3_json()))
+@example((["check", "--ineq", "cpc", "--k", "x"], chain3_json()))
+def test_exit_code_contract_holds_for_mutated_input(invocation):
+    argv, stdin_text = invocation
+    code, out, err = run_cli(argv, stdin_text)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+    for line in out.splitlines():
+        obj = json.loads(line)
+        assert isinstance(obj, dict) and obj["schema"] == "posetlab/1"

@@ -71,6 +71,87 @@ def test_covers_regenerate_relation():
     assert build(4, p.covers).up == p.up
 
 
+def _reachable(n: int, rows) -> tuple[int, ...]:
+    """Rows of the transitive closure by a depth-first search from each x."""
+    out = []
+    for x in range(n):
+        seen, stack = 0, [x]
+        while stack:
+            v = stack.pop()
+            for y in range(n):
+                if rows[v] >> y & 1 and not seen >> y & 1:
+                    seen |= 1 << y
+                    stack.append(y)
+        out.append(seen)
+    return tuple(out)
+
+
+@st.composite
+def acyclic_rows(draw, max_n: int = 8):
+    """(n, rows) of a random acyclic relation: as drawn, closed, or reduced."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                rows[label[i]] |= 1 << label[j]
+    form = draw(st.sampled_from(["drawn", "closed", "reduced"]))
+    if form != "drawn":
+        rows = build(n, [(x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1])
+        rows = rows.up if form == "closed" else rows.cover_up
+    return n, tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(acyclic_rows(), st.data())
+def test_constructor_closes_any_acyclic_rows(shape, data):
+    n, rows = shape
+    p = Poset(n, rows)
+    assert p.up == _reachable(n, rows)
+    _assert_rows_and_lattice(p)  # down is the transpose, cover_up the reduction
+    pairs = [(x, y) for x in range(n) for y in range(n) if rows[x] >> y & 1]
+    assert p == build(n, pairs)
+    if n >= 3:
+        z = MarkedTriple(*data.draw(st.permutations(range(n)))[:3])
+        chain_pairs = [(z.z1, z.z2), (z.z2, z.z3)]
+        try:
+            q = build(n, [*p.relation_pairs(), *chain_pairs])
+        except CycleDetected:
+            with pytest.raises(CycleDetected):
+                normalize(p, z)
+        else:
+            assert normalize(p, z) == (q, z)
+
+
+@pytest.mark.parametrize(
+    "n, pairs, on_cycle",
+    [
+        (3, [(1, 1)], {1}),  # a self-pair, a reflexive row for Poset
+        (3, [(0, 2), (2, 0)], {0, 2}),
+        (64, [(i, (i + 1) % 64) for i in range(64)], set(range(64))),
+        (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (5, 0)], {2, 3, 4}),  # below the cycle too
+    ],
+)
+def test_cycles_raise_through_build_and_poset(n, pairs, on_cycle):
+    rows = [0] * n
+    for a, b in pairs:
+        rows[a] |= 1 << b
+    for make in (lambda: build(n, pairs), lambda: Poset(n, tuple(rows))):
+        with pytest.raises(CycleDetected) as info:
+            make()
+        assert int(str(info.value).split()[1]) in on_cycle
+
+
+def test_poset_rejects_rows_of_the_wrong_shape():
+    with pytest.raises(IndexOutOfRange):
+        Poset(3, (0, 0))
+    with pytest.raises(IndexOutOfRange):
+        Poset(2, (0b100, 0))
+    with pytest.raises(IndexOutOfRange):
+        Poset(2, (-1, 0))
+
+
 @settings(max_examples=120)
 @given(posets())
 def test_closure_idempotent_and_dual_involution(p: Poset):
