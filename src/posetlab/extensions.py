@@ -9,8 +9,8 @@ is the table
 computed exactly from the lattice of down-sets (order ideals).  That
 lattice is built once per poset and cached on it (``Poset.lattice``, which
 also gives e(P)); every count is then one fold over it (``_fold``), with
-each ideal's counts Kronecker-packed into a single Python int, first gap
-in the lowest digits:
+each ideal's counts Kronecker-packed into a single Python int, first
+coordinate in the lowest digits:
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
@@ -19,12 +19,18 @@ in the lowest digits:
   ``positional_gap_counts``) -- any marks, gaps of either sign, absolute
   positions; a mark not yet placed moves on with each step.
 
-Both are the same fold with different gap axes.  ``enumerate_extensions``,
-``is_extension`` and ``gap_classes`` stay lattice-free: they are the
-brute-force oracle the tests check both folds against.  The enumerator is
-an iterative depth-first walk over bitmasks; it also supplies the words
-that ``injections`` certifies.  It and the gap axes read the rows ``down``
-and ``cover_up``, which the poset fills in while it validates its relation.
+Both are the same fold with different gap axes.  Marks that form a chain
+in P, in any order, are folded in entry-order coordinates (the gaps
+between consecutive marks of the chain), so one digit moves at a time;
+each nonzero cell is then re-keyed to the requested gaps by a linear map
+with coefficients in {-1, 0, 1}.  The state budget counts folded slots.
+
+``enumerate_extensions``, ``is_extension`` and ``gap_classes`` stay
+lattice-free: they are the brute-force oracle the tests check both folds
+against.  The enumerator is an iterative depth-first walk over bitmasks;
+it also supplies the words that ``injections`` certifies.  It and the gap
+axes read the rows ``down`` and ``cover_up``, which the poset fills in
+while it validates its relation.
 
 Counts are exact big integers throughout; no floating point.
 """
@@ -34,7 +40,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product, repeat
+from operator import add, sub
 
 from .errors import BadChain, BadParams, IndexOutOfRange, TooLarge
 from .posets import DEFAULT_STATE_BUDGET, SCHEMA, MarkedTriple, Poset, is_normalized
@@ -163,31 +170,63 @@ def _gap_axis(p: Poset, u: int | None, v: int) -> tuple[int, int, int]:
     return 1, lo, lo + hi + 1
 
 
+def _entry_order(p: Poset, marks: tuple, gaps: tuple):
+    """(coords, level): the gaps to fold for ``gaps``, and the map back.
+
+    Marks forming a chain c1 < c2 < ... in P get the coords (c1, c2),
+    (c2, c3), ..., led by (None, c1) when a gap is absolute.  pos(x) -
+    pos(c1) (or pos(x)) is the sum of the first ``level[x]`` coords, so a
+    gap (u, v) is the signed sum of coords between level[u] and level[v].
+    Every caller's gaps tie all marks together, so this is one-to-one.
+    (gaps, None) when the gaps already are in entry order, as in
+    ``f_table`` and ``n_vector`` (only this scan is paid), or no chain.
+    """
+    up = p.up
+    prev = gaps[0][0]
+    for u, v in gaps:
+        if u != prev or u is not None and not up[u] >> v & 1:
+            break
+        prev = v
+    else:
+        return gaps, None
+    down = p.down
+    order = sorted(marks, key=lambda m: down[m].bit_count())
+    coords = [(None, order[0])] if any(u is None for u, _ in gaps) else []
+    level = {None: 0, order[0]: len(coords)}
+    for a, b in zip(order, order[1:]):
+        if not up[a] >> b & 1:
+            return gaps, None
+        coords.append((a, b))
+        level[b] = len(coords)
+    return tuple(coords), level
+
+
 def _fold(
     p: Poset, marks: tuple, gaps: tuple, state_budget: int
 ) -> dict[tuple[int, ...], int]:
     """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
     ``gaps``, between the given ``marks`` (u = None stands for position 0).
 
-    One fold over the cached ideal lattice.  The gaps are the mixed-radix
-    digits of one slot number c (first gap least significant), and each
-    ideal holds one int with the count of slot c in bits W*c .. W*c + W - 1
-    (Kronecker packing).  W is e(P).bit_length() rounded up to whole bytes;
-    no slot overflows into the next, since a partial count at an ideal J is
-    at most e(J) <= e(P).  A mark not yet placed moves on with the step, so
-    all edges out of an ideal I shift by the same number of slots, the sum
-    of the weights of the marks outside I.  Every digit stays on its
+    One fold over the cached ideal lattice, in the coordinates that
+    ``_entry_order`` picks.  They are the mixed-radix digits of one slot
+    number c (first one least significant), and each ideal holds one int
+    with the count of slot c in bits W*c .. W*c + W - 1 (Kronecker
+    packing).  W is e(P).bit_length() rounded up to whole bytes; no slot
+    overflows into the next, since a partial count at an ideal J is at most
+    e(J) <= e(P).  A mark not yet placed moves on with the step, so all
+    edges out of an ideal I shift by the same number of slots, the sum of
+    the weights of the marks outside I.  Every digit stays on its
     ``_gap_axis``, which makes a negative (right) shift exact.
 
-    The first gap goes lowest because it is the one that opens first in
-    the gap-phase fold of ``f_table``: until z2 is placed a count sits in
-    slot k < n and stays a short int, where with the first gap highest it
-    would be strided by the size of the second gap's axis.  The keys are
-    returned in gap order all the same.
+    Folded as asked, the gaps (z2, z1), (z1, z3) of a chain z1 < z2 < z3
+    both move once z1 is placed, so counts sit at slots d * (1 + size0)
+    and the ints are long.  In entry order one digit moves at a time and
+    the first, lowest, opens first: until z2 is placed a count stays below
+    slot n.  Cells are then re-keyed; non-chain marks have no entry order.
 
     Raises IndexOutOfRange for a mark that is not an element, BadParams for
     a repeated mark and TooLarge when a layer's ideals times the number of
-    slots exceed ``state_budget``.
+    slots folded exceed ``state_budget``.
     """
     n = p.n
     for m in marks:
@@ -198,9 +237,10 @@ def _fold(
     lat = p.lattice(state_budget)
     nbytes = (lat.count.bit_length() + 7) // 8
     width = 8 * nbytes
+    coords, level = _entry_order(p, marks, gaps)
     weight = dict.fromkeys(marks, 0)  # bits a count moves per step of each mark
     origin, slots, axes = 0, 1, []
-    for u, v in gaps:
+    for u, v in coords:
         sign, offset, size = _gap_axis(p, u, v)
         weight[v] += width * slots * sign
         if u is not None:
@@ -225,12 +265,23 @@ def _fold(
         c = c << s if s >= 0 else c >> -s
         for j in edges:
             vals[j] += c
-    # one hex string per slot, highest slot first; product() runs its last
-    # axis fastest, so the keys come out last gap first and are reversed
-    hexes = c.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split()
+    # one hex string per slot, slot 0 first
+    hexes = reversed(c.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split())
     zero = "00" * nbytes
-    keys = product(*reversed(axes))
-    return {key[::-1]: int(h, 16) for key, h in zip(keys, reversed(hexes)) if h != zero}
+    if level is None:
+        # product() runs its last axis fastest: keys come highest digit first
+        keys = product(*reversed(axes))
+        return {key[::-1]: int(h, 16) for key, h in zip(keys, hexes) if h != zero}
+    # re-key: digit d's gap at every slot (each value repeated stride times),
+    # summed into the positions of the chain's marks; each requested gap is
+    # the difference of two of them
+    at, stride = [[0] * slots], 1
+    for axis in axes:
+        column = list(chain.from_iterable(map(repeat, axis, repeat(stride))))
+        at.append(list(map(add, at[-1], column * (slots // (stride * len(axis))))))
+        stride *= len(axis)
+    keys = zip(*(map(sub, at[level[v]], at[level[u]]) for u, v in gaps))
+    return {key: int(h, 16) for key, h in zip(keys, hexes) if h != zero}
 
 
 def f_table(p: Poset, z: MarkedTriple, state_budget: int = DEFAULT_STATE_BUDGET) -> FTable:
@@ -260,7 +311,8 @@ def positional_gap_counts(
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     """Signed gap table F'(a, b) with a = pos(z2) - pos(z1), b = pos(z3) - pos(z2).
 
-    The triple need not be chain-ordered, so a and b may be negative.
+    The triple need not be chain-ordered, so a and b may be negative.  A
+    chain in another order is folded in entry order and re-keyed.
     """
     z1, z2, z3 = marks = z.as_tuple()
     return _fold(p, marks, ((z1, z2), (z2, z3)), DEFAULT_STATE_BUDGET)

@@ -117,9 +117,6 @@ class Poset:
     def less(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
-    def leq(self, x: int, y: int) -> bool:
-        return x == y or self.less(x, y)
-
     def incomparable(self, x: int, y: int) -> bool:
         return x != y and not self.less(x, y) and not self.less(y, x)
 

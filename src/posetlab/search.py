@@ -21,8 +21,9 @@ after swapping the roles of z1 and z2, a signed table F' with
 F'(a, b) = F(-a, a+b), and the four cells at a = -k-1, b = k+l+1 violate
 F'(a,b) F'(a+1,b+1) <= F'(a+1,b) F'(a,b+1).  Those four cells are cpc2's
 own cells, so the certificate takes cpc2's products; ``verify_certificate``
-recounts them on the signed table.  Certificates embed the poset and
-re-verify from scratch on reload.
+recounts them on the signed table, by the same entry-order fold as
+``f_table``, re-keyed.  Certificates embed the poset and re-verify from
+scratch on reload.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BadParams, TooLarge
+from .errors import BadParams, MalformedInput, TooLarge
 from .extensions import FTable, f_table, f_table_signed
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build
@@ -93,16 +94,50 @@ class Certificate:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Certificate":
+        """Inverse of ``to_json_obj`` (``index`` optional).  MalformedInput
+        for a missing key, a non-integer field or a field of the wrong shape."""
+        if not isinstance(obj, dict):
+            raise MalformedInput(f"certificate must be an object, got {type(obj).__name__}")
+        missing = [key for key in _CERTIFICATE_KEYS if key not in obj]
+        if missing:
+            raise MalformedInput(f"certificate lacks {', '.join(missing)}")
+        if not isinstance(obj["ineq"], str):
+            raise MalformedInput(f"certificate 'ineq' must be a string, got {obj['ineq']!r}")
+        covers, z, indices = obj["covers"], obj["z"], obj["indices"]
+        pairs = isinstance(covers, (list, tuple)) and all(
+            isinstance(c, (list, tuple)) and len(c) == 2 for c in covers
+        )
+        if not pairs:
+            raise MalformedInput(f"certificate 'covers' must be a list of pairs, got {covers!r}")
+        if not isinstance(z, (list, tuple)) or len(z) != 3:
+            raise MalformedInput(f"certificate 'z' must be a list of 3, got {z!r}")
+        if not isinstance(indices, dict):
+            raise MalformedInput(f"certificate 'indices' must be an object, got {indices!r}")
         return Certificate(
             obj["ineq"],
-            int(obj["n"]),
-            [tuple(c) for c in obj["covers"]],
-            tuple(int(x) for x in obj["z"]),
-            {key: int(v) for key, v in obj["indices"].items()},
-            int(obj["lhs"]),
-            int(obj["rhs"]),
-            int(obj.get("index", -1)),
+            _int_field(obj["n"], "'n'"),
+            [tuple(_int_field(x, "cover element") for x in c) for c in covers],
+            tuple(_int_field(x, "marked element") for x in z),
+            {key: _int_field(v, f"index {key!r}") for key, v in indices.items()},
+            _int_field(obj["lhs"], "'lhs'"),
+            _int_field(obj["rhs"], "'rhs'"),
+            _int_field(obj.get("index", -1), "'index'"),
         )
+
+
+_CERTIFICATE_KEYS = ("ineq", "n", "covers", "z", "indices", "lhs", "rhs")
+
+
+def _int_field(value, what: str) -> int:
+    """An int, or a string of one (``lhs`` and ``rhs`` are written so)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise MalformedInput(f"certificate {what} must be an integer, got {value!r}")
 
 
 def verify_certificate(cert: Certificate) -> bool:

@@ -138,8 +138,3 @@ def equality_case_check(
         "vanishing-equality", k, l, Fraction(B), Fraction(A), verdict, cells,
         extra={"z2_comparable_to_all": all_comparable},
     )
-
-
-def brute_support(p: Poset, z: MarkedTriple) -> set[tuple[int, int]]:
-    """Support straight from the exact table; oracle counterpart of support()."""
-    return f_table(p, z).support()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from posetlab.extensions import enumerate_extensions
-from posetlab.posets import MarkedTriple, Poset
+from posetlab.posets import MarkedTriple, Poset, build
 from posetlab.search import enumerate_posets, random_instance
 
 
@@ -49,6 +51,23 @@ def oracle_n_counts(p: Poset, a: int) -> dict[int, int]:
         pos = w.index(a) + 1
         out[pos] = out.get(pos, 0) + 1
     return out
+
+
+def width_five_poset(n: int = 28, seed: int = 2006) -> Poset:
+    """Five chains of near-equal length with random relations from a level
+    of one chain to a higher level of another, never out of a chain's top
+    element, so the five tops stay an antichain."""
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    chains = [ids[j::5] for j in range(5)]
+    pairs = [(c[i], c[i + 1]) for c in chains for i in range(len(c) - 1)]
+    for _ in range(15):
+        lo, hi = rng.sample(chains, 2)
+        a = rng.randrange(len(lo) - 1)
+        if a + 1 < len(hi):
+            pairs.append((lo[a], hi[rng.randrange(a + 1, len(hi))]))
+    return build(n, pairs)
 
 
 @pytest.fixture(scope="session")

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_f_entries, oracle_n_counts
+from conftest import oracle_f_entries, oracle_n_counts, width_five_poset
 from posetlab.errors import BadChain, BadParams, CycleDetected, IndexOutOfRange, TooLarge
 from posetlab.extensions import (
+    _entry_order,
+    _gap_axis,
     count_extensions,
     enumerate_extensions,
     f_table,
@@ -24,7 +26,7 @@ from posetlab.extensions import (
     FTable,
 )
 from posetlab.families import family_cpc2_witness, family_stanley_tight
-from posetlab.posets import MarkedTriple, antichain, build, chain, normalize
+from posetlab.posets import MarkedTriple, antichain, build, chain, is_normalized, normalize
 from posetlab.search import random_instance
 
 
@@ -115,28 +117,59 @@ def test_duality_identity(medium_corpus):
         }
 
 
+def _width_five_instances():
+    """The n = 28 width-five poset, e(P) of 54 bits (seven bytes per slot),
+    with a chain triple from each of two of its five chains."""
+    p = width_five_poset()
+    return [(p, MarkedTriple(4, 9, 27)), (p, MarkedTriple(22, 16, 7))]
+
+
 def test_translation_identity_via_signed_table(medium_corpus):
-    # swapping the first two marks sends (k, l) to (-k, l + k)
-    for p, z in medium_corpus[:25]:
+    # swapping the first two marks sends (k, l) to (-k, l + k); the swapped
+    # triple is still a chain, so its signed table is re-keyed from the
+    # entry-order fold, here also in the big-int regime
+    for p, z in medium_corpus[:25] + _width_five_instances():
+        assert is_normalized(p, z)
         F = f_table(p, z)
         signed = f_table_signed(p, z.swapped12())
-        for (k, l), v in F.entries.items():
-            assert signed.get((-k, l + k), 0) == v
-        assert sum(signed.values()) >= F.total()
+        assert {(-a, a + b): v for (a, b), v in signed.items()} == F.entries
+        assert F.total() == sum(signed.values()) == count_extensions(p)
 
 
 def test_signed_and_pair_tables_match_oracle_on_any_marks(medium_corpus):
-    # marks in any order, comparable or not, against plain enumeration
-    for p, _ in medium_corpus[:30]:
+    # marks in any order, comparable or not, against plain enumeration: a
+    # sample of all ordered triples, and every order of the chain triple,
+    # which the fold counts in entry order and re-keys
+    for p, z in medium_corpus[:30]:
         words = list(enumerate_extensions(p))
-        for a, b, c in list(permutations(range(p.n), 3))[::17]:
-            signed, pair = Counter(), Counter()
+        triples = list(permutations(range(p.n), 3))[::17] + list(permutations(z.as_tuple()))
+        for a, b, c in triples:
+            signed, pair, positions = Counter(), Counter(), Counter()
             for w in words:
                 pa, pb, pc = w.index(a), w.index(b), w.index(c)
                 signed[(pb - pa, pc - pb)] += 1
                 pair[pc - pa] += 1
+                positions[(pa + 1, pb + 1, pc + 1)] += 1
             assert f_table_signed(p, MarkedTriple(a, b, c)) == signed
             assert pair_gap_table(p, a, c) == pair
+            assert pair_gap_table(p, c, a) == {-g: v for g, v in pair.items()}
+            assert positional_gap_counts(p, (a, b, c)) == positions
+
+
+def test_chain_marks_fold_in_entry_order(medium_corpus):
+    # every order of a chain triple is folded in the gaps between
+    # consecutive marks, led by position 0 when the request is absolute
+    for p, z in medium_corpus[:10]:
+        z1, z2, z3 = z.as_tuple()
+        entry = ((z1, z2), (z2, z3))
+        for a, b, c in permutations((z1, z2, z3)):
+            coords, level = _entry_order(p, (a, b, c), ((a, b), (b, c)))
+            assert coords == entry and (level is None) == ((a, b, c) == (z1, z2, z3))
+            coords, level = _entry_order(p, (a, b, c), ((None, a), (None, b), (None, c)))
+            assert coords == ((None, z1),) + entry and level[z3] == 3
+        # a pair that is not a chain keeps the requested gap
+        x, y = next((x, y) for x in range(p.n) for y in range(p.n) if p.incomparable(x, y))
+        assert _entry_order(p, (x, y), ((x, y),)) == (((x, y),), None)
 
 
 def test_pair_gap_consistency(medium_corpus):
@@ -255,3 +288,15 @@ def test_positional_state_budget(medium_corpus):
     p, z = medium_corpus[0]
     with pytest.raises(TooLarge):
         positional_gap_counts(p, z.as_tuple(), state_budget=3)
+    # the budget counts the slots folded: for chain marks, those of the
+    # entry-order coordinates, fewer than the requested gaps would take
+    p, z = _width_five_instances()[0]
+    marks = z.as_tuple()[::-1]
+    gaps = tuple((None, m) for m in marks)
+    coords, _ = _entry_order(p, marks, gaps)
+    folded, asked = (prod(_gap_axis(p, u, v)[2] for u, v in g) for g in (coords, gaps))
+    assert folded < asked
+    budget = p.lattice().widest * folded
+    assert positional_gap_counts(p, marks, state_budget=budget)
+    with pytest.raises(TooLarge):
+        positional_gap_counts(p, marks, state_budget=budget - 1)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import width_five_poset
 from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, TooLarge
 from posetlab.extensions import count_extensions
 from posetlab.families import family_cpc2_witness
@@ -249,23 +250,6 @@ def _assert_rows_and_lattice(p: Poset) -> None:
     assert p.lattice() == _reference_lattice(p)
 
 
-def _width_five_poset(n: int = 28, seed: int = 2006) -> Poset:
-    """Five chains of near-equal length with random relations from a level
-    of one chain to a higher level of another, never out of a chain's top
-    element, so the five tops stay an antichain."""
-    rng = random.Random(seed)
-    ids = list(range(n))
-    rng.shuffle(ids)
-    chains = [ids[j::5] for j in range(5)]
-    pairs = [(c[i], c[i + 1]) for c in chains for i in range(len(c) - 1)]
-    for _ in range(15):
-        lo, hi = rng.sample(chains, 2)
-        a = rng.randrange(len(lo) - 1)
-        if a + 1 < len(hi):
-            pairs.append((lo[a], hi[rng.randrange(a + 1, len(hi))]))
-    return build(n, pairs)
-
-
 @settings(max_examples=120, deadline=None)
 @given(posets())
 def test_lattice_and_rows_match_reference(p: Poset):
@@ -275,7 +259,7 @@ def test_lattice_and_rows_match_reference(p: Poset):
 def test_lattice_and_rows_match_reference_on_corpus(medium_corpus):
     corpus = [p for p, _ in medium_corpus]
     corpus += [p.dual() for p in corpus]
-    wide = _width_five_poset()
+    wide = width_five_poset()
     assert wide.n == 28 and wide.width == 5
     for p in corpus + [wide, wide.dual()]:
         _assert_rows_and_lattice(p)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from posetlab import search
-from posetlab.errors import BadParams, TooLarge
+from posetlab.errors import BadParams, MalformedInput, TooLarge
 from posetlab.extensions import count_extensions, f_table
 from posetlab.inequalities import check_cpc, check_cpc1, check_cpc2
 from posetlab.posets import MarkedTriple
@@ -176,6 +176,34 @@ def test_verify_certificate_rejects_malformed_certificates():
         verify_certificate(Certificate("gcpc", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
     # well formed but not a violation on the chain
     assert not verify_certificate(Certificate("cpc2", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
+
+
+def test_certificate_json_round_trip_and_malformed_input():
+    job = SearchJob(target="gcpc", n_max=7, width_max=3, seed=42, budget=500)
+    certs, _ = run(job)
+    assert certs
+    for cert in certs:
+        text = json.dumps(cert.to_json_obj())
+        back = Certificate.from_json_obj(json.loads(text))
+        assert back == cert and json.dumps(back.to_json_obj()) == text
+    good = certs[0].to_json_obj()
+    for key in ("ineq", "n", "covers", "z", "indices", "lhs", "rhs"):
+        with pytest.raises(MalformedInput, match=f"lacks {key}"):
+            Certificate.from_json_obj({k: v for k, v in good.items() if k != key})
+    # a bare KeyError, ValueError and TypeError before
+    for field, value in (("n", "seven"), ("n", 7.5), ("lhs", "1e3"), ("index", None),
+                         ("indices", {**good["indices"], "k": "minus one"}),
+                         ("z", [0, 1, True])):
+        with pytest.raises(MalformedInput, match="must be an integer"):
+            Certificate.from_json_obj({**good, field: value})
+    for value in (5, "0 1", None, [[0, 1, 2]], [3]):
+        with pytest.raises(MalformedInput, match="'covers' must be a list of pairs"):
+            Certificate.from_json_obj({**good, "covers": value})
+    for field, value in (("z", 7), ("z", [0, 1]), ("indices", [1, 2]), ("ineq", 3)):
+        with pytest.raises(MalformedInput, match=f"'{field}' must be"):
+            Certificate.from_json_obj({**good, field: value})
+    with pytest.raises(MalformedInput, match="must be an object"):
+        Certificate.from_json_obj([good])
 
 
 def test_bad_target_rejected():
