@@ -37,14 +37,16 @@ Counts are exact big integers throughout; no floating point.
 
 from __future__ import annotations
 
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from operator import add, sub
 
-from .errors import BadChain, BadParams, IndexOutOfRange, TooLarge
-from .posets import DEFAULT_STATE_BUDGET, SCHEMA, MarkedTriple, Poset, is_normalized
+from .errors import BadChain, BadParams, IndexOutOfRange, MalformedInput, TooLarge
+from .posets import (
+    DEFAULT_STATE_BUDGET, SCHEMA, MarkedTriple, Poset, _check_index, _json_int, _json_list,
+    is_normalized,
+)
 
 ENUMERATION_MAX = 14
 
@@ -140,12 +142,23 @@ class FTable:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "FTable":
-        entries = {(int(k), int(l)): int(v) for k, l, v in obj["F"]}
-        z = MarkedTriple(*map(int, obj["z"]))
-        return FTable(int(obj["n"]), z, entries)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        """Inverse of ``to_json_obj``.  MalformedInput for a missing key, a
+        non-integer field or a cell that is not [k, l, count]; a count may
+        be an int or, as written, a string of decimal digits.  IndexOutOfRange
+        for a marked element outside 0..n-1, as in ``load_poset``."""
+        if not isinstance(obj, dict):
+            raise MalformedInput(f"table JSON must be an object, got {type(obj).__name__}")
+        n = _json_int(obj.get("n"), "'n'")
+        marks = [_json_int(x, "marked element") for x in _json_list(obj.get("z"), "'z'", 3)]
+        for x in marks:
+            _check_index(n, x)
+        z = MarkedTriple(*marks)
+        entries = {}
+        for cell in _json_list(obj.get("F"), "'F'"):
+            k, l, v = _json_list(cell, "cell", 3)
+            v = int(v) if isinstance(v, str) and v.isdecimal() else v
+            entries[_json_int(k, "cell k"), _json_int(l, "cell l")] = _json_int(v, "cell count")
+        return FTable(n, z, entries)
 
 
 def _gap_axis(p: Poset, u: int | None, v: int) -> tuple[int, int, int]:

@@ -23,7 +23,6 @@ Abbreviations used in the cell dictionaries: ``F_kl`` is F(k, l),
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
@@ -77,9 +76,6 @@ class CheckReport:
         if self.note:
             out["note"] = self.note
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 def _report(ineq, k, l, lhs, rhs, cells, vacuous=False, extra=None, note="") -> CheckReport:
@@ -164,13 +160,6 @@ check_converse = _product_check(
     "converse", _A, _B, cells=_B + _A, needs_b=True,
     scale=lambda k, l, n: 2 * k * l * (min(k, l) + 1) * n,  # c(k,l,n)
 )
-
-
-def check_logc(F: FTable, k: int, l: int, which: int) -> CheckReport:
-    """Log-concavity along lattice direction ``which``: check_logc1, 2 or 3."""
-    if which not in (1, 2, 3):
-        raise BadParams("which must be 1, 2 or 3")
-    return (check_logc1, check_logc2, check_logc3)[which - 1](F, k, l)
 
 
 _AB_SPEC = _spec(_B + _A)

@@ -23,7 +23,6 @@ else is computed on first read and kept in the instance dict:
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +31,6 @@ from typing import NamedTuple
 from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
 
 MAX_ELEMENTS = 64        # down-sets must fit one machine word
-CANONICAL_EXACT_MAX = 9  # exact min-bitstring canonical form up to here
 DEFAULT_STATE_BUDGET = 1 << 26  # live DP states allowed in one lattice layer
 
 SCHEMA = "posetlab/1"
@@ -193,35 +191,10 @@ class Poset:
         """Same ground set, relation reversed."""
         return Poset(self.n, self.down)
 
-    # -- canonical form ---------------------------------------------------
-
-    def canonical_key(self):
-        """Isomorphism-invariant key: exact min adjacency bitstring for
-        n <= CANONICAL_EXACT_MAX, an invariant hash above that."""
-        pairs = self.relation_pairs()
-        if self.n <= CANONICAL_EXACT_MAX:
-            best = None
-            for perm in itertools.permutations(range(self.n)):
-                code = 0
-                for a, b in pairs:
-                    code |= 1 << (perm[a] * self.n + perm[b])
-                if best is None or code < best:
-                    best = code
-            return (self.n, best)
-        profile = tuple(sorted(zip(self.b, self.b_star)))
-        return (self.n, "hash", hash((self.n, profile, len(pairs))))
-
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self) -> dict:
         return {"schema": SCHEMA, "n": self.n, "covers": [list(c) for c in self.covers]}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "Poset":
-        return load_poset(obj)[0]
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
 
 
 class IdealLattice(NamedTuple):
@@ -468,11 +441,6 @@ def width_bruteforce(p: Poset) -> int:
         else:
             best = max(best, mask.bit_count())
     return best
-
-
-def height(p: Poset) -> int:
-    """Number of elements in a longest chain: ``p.height``."""
-    return p.height
 
 
 def params(p: Poset) -> Poset:

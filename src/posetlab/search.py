@@ -24,6 +24,10 @@ own cells, so the certificate takes cpc2's products; ``verify_certificate``
 recounts them on the signed table, by the same entry-order fold as
 ``f_table``, re-keyed.  Certificates embed the poset and re-verify from
 scratch on reload.
+
+``enumerate_posets`` lists one poset per isomorphism class for n <= 6,
+de-duplicated by ``canonical_key``: the least relation code over the ranks
+of the poset's linear extensions, exact for n <= 9.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BadParams, MalformedInput, TooLarge
-from .extensions import FTable, f_table, f_table_signed
+from .extensions import FTable, enumerate_extensions, f_table, f_table_signed
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build
 
@@ -44,6 +48,7 @@ SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 
 POSET_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 ENUMERATION_MAX_N = 6
+CANONICAL_EXACT_MAX = 9  # canonical_key walks every linear extension
 
 
 @dataclass(frozen=True)
@@ -356,11 +361,33 @@ def run(job: SearchJob):
 # -- exhaustive small-poset enumeration --------------------------------------
 
 
+def canonical_key(p: Poset) -> tuple[int, int]:
+    """(n, code), equal exactly for isomorphic posets: the code is the least,
+    over all linear extensions, of the relation written as bits rank(x) * n
+    + rank(y) for x < y, ranks taken in that extension.  An isomorphism
+    carries one poset's extensions onto the other's, and a code fixes its
+    poset up to relabeling.  TooLarge above CANONICAL_EXACT_MAX, where e(P)
+    may reach n!."""
+    n = p.n
+    if n > CANONICAL_EXACT_MAX:
+        raise TooLarge(f"canonical form guarded at n <= {CANONICAL_EXACT_MAX}")
+    pairs = p.relation_pairs()
+    rank = [0] * n
+    best = None
+    for word in enumerate_extensions(p):
+        for i, x in enumerate(word):
+            rank[x] = i
+        code = sum(1 << rank[x] * n + rank[y] for x, y in pairs)
+        if best is None or code < best:
+            best = code
+    return n, best
+
+
 def enumerate_posets(n: int):
     """One representative per isomorphism class, n <= 6.
 
     Grown by repeatedly attaching a new maximal element whose strict
-    down-set is an order ideal, de-duplicated by canonical form.
+    down-set is an order ideal, de-duplicated by ``canonical_key``.
     """
     if n > ENUMERATION_MAX_N:
         raise TooLarge(f"exhaustive enumeration guarded at n <= {ENUMERATION_MAX_N}")
@@ -371,6 +398,6 @@ def enumerate_posets(n: int):
             for ideal in p.lattice().ideals:
                 # the new element's row in the dual is the ideal, its strict down-set
                 q = Poset(size, (*p.down, ideal)).dual()
-                seen.setdefault(q.canonical_key(), q)
+                seen.setdefault(canonical_key(q), q)
         reps = list(seen.values())
     return reps

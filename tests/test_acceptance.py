@@ -41,7 +41,9 @@ from posetlab.inequalities import (
     check_half_cpc,
     check_half_cpc1,
     check_half_cpc2,
-    check_logc,
+    check_logc1,
+    check_logc2,
+    check_logc3,
     check_logconcave_product,
     check_main,
     check_sqrt_lower,
@@ -213,9 +215,9 @@ def test_criterion_7_inequality_suite():
         check_half_cpc,
         check_half_cpc1,
         check_half_cpc2,
-        lambda F, k, l: check_logc(F, k, l, 1),
-        lambda F, k, l: check_logc(F, k, l, 2),
-        lambda F, k, l: check_logc(F, k, l, 3),
+        check_logc1,
+        check_logc2,
+        check_logc3,
         check_logconcave_product,
         check_sqrt_lower,
         check_vanish_lower,

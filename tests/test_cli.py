@@ -54,14 +54,22 @@ def test_family_pipe_check_matches_in_process():
 
 
 def test_shell_pipeline_bytes_match_in_process():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import posetlab
 
     shell = (
         f"{sys.executable} -m posetlab family --id cpc2-witness --k 1 --l 2 | "
         f"{sys.executable} -m posetlab check --ineq cpc2 --all"
     )
-    proc = subprocess.run(shell, shell=True, capture_output=True, text=True)
+    # the child processes import the same posetlab as this one, installed or not
+    src = str(Path(posetlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(shell, shell=True, capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     _, family_out, _ = run_cli(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"])
     _, in_process, _ = run_cli(["check", "--ineq", "cpc2", "--all"], stdin_text=family_out)

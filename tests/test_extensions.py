@@ -11,7 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_f_entries, oracle_n_counts, width_five_poset
-from posetlab.errors import BadChain, BadParams, CycleDetected, IndexOutOfRange, TooLarge
+from posetlab.errors import (
+    BadChain,
+    BadParams,
+    CycleDetected,
+    IndexOutOfRange,
+    MalformedInput,
+    TooLarge,
+)
 from posetlab.extensions import (
     _entry_order,
     _gap_axis,
@@ -221,6 +228,27 @@ def test_ftable_json_round_trip():
     back = FTable.from_json_obj(F.to_json_obj())
     assert back.n == F.n and back.z == F.z
     assert back.entries == {kl: v for kl, v in F.entries.items() if v}
+    assert back.to_json_obj() == F.to_json_obj()
+    with pytest.raises(IndexOutOfRange):
+        FTable.from_json_obj({"n": 3, "z": [0, 1, 7], "F": []})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},  # every key missing
+        {"n": 3, "z": [0, 1, 2], "F": [[1, 1, "x"]]},  # count not a number
+        {"n": 3, "z": [0, 1, 2], "F": 5},  # cells not a list
+        {"n": 3, "z": [0, 1, 2], "F": [[1, 1]]},  # cell not a triple
+        {"n": 3, "z": [0, 1, 2], "F": [[1, 1.5, "1"]]},  # non-integer l
+        {"n": "3", "z": [0, 1, 2], "F": []},
+        {"n": 3, "z": [0, 1], "F": []},
+        [],
+    ],
+)
+def test_ftable_from_json_obj_rejects_malformed_input(obj):
+    with pytest.raises(MalformedInput):
+        FTable.from_json_obj(obj)
 
 
 def test_positional_engine_multi_mark(medium_corpus):

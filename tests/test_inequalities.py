@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import corpus
 from posetlab.errors import BadParams, HypothesesNotMet
-from posetlab.extensions import f_table, f_table_signed, n_vector
+from posetlab.extensions import FTable, NVector, f_table, f_table_signed, n_vector
 from posetlab.families import (
     family_converse_tight,
     family_cpc2_witness,
@@ -28,7 +29,9 @@ from posetlab.inequalities import (
     check_half_cpc,
     check_half_cpc1,
     check_half_cpc2,
-    check_logc,
+    check_logc1,
+    check_logc2,
+    check_logc3,
     check_logconcave_product,
     check_main,
     check_sqrt_lower,
@@ -82,13 +85,11 @@ def test_two_of_three(witness):
 
 def test_logc_on_witness(witness):
     inst, F = witness
-    rep = check_logc(F, 1, 2, 1)
+    rep = check_logc1(F, 1, 2)
     assert rep.verdict == HOLDS
     assert rep.rhs == F.get(2, 3) ** 2 == 4
     assert rep.lhs == F.get(3, 2) * F.get(1, 4) == 0
-    assert check_logc(F, 6, 6, 2).verdict == VACUOUS
-    with pytest.raises(BadParams):
-        check_logc(F, 1, 1, 4)
+    assert check_logc2(F, 6, 6).verdict == VACUOUS
 
 
 def test_half_variants(witness):
@@ -128,6 +129,51 @@ def test_main_equality_branch():
                 # cross-check with the dedicated equality-case verdict
                 assert equality_case_check(p, z, k, l, F).verdict == HOLDS
     assert found
+
+
+def _ab_table(f_kl, f_k1l1, f_k1l, f_kl1, f_kl2, f_k2l) -> FTable:
+    """A hand-made table at (k, l) = (1, 1): B = F(1,1) F(2,2), A = F(2,1) F(1,2),
+    with F(1,3) and F(3,1) beside them."""
+    cells = {(1, 1): f_kl, (2, 2): f_k1l1, (2, 1): f_k1l, (1, 2): f_kl1,
+             (1, 3): f_kl2, (3, 1): f_k2l}
+    return FTable(5, MarkedTriple(0, 1, 2), {kl: v for kl, v in cells.items() if v})
+
+
+def test_sqrt_lower_and_main_fail_outright_when_2a_below_b():
+    # B = 3 * 2 = 6, A = 1 * 2 = 2: 2A - B = -2 < 0, so A/B < 1/2 already
+    F = _ab_table(3, 2, 1, 2, 5, 7)
+    rep = check_sqrt_lower(F, 1, 1)
+    assert (rep.lhs, rep.rhs) == (6 * 6 * 5 * 7 + 1, 0)  # B^2 C D + 1 > 0
+    assert rep.verdict == FAILS and rep.note == "2A < B"
+    rep = check_main(F, 1, 1)  # both F(1,3) and F(3,1) positive
+    assert (rep.lhs, rep.rhs) == (6 * 6 + 1, 0)  # B^2 + 1 > 0
+    assert rep.verdict == FAILS and rep.note == "2A < B"
+
+
+def test_vanish_lower_squared_branch():
+    # F(1,3) = 0, B = 1 * 5 = 5 > A = 2 * 2 = 4; the bound squared reads
+    # (B - A)^2 F(2,1)^2 <= A^2 (F(2,1)^2 - F(1,1) F(3,1))
+    rep = check_vanish_lower(_ab_table(1, 5, 2, 2, 0, 1), 1, 1)
+    assert (rep.lhs, rep.rhs) == (1 * 4, 16 * (4 - 1))
+    assert rep.verdict == HOLDS and rep.note == "squared"
+    rep = check_vanish_lower(_ab_table(1, 5, 2, 2, 0, 4), 1, 1)  # disc = 4 - 4 = 0
+    assert (rep.lhs, rep.rhs) == (4, 0)
+    assert rep.verdict == FAILS and rep.note == "squared"
+
+
+@pytest.mark.parametrize(
+    "counts, lhs, rhs, failed",
+    [
+        ({1: 1, 2: 2}, 0, 0, "up"),  # N_2 = 2 > (2-1) N_1 = 1; no N_3
+        ({2: 4, 3: 1}, 0, 0, "down"),  # N_2 = 4 > (5-2) N_3 = 3; no N_1
+        ({1: 1, 2: 5, 3: 1}, 25, 3, "up,down,ratio"),  # 5^2 > (2-1)(5-2) 1 1
+    ],
+)
+def test_stanley_failures(counts, lhs, rhs, failed):
+    rep = check_stanley(NVector(5, 0, counts), 2)
+    assert (rep.lhs, rep.rhs) == (lhs, rhs)
+    assert rep.verdict == FAILS and rep.note == ""
+    assert rep.extra == {"failed": failed}
 
 
 def test_main_vacuous_when_diagonal_vanishes(witness):
@@ -280,9 +326,9 @@ def test_corpus_wide_positive_results(medium_corpus):
         check_half_cpc,
         check_half_cpc1,
         check_half_cpc2,
-        lambda F, k, l: check_logc(F, k, l, 1),
-        lambda F, k, l: check_logc(F, k, l, 2),
-        lambda F, k, l: check_logc(F, k, l, 3),
+        check_logc1,
+        check_logc2,
+        check_logc3,
         check_logconcave_product,
         check_sqrt_lower,
         check_vanish_lower,
@@ -377,7 +423,7 @@ def test_report_bytes_are_pinned():
     count = 0
     for p, z in _report_corpus():
         for rep in _every_report(p, z):
-            digest.update(rep.to_json().encode() + b"\n")
+            digest.update(json.dumps(rep.to_json_obj()).encode() + b"\n")
             count += 1
     assert count > 10_000
     assert digest.hexdigest() == REPORT_BYTES_SHA256

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from posetlab.search import (
     POSET_CLASS_COUNTS,
     SearchJob,
     SearchSummary,
+    canonical_key,
     enumerate_posets,
     random_instance,
     run,
@@ -24,11 +26,21 @@ from posetlab.search import (
 )
 
 
+# SHA-256 of repr((p.n, p.covers)) of every representative of
+# enumerate_posets(1), ..., enumerate_posets(6), in order, as first recorded
+# with the permutation-min canonical form
+ENUMERATION_SHA256 = "0eb09624423a07e765c2f46d23e513ff371c8d0827c6e9d0c815ab34c767e668"
+
+
 def test_enumerate_poset_class_counts():
+    digest = hashlib.sha256()
     for n in range(1, 7):
         reps = enumerate_posets(n)
         assert len(reps) == POSET_CLASS_COUNTS[n], n
-        assert len({p.canonical_key() for p in reps}) == len(reps)
+        assert len({canonical_key(p) for p in reps}) == len(reps)
+        for p in reps:
+            digest.update(repr((p.n, p.covers)).encode())
+    assert digest.hexdigest() == ENUMERATION_SHA256
 
 
 def test_enumerate_guard():
