@@ -23,14 +23,20 @@ Both are the same fold with different gap axes.  Marks that form a chain
 in P, in any order, are folded in entry-order coordinates (the gaps
 between consecutive marks of the chain), so one digit moves at a time;
 each nonzero cell is then re-keyed to the requested gaps by a linear map
-with coefficients in {-1, 0, 1}.  The state budget counts folded slots.
+with coefficients in {-1, 0, 1}.  Each fold is kept on the poset next to
+the lattice, keyed by its coordinates, so every order of one chain triple
+(F and the signed table of the swapped triple alike) is folded once and
+later calls only decode it into a fresh dict.  The state budget counts
+folded slots and is checked on every call, whether the fold is kept or not.
 
-``enumerate_extensions``, ``is_extension`` and ``gap_classes`` stay
-lattice-free: they are the brute-force oracle the tests check both folds
-against.  The enumerator is an iterative depth-first walk over bitmasks;
-it also supplies the words that ``injections`` certifies.  It and the gap
-axes read the rows ``down`` and ``cover_up``, which the poset fills in
-while it validates its relation.
+``enumerate_extensions`` and ``is_extension`` stay lattice-free; with
+``gap_classes`` they are the brute-force oracle the tests check both folds
+against.  Callers that keep every word (``gap_classes`` and the word
+injections) first compare e(P), read off the lattice, with ``WORD_BUDGET``.
+The enumerator is an iterative depth-first walk over bitmasks; it also
+supplies the words that ``injections`` certifies.  It and the gap axes read
+the rows ``down`` and ``cover_up``, which the poset fills in while it
+validates its relation.
 
 Counts are exact big integers throughout; no floating point.
 """
@@ -39,8 +45,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, product, repeat
-from operator import add, sub
+from itertools import product
+from operator import sub
 
 from .errors import BadChain, BadParams, IndexOutOfRange, MalformedInput, TooLarge
 from .posets import (
@@ -49,6 +55,9 @@ from .posets import (
 )
 
 ENUMERATION_MAX = 14
+# words a caller may keep at once: ~200 bytes and ~20 us (all four word
+# injections) per word, so ~0.4 GiB and ~40 s at the budget
+WORD_BUDGET = 1 << 21
 
 
 def enumerate_extensions(p: Poset):
@@ -104,6 +113,16 @@ def is_extension(p: Poset, word) -> bool:
     return True
 
 
+def _check_word_budget(p: Poset) -> None:
+    """For callers that keep every word: TooLarge above n = ENUMERATION_MAX
+    (before any lattice is built) or when e(P) exceeds WORD_BUDGET."""
+    if p.n > ENUMERATION_MAX:
+        raise TooLarge(f"enumeration guarded at n <= {ENUMERATION_MAX}")
+    count = p.lattice().count
+    if count > WORD_BUDGET:
+        raise TooLarge(f"e(P) = {count} words exceeds the word budget {WORD_BUDGET}")
+
+
 def count_extensions(p: Poset) -> int:
     """e(P): number of maximal chains in the cached ideal lattice."""
     return p.lattice().count
@@ -143,9 +162,11 @@ class FTable:
     @staticmethod
     def from_json_obj(obj: dict) -> "FTable":
         """Inverse of ``to_json_obj``.  MalformedInput for a missing key, a
-        non-integer field or a cell that is not [k, l, count]; a count may
-        be an int or, as written, a string of decimal digits.  IndexOutOfRange
-        for a marked element outside 0..n-1, as in ``load_poset``."""
+        non-integer field, a cell that is not [k, l, count], a negative
+        count or a cell outside the table's triangle k, l >= 1, k + l <= n - 1;
+        a count may be an int or, as written, a string of decimal digits.
+        IndexOutOfRange for a marked element outside 0..n-1, as in
+        ``load_poset``."""
         if not isinstance(obj, dict):
             raise MalformedInput(f"table JSON must be an object, got {type(obj).__name__}")
         n = _json_int(obj.get("n"), "'n'")
@@ -157,7 +178,12 @@ class FTable:
         for cell in _json_list(obj.get("F"), "'F'"):
             k, l, v = _json_list(cell, "cell", 3)
             v = int(v) if isinstance(v, str) and v.isdecimal() else v
-            entries[_json_int(k, "cell k"), _json_int(l, "cell l")] = _json_int(v, "cell count")
+            k, l, v = _json_int(k, "cell k"), _json_int(l, "cell l"), _json_int(v, "cell count")
+            if not (k >= 1 and l >= 1 and k + l <= n - 1):
+                raise MalformedInput(f"cell ({k}, {l}) outside 1 <= k, l and k + l <= {n - 1}")
+            if v < 0:
+                raise MalformedInput(f"cell ({k}, {l}) has negative count {v}")
+            entries[k, l] = v
         return FTable(n, z, entries)
 
 
@@ -214,55 +240,48 @@ def _entry_order(p: Poset, marks: tuple, gaps: tuple):
     return tuple(coords), level
 
 
-def _fold(
-    p: Poset, marks: tuple, gaps: tuple, state_budget: int
-) -> dict[tuple[int, ...], int]:
-    """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
-    ``gaps``, between the given ``marks`` (u = None stands for position 0).
+def _fold(p: Poset, coords: tuple, state_budget: int) -> tuple[int, int, int, list[range]]:
+    """(packed, nbytes, slots, axes): extension counts by the gaps
+    pos(v) - pos(u), one digit per (u, v) in ``coords`` (u = None stands
+    for position 0).
 
-    One fold over the cached ideal lattice, in the coordinates that
-    ``_entry_order`` picks.  They are the mixed-radix digits of one slot
-    number c (first one least significant), and each ideal holds one int
-    with the count of slot c in bits W*c .. W*c + W - 1 (Kronecker
-    packing).  W is e(P).bit_length() rounded up to whole bytes; no slot
-    overflows into the next, since a partial count at an ideal J is at most
-    e(J) <= e(P).  A mark not yet placed moves on with the step, so all
-    edges out of an ideal I shift by the same number of slots, the sum of
-    the weights of the marks outside I.  Every digit stays on its
-    ``_gap_axis``, which makes a negative (right) shift exact.
+    One fold over the cached ideal lattice.  The coords are the mixed-radix
+    digits of one slot number c (first one least significant), ``axes[d]``
+    lists the gap of digit d at each of its values, and the full ideal's
+    int ``packed`` holds the count of slot c in bits W*c .. W*c + W - 1
+    (Kronecker packing).  W = 8 * nbytes is e(P).bit_length() rounded up to
+    whole bytes; no slot overflows into the next, since a partial count at
+    an ideal J is at most e(J) <= e(P).  A mark not yet placed moves on with
+    the step, so all edges out of an ideal I shift by the same number of
+    slots, the sum of the weights of the marks outside I.  Every digit stays
+    on its ``_gap_axis``, which makes a negative (right) shift exact.
 
-    Folded as asked, the gaps (z2, z1), (z1, z3) of a chain z1 < z2 < z3
-    both move once z1 is placed, so counts sit at slots d * (1 + size0)
-    and the ints are long.  In entry order one digit moves at a time and
-    the first, lowest, opens first: until z2 is placed a count stays below
-    slot n.  Cells are then re-keyed; non-chain marks have no entry order.
-
-    Raises IndexOutOfRange for a mark that is not an element, BadParams for
-    a repeated mark and TooLarge when a layer's ideals times the number of
-    slots folded exceed ``state_budget``.
+    The result is kept in ``p.__dict__["_folds"]``, keyed by ``coords``,
+    next to the lattice, so a later request in the same coordinates (the
+    signed table of a reordered chain triple, a second ``f_table``) only
+    decodes it.  The budget is checked on every call, kept or not: TooLarge
+    when the widest layer's ideals times the slots exceed ``state_budget``.
     """
-    n = p.n
-    for m in marks:
-        if not 0 <= m < n:
-            raise IndexOutOfRange(f"marked element {m} outside 0..{n - 1}")
-    if len(set(marks)) != len(marks):
-        raise BadParams(f"marked elements must be distinct, got {list(marks)}")
     lat = p.lattice(state_budget)
+    folds = p.__dict__.setdefault("_folds", {})
+    kept = folds.get(coords)
+    if kept is not None:
+        _check_budget(lat, kept[2], state_budget)
+        return kept
     nbytes = (lat.count.bit_length() + 7) // 8
     width = 8 * nbytes
-    coords, level = _entry_order(p, marks, gaps)
-    weight = dict.fromkeys(marks, 0)  # bits a count moves per step of each mark
+    weight = {}  # bits a count moves per step of each mark
     origin, slots, axes = 0, 1, []
     for u, v in coords:
         sign, offset, size = _gap_axis(p, u, v)
-        weight[v] += width * slots * sign
+        step = width * slots * sign
+        weight[v] = weight.get(v, 0) + step
         if u is not None:
-            weight[u] -= width * slots * sign
+            weight[u] = weight.get(u, 0) - step
         origin += slots * offset
         slots *= size
         axes.append(range(-offset * sign, (size - offset) * sign, sign))  # gap of digit d
-    if lat.widest * slots > state_budget:
-        raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {state_budget}")
+    _check_budget(lat, slots, state_budget)
     shift = {0: sum(weight.values())}  # marks inside the ideal, as a mask -> bits
     mark_mask = 0
     for m, w in weight.items():
@@ -278,23 +297,61 @@ def _fold(
         c = c << s if s >= 0 else c >> -s
         for j in edges:
             vals[j] += c
+    kept = folds[coords] = (c, nbytes, slots, axes)
+    return kept
+
+
+def _check_budget(lat, slots: int, state_budget: int) -> None:
+    if lat.widest * slots > state_budget:
+        raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {state_budget}")
+
+
+def _gap_counts(
+    p: Poset, marks: tuple, gaps: tuple, state_budget: int
+) -> dict[tuple[int, ...], int]:
+    """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
+    ``gaps``, between the given ``marks`` (u = None stands for position 0).
+
+    Folded (``_fold``) in the coordinates that ``_entry_order`` picks and
+    decoded into a fresh dict, so no caller can change what is kept.
+    Folded as asked, the gaps (z2, z1), (z1, z3) of a chain z1 < z2 < z3
+    both move once z1 is placed, so counts sit at slots d * (1 + size0)
+    and the ints are long.  In entry order one digit moves at a time and
+    the first, lowest, opens first: until z2 is placed a count stays below
+    slot n.  Cells are then re-keyed; non-chain marks have no entry order.
+
+    Raises IndexOutOfRange for a mark that is not an element, BadParams for
+    a repeated mark and TooLarge as ``_fold`` does.
+    """
+    n = p.n
+    for m in marks:
+        if not 0 <= m < n:
+            raise IndexOutOfRange(f"marked element {m} outside 0..{n - 1}")
+    if len(set(marks)) != len(marks):
+        raise BadParams(f"marked elements must be distinct, got {list(marks)}")
+    coords, level = _entry_order(p, marks, gaps)
+    packed, nbytes, slots, axes = _fold(p, coords, state_budget)
     # one hex string per slot, slot 0 first
-    hexes = reversed(c.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split())
+    hexes = reversed(packed.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split())
     zero = "00" * nbytes
     if level is None:
         # product() runs its last axis fastest: keys come highest digit first
         keys = product(*reversed(axes))
         return {key[::-1]: int(h, 16) for key, h in zip(keys, hexes) if h != zero}
-    # re-key: digit d's gap at every slot (each value repeated stride times),
-    # summed into the positions of the chain's marks; each requested gap is
-    # the difference of two of them
-    at, stride = [[0] * slots], 1
+    # re-key: at[i], the sum of the first i digits, is the position of the
+    # mark at level i (from the chain's first mark, or from 0 when position 0
+    # leads) over one period of slots, the span of those digits; each
+    # requested gap is the difference of two of them, tiled to all slots
+    at = [[0]]
     for axis in axes:
-        column = list(chain.from_iterable(map(repeat, axis, repeat(stride))))
-        at.append(list(map(add, at[-1], column * (slots // (stride * len(axis))))))
-        stride *= len(axis)
-    keys = zip(*(map(sub, at[level[v]], at[level[u]]) for u, v in gaps))
-    return {key: int(h, 16) for key, h in zip(keys, hexes) if h != zero}
+        at.append([s + g for g in axis for s in at[-1]])
+    columns = []
+    for u, v in gaps:
+        hi, lo = at[level[v]], at[level[u]]
+        period = max(len(hi), len(lo))
+        gap = list(map(sub, hi * (period // len(hi)), lo * (period // len(lo))))
+        columns.append(gap * (slots // period))
+    return {key: int(h, 16) for key, h in zip(zip(*columns), hexes) if h != zero}
 
 
 def f_table(p: Poset, z: MarkedTriple, state_budget: int = DEFAULT_STATE_BUDGET) -> FTable:
@@ -308,7 +365,7 @@ def f_table(p: Poset, z: MarkedTriple, state_budget: int = DEFAULT_STATE_BUDGET)
     if not is_normalized(p, z):
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
     z1, z2, z3 = marks = z.as_tuple()
-    return FTable(p.n, z, _fold(p, marks, ((z1, z2), (z2, z3)), state_budget))
+    return FTable(p.n, z, _gap_counts(p, marks, ((z1, z2), (z2, z3)), state_budget))
 
 
 def positional_gap_counts(
@@ -318,7 +375,7 @@ def positional_gap_counts(
 
     No order assumption on the marks.
     """
-    return _fold(p, marks, tuple((None, m) for m in marks), state_budget)
+    return _gap_counts(p, marks, tuple((None, m) for m in marks), state_budget)
 
 
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
@@ -328,12 +385,12 @@ def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     chain in another order is folded in entry order and re-keyed.
     """
     z1, z2, z3 = marks = z.as_tuple()
-    return _fold(p, marks, ((z1, z2), (z2, z3)), DEFAULT_STATE_BUDGET)
+    return _gap_counts(p, marks, ((z1, z2), (z2, z3)), DEFAULT_STATE_BUDGET)
 
 
 def pair_gap_table(p: Poset, x: int, y: int) -> dict[int, int]:
     """Counts of extensions by the signed gap pos(y) - pos(x)."""
-    counts = _fold(p, (x, y), ((x, y),), DEFAULT_STATE_BUDGET)
+    counts = _gap_counts(p, (x, y), ((x, y),), DEFAULT_STATE_BUDGET)
     return {g: v for (g,), v in counts.items()}
 
 
@@ -361,12 +418,15 @@ class NVector:
 
 
 def n_vector(p: Poset, a: int) -> NVector:
-    counts = _fold(p, (a,), ((None, a),), DEFAULT_STATE_BUDGET)
+    counts = _gap_counts(p, (a,), ((None, a),), DEFAULT_STATE_BUDGET)
     return NVector(p.n, a, {k: v for (k,), v in counts.items()})
 
 
 def gap_classes(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """Extensions bucketed by their (k, l) gap pair; brute-force oracle."""
+    """Extensions bucketed by their (k, l) gap pair; brute-force oracle.
+
+    Keeps every word, so TooLarge past the word budget."""
+    _check_word_budget(p)
     out: dict[tuple[int, int], list[tuple[int, ...]]] = defaultdict(list)
     for w in enumerate_extensions(p):
         pos = {e: i + 1 for i, e in enumerate(w)}

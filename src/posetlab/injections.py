@@ -24,11 +24,12 @@ membership, the round trip where there is an inverse, and global
 injectivity; collisions are found with an exact map of every (box index,
 image) key, never a hash.
 
-``verify_injections`` enumerates a poset's words once, bucketing each by
-its (k, l) gap class and by the position of z2 in the same pass, and checks
-both bucketings against the lattice counts (``f_table``, ``n_vector``)
-before it certifies anything.  The maps test order relations on the bitmask
-rows ``Poset.up``, ``down`` and ``comparable``, not by per-pair calls.
+``verify_injections`` enumerates a poset's words once, unless e(P) exceeds
+the word budget (TooLarge), bucketing each by its (k, l) gap class and by
+the position of z2 in the same pass, and checks both bucketings against
+the lattice counts (``f_table``, ``n_vector``) before it certifies
+anything.  The maps test order relations on the bitmask rows ``Poset.up``,
+``down`` and ``comparable``, not by per-pair calls.
 
 The ``transfer`` intervals use min(b(z1,z2) - 1, t*(z1)) for the case-2
 box edge.  The edge cannot be tightened to b(z1,z2) - 2: the case-2 pivot
@@ -42,7 +43,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
-from .extensions import FTable, enumerate_extensions, f_table, gap_classes, n_vector
+from .extensions import (
+    FTable, _check_word_budget, enumerate_extensions, f_table, gap_classes, n_vector,
+)
 from .posets import SCHEMA, MarkedTriple, Poset
 
 Word = tuple[int, ...]
@@ -444,8 +447,12 @@ def certify_stanley(
     kpos: int,
     classes: dict[int, list[Word]] | None = None,
 ) -> InjectionCertificate:
-    """Certify the single-element map on N_kpos, including its round trip."""
+    """Certify the single-element map on N_kpos, including its round trip.
+
+    Without ``classes`` the words are enumerated and kept, so TooLarge past
+    the word budget."""
     if classes is None:
+        _check_word_budget(p)
         classes = {}
         for w in enumerate_extensions(p):
             classes.setdefault(w.index(a) + 1, []).append(w)
@@ -470,8 +477,10 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
     and by the position of z2 in the same pass.  Both bucketings are
     checked against the counts of the lattice folds (``f_table``,
     ``n_vector``); a mismatch raises PosetLabError before any certificate
-    is made.
+    is made.  Every word is kept, so TooLarge when e(P) exceeds the word
+    budget, before any word is enumerated.
     """
+    _check_word_budget(p)
     F = f_table(p, z)
     z1, z2, z3 = z.z1, z.z2, z.z3
     classes: dict[tuple[int, int], list[Word]] = {}

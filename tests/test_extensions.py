@@ -33,7 +33,9 @@ from posetlab.extensions import (
     FTable,
 )
 from posetlab.families import family_cpc2_witness, family_stanley_tight
-from posetlab.posets import MarkedTriple, antichain, build, chain, is_normalized, normalize
+from posetlab.posets import (
+    MarkedTriple, Poset, antichain, build, chain, is_normalized, normalize,
+)
 from posetlab.search import random_instance
 
 
@@ -222,13 +224,14 @@ def test_f_table_total_and_entries_property(pz):
     assert F.entries == oracle_f_entries(p, z)
 
 
-def test_ftable_json_round_trip():
+def test_ftable_json_round_trip(medium_corpus):
     inst = family_cpc2_witness(2, 3)
-    F = f_table(inst.poset, inst.z)
-    back = FTable.from_json_obj(F.to_json_obj())
-    assert back.n == F.n and back.z == F.z
-    assert back.entries == {kl: v for kl, v in F.entries.items() if v}
-    assert back.to_json_obj() == F.to_json_obj()
+    for p, z in [(inst.poset, inst.z), *medium_corpus]:
+        F = f_table(p, z)
+        back = FTable.from_json_obj(F.to_json_obj())
+        assert back.n == F.n and back.z == F.z
+        assert back.entries == {kl: v for kl, v in F.entries.items() if v}
+        assert back.to_json_obj() == F.to_json_obj()
     with pytest.raises(IndexOutOfRange):
         FTable.from_json_obj({"n": 3, "z": [0, 1, 7], "F": []})
 
@@ -244,6 +247,9 @@ def test_ftable_json_round_trip():
         {"n": "3", "z": [0, 1, 2], "F": []},
         {"n": 3, "z": [0, 1], "F": []},
         [],
+        {"n": 3, "z": [0, 1, 2], "F": [[0, 9, "1"], [-2, 1, "4"]]},  # cells off the triangle
+        {"n": 3, "z": [0, 1, 2], "F": [[1, 2, "1"]]},  # k + l = n
+        {"n": 3, "z": [0, 1, 2], "F": [[1, 1, -1]]},  # negative count
     ],
 )
 def test_ftable_from_json_obj_rejects_malformed_input(obj):
@@ -328,3 +334,104 @@ def test_positional_state_budget(medium_corpus):
     assert positional_gap_counts(p, marks, state_budget=budget)
     with pytest.raises(TooLarge):
         positional_gap_counts(p, marks, state_budget=budget - 1)
+
+
+def test_signed_table_reuses_the_kept_fold(medium_corpus):
+    # every order of a chain triple folds in the same entry-order coords, so
+    # the signed table of the swapped triple only decodes F's kept fold
+    for q, z in medium_corpus[:20] + _width_five_instances():
+        p = Poset(q.n, q.up)
+        F = f_table(p, z)
+        kept = dict(p.__dict__["_folds"])
+        assert len(kept) == 1
+        signed = f_table_signed(p, z.swapped12())
+        assert p.__dict__["_folds"].keys() == kept.keys()
+        assert all(p.__dict__["_folds"][key] is fold for key, fold in kept.items())
+        assert {(-a, a + b): v for (a, b), v in signed.items()} == F.entries
+
+
+def test_kept_fold_is_not_changed_through_results(medium_corpus):
+    for q, z in medium_corpus[:20]:
+        p, fresh = Poset(q.n, q.up), Poset(q.n, q.up)
+        F, signed, nv = f_table(p, z), f_table_signed(p, z.swapped12()), n_vector(p, z.z2)
+        F.entries[1, 1] = F.entries.get((1, 1), 0) + 5
+        signed.clear()
+        nv.counts[0] = 1
+        assert f_table(p, z).entries == f_table(fresh, z).entries
+        assert f_table_signed(p, z.swapped12()) == f_table_signed(fresh, z.swapped12())
+        assert n_vector(p, z.z2).counts == n_vector(fresh, z.z2).counts
+
+
+def test_state_budget_checked_on_a_kept_fold():
+    inst = family_cpc2_witness(1, 2)
+    p, z = inst.poset, inst.z
+    F = f_table(p, z)
+    assert len(p.__dict__["_folds"]) == 1
+    with pytest.raises(TooLarge):
+        f_table(p, z, state_budget=3)
+    with pytest.raises(TooLarge):
+        positional_gap_counts(p, z.as_tuple(), state_budget=3)
+    assert f_table(p, z) == F
+
+
+def test_kept_folds_leave_equality_and_hash_alone(medium_corpus):
+    for q, z in medium_corpus[:10]:
+        p, bare = Poset(q.n, q.up), Poset(q.n, q.up)
+        before = hash(p)
+        f_table(p, z)
+        f_table_signed(p, z.swapped12())
+        n_vector(p, z.z1)
+        assert p.__dict__["_folds"] and "_folds" not in bare.__dict__
+        assert p == bare and hash(p) == hash(bare) == before
+        assert len({p, bare}) == 1 and repr(p) == repr(bare)
+
+
+@st.composite
+def marked_posets(draw, max_n: int = 8):
+    """(n, pairs, z): a random relation on 3 <= n <= max_n elements, acyclic
+    along a random labelling, with a chain triple z added to it."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    pairs = [
+        (label[i], label[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    ]
+    i, j, k = sorted(draw(st.permutations(range(n)))[:3])
+    pairs += [(label[i], label[j]), (label[j], label[k])]
+    return n, pairs, MarkedTriple(label[i], label[j], label[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(marked_posets(), st.data())
+def test_kept_folds_match_fresh_posets_and_enumeration(instance, data):
+    # calls in a random order on one poset, so each may find the folds the
+    # others kept; each must equal the same call on a fresh poset and the words
+    n, pairs, z = instance
+    p = build(n, pairs)
+    places = [{None: 0, **{x: i + 1 for i, x in enumerate(w)}} for w in enumerate_extensions(p)]
+
+    def oracle(marks, gaps):
+        return dict(Counter(tuple(at[v] - at[u] for u, v in gaps(marks)) for at in places))
+
+    def signed_gaps(m):
+        return ((m[0], m[1]), (m[1], m[2]))
+
+    def positions(m):
+        return tuple((None, x) for x in m)
+
+    calls = [("f_table", z.as_tuple())]
+    calls += [("f_table_signed", marks) for marks in permutations(z.as_tuple())]
+    calls += [("n_vector", (a,)) for a in z.as_tuple()]
+    calls += [("positional_gap_counts", marks) for marks in [z.as_tuple()[::-1], (z.z3, z.z1)]]
+    for name, marks in data.draw(st.permutations(calls)):
+        results = []
+        for q in (p, build(n, pairs)):
+            if name == "f_table":
+                results.append(f_table(q, MarkedTriple(*marks)).entries)
+            elif name == "f_table_signed":
+                results.append(f_table_signed(q, MarkedTriple(*marks)))
+            elif name == "n_vector":
+                results.append({(k,): v for k, v in n_vector(q, marks[0]).counts.items()})
+            else:
+                results.append(positional_gap_counts(q, marks))
+        gaps = positions if name in ("n_vector", "positional_gap_counts") else signed_gaps
+        assert results[0] == results[1] == oracle(marks, gaps), (name, marks)

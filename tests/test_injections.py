@@ -5,14 +5,19 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import time
 
 import pytest
 
 from conftest import corpus
 from posetlab import injections
 from posetlab.cli import main
-from posetlab.errors import HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
-from posetlab.extensions import FTable, enumerate_extensions, f_table, gap_classes, n_vector
+from posetlab.errors import (
+    HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError, TooLarge,
+)
+from posetlab.extensions import (
+    WORD_BUDGET, FTable, enumerate_extensions, f_table, gap_classes, n_vector,
+)
 from posetlab.families import family_stanley_tight
 from posetlab.injections import (
     MAPS,
@@ -402,3 +407,43 @@ def test_verify_injections_cross_checks_the_counts(monkeypatch):
                         stdout=io.StringIO(), stderr=err)
             assert code == 2 and err.getvalue().startswith("error: ")
     assert all(cert.ok for cert in verify_injections(p, z))
+
+
+def _chain_plus_free(free: int):
+    """The 3-chain 0 < 1 < 2 and ``free`` elements above or below nothing:
+    e(P) = (3 + free)! / 3!."""
+    return build(3 + free, [(0, 1), (1, 2)]), MarkedTriple(0, 1, 2)
+
+
+def test_word_budget_fires_before_enumeration():
+    p, z = _chain_plus_free(10)  # n = 13, e(P) = 1 037 836 800
+    assert p.lattice().count == 1_037_836_800 > WORD_BUDGET
+    for call in (
+        lambda: verify_injections(p, z, ("transfer",)),
+        lambda: verify_injections(p, z),
+        lambda: gap_classes(p, z),
+        lambda: certify_stanley(p, 1, 2),
+        lambda: certify_map(p, z, 1, 1, "transfer"),
+    ):
+        with pytest.raises(TooLarge, match="word budget"):
+            call()
+    # above the enumeration guard the check raises before building a lattice
+    p, z = _chain_plus_free(20)
+    with pytest.raises(TooLarge, match="n <= 14"):
+        verify_injections(p, z)
+    assert "_lattice" not in p.__dict__
+    # words within the budget are certified as before
+    p, z = _chain_plus_free(3)
+    assert all(cert.ok for cert in verify_injections(p, z))
+
+
+def test_word_budget_cli_exit_code():
+    p, z = _chain_plus_free(10)
+    obj = {**p.to_json_obj(), "z": list(z.as_tuple())}
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    code = main(["verify-injections", "--map", "transfer"],
+                stdin=io.StringIO(json.dumps(obj)), stdout=out, stderr=err)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error:") and "word budget" in err.getvalue()
