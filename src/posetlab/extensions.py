@@ -23,27 +23,27 @@ Both are the same fold with different gap axes.  Marks that form a chain
 in P, in any order, are folded in entry-order coordinates (the gaps
 between consecutive marks of the chain), so one digit moves at a time;
 each nonzero cell is then re-keyed to the requested gaps by a linear map
-with coefficients in {-1, 0, 1}.  Each fold is kept on the poset next to
-the lattice, keyed by its coordinates, so every order of one chain triple
-(F and the signed table of the swapped triple alike) is folded once and
-later calls only decode it into a fresh dict.  The state budget counts
-folded slots and is checked on every call, whether the fold is kept or not.
+with coefficients in {-1, 0, 1}.  The latest fold is kept on the poset
+next to the lattice, with its coordinates, so every order of one chain
+triple (F and the signed table of the swapped triple alike) is folded once
+and later calls only decode it into a fresh dict; a fold in other
+coordinates replaces it.  The state budget counts folded slots and is
+checked on every call, whether the fold is kept or not.
 
 ``enumerate_extensions`` and ``is_extension`` stay lattice-free; with
-``gap_classes`` they are the brute-force oracle the tests check both folds
-against.  Callers that keep every word (``gap_classes`` and the word
-injections) first compare e(P), read off the lattice, with ``WORD_BUDGET``.
-The enumerator is an iterative depth-first walk over bitmasks; it also
-supplies the words that ``injections`` certifies.  It and the gap axes read
-the rows ``down`` and ``cover_up``, which the poset fills in while it
-validates its relation.
+``word_classes`` they are the brute-force oracle the tests check both folds
+against.  ``word_classes`` is the one caller that keeps every word (for the
+word injections): it first compares e(P), read off the lattice, with
+``WORD_BUDGET``.  The enumerator is an iterative depth-first walk over
+bitmasks; it also supplies the words that ``injections`` certifies.  It and
+the gap axes read the rows ``down`` and ``cover_up``, which the poset fills
+in while it validates its relation.
 
 Counts are exact big integers throughout; no floating point.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import product
 from operator import sub
@@ -113,14 +113,30 @@ def is_extension(p: Poset, word) -> bool:
     return True
 
 
-def _check_word_budget(p: Poset) -> None:
-    """For callers that keep every word: TooLarge above n = ENUMERATION_MAX
-    (before any lattice is built) or when e(P) exceeds WORD_BUDGET."""
+def word_classes(p: Poset, z: MarkedTriple) -> tuple[dict, dict]:
+    """(classes, positions): every extension word, bucketed by its gap pair
+    (k, l) and by the (1-based) position of z2, each bucket in
+    lexicographic order.
+
+    Keeps every word, so TooLarge above n = ENUMERATION_MAX (before any
+    lattice is built) or when e(P) exceeds WORD_BUDGET, before any word is
+    enumerated.  Requires z1 < z2 < z3 (BadChain otherwise), as ``f_table``.
+    """
     if p.n > ENUMERATION_MAX:
         raise TooLarge(f"enumeration guarded at n <= {ENUMERATION_MAX}")
+    if not is_normalized(p, z):
+        raise BadChain("word_classes requires z1 < z2 < z3; call normalize() first")
     count = p.lattice().count
     if count > WORD_BUDGET:
         raise TooLarge(f"e(P) = {count} words exceeds the word budget {WORD_BUDGET}")
+    z1, z2, z3 = z.as_tuple()
+    classes: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    positions: dict[int, list[tuple[int, ...]]] = {}
+    for w in enumerate_extensions(p):
+        j = w.index(z2)
+        classes.setdefault((j - w.index(z1), w.index(z3) - j), []).append(w)
+        positions.setdefault(j + 1, []).append(w)
+    return classes, positions
 
 
 def count_extensions(p: Poset) -> int:
@@ -256,18 +272,19 @@ def _fold(p: Poset, coords: tuple, state_budget: int) -> tuple[int, int, int, li
     slots, the sum of the weights of the marks outside I.  Every digit stays
     on its ``_gap_axis``, which makes a negative (right) shift exact.
 
-    The result is kept in ``p.__dict__["_folds"]``, keyed by ``coords``,
-    next to the lattice, so a later request in the same coordinates (the
-    signed table of a reordered chain triple, a second ``f_table``) only
-    decodes it.  The budget is checked on every call, kept or not: TooLarge
-    when the widest layer's ideals times the slots exceed ``state_budget``.
+    The latest result is kept in ``p.__dict__["_fold"]`` as a (coords,
+    result) pair, next to the lattice, so a later request in the same
+    coordinates (the signed table of a reordered chain triple, a second
+    ``f_table``) only decodes it; a request in other coordinates folds anew
+    and replaces it.  The budget is checked on every call, kept or not:
+    TooLarge when the widest layer's ideals times the slots exceed
+    ``state_budget``.
     """
     lat = p.lattice(state_budget)
-    folds = p.__dict__.setdefault("_folds", {})
-    kept = folds.get(coords)
-    if kept is not None:
-        _check_budget(lat, kept[2], state_budget)
-        return kept
+    kept = p.__dict__.get("_fold")
+    if kept is not None and kept[0] == coords:
+        _check_budget(lat, kept[1][2], state_budget)
+        return kept[1]
     nbytes = (lat.count.bit_length() + 7) // 8
     width = 8 * nbytes
     weight = {}  # bits a count moves per step of each mark
@@ -297,8 +314,9 @@ def _fold(p: Poset, coords: tuple, state_budget: int) -> tuple[int, int, int, li
         c = c << s if s >= 0 else c >> -s
         for j in edges:
             vals[j] += c
-    kept = folds[coords] = (c, nbytes, slots, axes)
-    return kept
+    folded = c, nbytes, slots, axes
+    p.__dict__["_fold"] = coords, folded
+    return folded
 
 
 def _check_budget(lat, slots: int, state_budget: int) -> None:
@@ -421,16 +439,3 @@ def n_vector(p: Poset, a: int) -> NVector:
     counts = _gap_counts(p, (a,), ((None, a),), DEFAULT_STATE_BUDGET)
     return NVector(p.n, a, {k: v for (k,), v in counts.items()})
 
-
-def gap_classes(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """Extensions bucketed by their (k, l) gap pair; brute-force oracle.
-
-    Keeps every word, so TooLarge past the word budget."""
-    _check_word_budget(p)
-    out: dict[tuple[int, int], list[tuple[int, ...]]] = defaultdict(list)
-    for w in enumerate_extensions(p):
-        pos = {e: i + 1 for i, e in enumerate(w)}
-        k, l = pos[z.z2] - pos[z.z1], pos[z.z3] - pos[z.z2]
-        if k >= 1 and l >= 1:
-            out[(k, l)].append(w)
-    return dict(out)

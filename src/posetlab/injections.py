@@ -21,15 +21,18 @@ ruled out first.  All moves are executed swap by swap with incomparability
 checked at every step.  Every map, ``stanley`` included, is certified by
 the same loop over its full domain, which re-verifies payload ranges, class
 membership, the round trip where there is an inverse, and global
-injectivity; collisions are found with an exact map of every (box index,
-image) key, never a hash.
+injectivity; collisions are found with an exact map of every (tag,
+payload, image) key, never a hash.  No map's boxes repeat a tag, so this is
+the relation of (box index, image) inside the disjoint union of boxes.
 
-``verify_injections`` enumerates a poset's words once, unless e(P) exceeds
-the word budget (TooLarge), bucketing each by its (k, l) gap class and by
-the position of z2 in the same pass, and checks both bucketings against
-the lattice counts (``f_table``, ``n_vector``) before it certifies
-anything.  The maps test order relations on the bitmask rows ``Poset.up``,
-``down`` and ``comparable``, not by per-pair calls.
+``certify_map`` and ``certify_stanley`` take their words as buckets from
+``extensions.word_classes``, which enumerates a poset's words once, unless
+e(P) exceeds the word budget (TooLarge), bucketing each by its (k, l) gap
+class and by the position of z2 in the same pass.  ``verify_injections``
+checks both bucketings against the lattice counts (``f_table``,
+``n_vector``) before it certifies anything.  The maps test order relations
+on the bitmask rows ``Poset.up``, ``down`` and ``comparable``, not by
+per-pair calls.
 
 The ``transfer`` intervals use min(b(z1,z2) - 1, t*(z1)) for the case-2
 box edge.  The edge cannot be tightened to b(z1,z2) - 2: the case-2 pivot
@@ -43,9 +46,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .errors import CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
-from .extensions import (
-    FTable, _check_word_budget, enumerate_extensions, f_table, gap_classes, n_vector,
-)
+from .extensions import f_table, n_vector, word_classes
 from .posets import SCHEMA, MarkedTriple, Poset
 
 Word = tuple[int, ...]
@@ -300,38 +301,6 @@ def interval_total(boxes) -> int:
     return sum(_box_size(dims) for _, dims in boxes)
 
 
-def _box_table(boxes) -> dict:
-    """tag -> (offset, dims): the indices of a box follow those of every
-    box listed before it; the first box wins when a tag repeats."""
-    table, offset = {}, 0
-    for name, dims in boxes:
-        table.setdefault(name, (offset, dims))
-        offset += _box_size(dims)
-    return table
-
-
-def _encode(table: dict, tag: str, payload: tuple[int, ...]) -> int:
-    entry = table.get(tag)
-    if entry is None:
-        raise CaseExhaustion(f"unknown case tag {tag}")
-    offset, dims = entry
-    if len(payload) != len(dims):
-        raise CaseExhaustion(f"payload {payload} outside box {tag}={dims}")
-    idx = 0
-    for v, d in zip(payload, dims):
-        if not 1 <= v <= d:
-            raise CaseExhaustion(f"payload {payload} outside box {tag}={dims}")
-        idx = idx * d + v - 1
-    return offset + idx + 1
-
-
-def encode_payload(boxes, tag: str, payload: tuple[int, ...]) -> int:
-    """Index of (tag, payload) inside the disjoint union of boxes, 1-based.
-
-    Raises CaseExhaustion when the payload leaves its declared box."""
-    return _encode(_box_table(boxes), tag, payload)
-
-
 # -- certification ------------------------------------------------------------
 
 
@@ -386,15 +355,22 @@ def _certify(cert, boxes, domain, targets, where, step, inverse=None):
 
     Per word, in this order: a raise, a payload outside ``boxes``, an image
     outside ``targets`` and, given ``inverse``, ``inverse(image, *payload) !=
-    word`` are errors; a repeated (box index, image) key is a collision,
+    word`` are errors; a repeated (tag, payload, image) key is a collision,
     found with an exact map of the keys seen."""
-    table = _box_table(boxes)
-    target_set = set(map(tuple, targets))
+    box = dict(boxes)
+    target_set = set(targets)
     seen: dict = {}
     for word in domain:
         try:
             tag, payload, out = step(word)
-            idx = _encode(table, tag, payload)
+            dims = box.get(tag)
+            if dims is None:
+                raise CaseExhaustion(f"unknown case tag {tag}")
+            if len(payload) != len(dims):
+                raise CaseExhaustion(f"payload {payload} outside box {tag}={dims}")
+            for v, d in zip(payload, dims):
+                if not 1 <= v <= d:
+                    raise CaseExhaustion(f"payload {payload} outside box {tag}={dims}")
         except Exception as exc:  # certification must report, not crash
             cert.errors.append({"word": list(word), "error": str(exc)})
             continue
@@ -405,7 +381,7 @@ def _certify(cert, boxes, domain, targets, where, step, inverse=None):
             cert.errors.append({"word": list(word), "error": "round trip failed"})
             continue
         size = len(seen)
-        first = seen.setdefault((idx, out), word)
+        first = seen.setdefault((tag, payload, out), word)
         if len(seen) == size:
             cert.collisions.append({"first": list(first), "second": list(word)})
     cert.image_size = len(seen)
@@ -413,101 +389,73 @@ def _certify(cert, boxes, domain, targets, where, step, inverse=None):
 
 
 def certify_map(
-    p: Poset,
-    z: MarkedTriple,
-    k: int,
-    l: int,
-    name: str,
-    classes: dict | None = None,
-    F: FTable | None = None,
+    p: Poset, z: MarkedTriple, k: int, l: int, name: str, classes: dict
 ) -> InjectionCertificate:
     """Run one gap-pair injection over all of its domain and certify it.
 
-    Raises HypothesesNotMet when the target class is empty (bounds without
-    their hypotheses are not claims).
+    ``classes`` holds the words by gap pair, as ``word_classes`` gives
+    them.  Raises HypothesesNotMet when the target class is empty (bounds
+    without their hypotheses are not claims).
     """
     fn, intervals_fn, dom_shift, img_shift = MAPS[name]
-    classes = classes if classes is not None else gap_classes(p, z)
-    F = F or f_table(p, z)
     target = (k + img_shift[0], l + img_shift[1])
-    if F.get(*target) <= 0:
+    targets = classes.get(target, [])
+    if not targets:
         raise HypothesesNotMet(f"{name}: target class F{target} is empty")
     domain = classes.get((k + dom_shift[0], l + dom_shift[1]), [])
     boxes = intervals_fn(p, z, k, l)
     cert = InjectionCertificate(
-        name, k, l, len(domain), 0, interval_total(boxes), F.get(*target)
+        name, k, l, len(domain), 0, interval_total(boxes), len(targets)
     )
-    return _certify(cert, boxes, domain, classes.get(target, []), f"F{target}",
-                    partial(fn, p, z, k, l))
+    return _certify(cert, boxes, domain, targets, f"F{target}", partial(fn, p, z, k, l))
 
 
-def certify_stanley(
-    p: Poset,
-    a: int,
-    kpos: int,
-    classes: dict[int, list[Word]] | None = None,
-) -> InjectionCertificate:
+def certify_stanley(p: Poset, a: int, kpos: int, positions: dict) -> InjectionCertificate:
     """Certify the single-element map on N_kpos, including its round trip.
 
-    Without ``classes`` the words are enumerated and kept, so TooLarge past
-    the word budget."""
-    if classes is None:
-        _check_word_budget(p)
-        classes = {}
-        for w in enumerate_extensions(p):
-            classes.setdefault(w.index(a) + 1, []).append(w)
-    below = len(classes.get(kpos - 1, ()))
-    if below <= 0:
+    ``positions`` holds the words by the (1-based) position of ``a``."""
+    below = positions.get(kpos - 1, [])
+    if not below:
         raise HypothesesNotMet("stanley: N_{k-1} is empty")
-    domain = classes.get(kpos, [])
-    cert = InjectionCertificate("stanley", kpos, None, len(domain), 0, p.t[a], below)
+    domain = positions.get(kpos, [])
+    cert = InjectionCertificate("stanley", kpos, None, len(domain), 0, p.t[a], len(below))
 
     def step(word):
         out, r = phi_stanley(p, a, word)
         return "1", (r,), out
 
-    return _certify(cert, [("1", (p.t[a],))], domain, classes.get(kpos - 1, []),
-                    "N_{k-1}", step, partial(phi_stanley_inverse, p, a))
+    return _certify(cert, [("1", (p.t[a],))], domain, below, "N_{k-1}", step,
+                    partial(phi_stanley_inverse, p, a))
 
 
 def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "shrink", "grow")):
     """Certificates for every applicable (k, l) (or position) of each map.
 
-    The words are enumerated once and bucketed by their (k, l) gap class
-    and by the position of z2 in the same pass.  Both bucketings are
-    checked against the counts of the lattice folds (``f_table``,
-    ``n_vector``); a mismatch raises PosetLabError before any certificate
-    is made.  Every word is kept, so TooLarge when e(P) exceeds the word
-    budget, before any word is enumerated.
+    The words come from ``word_classes`` (TooLarge past the word budget,
+    before any word is enumerated), bucketed by their (k, l) gap class and
+    by the position of z2.  Both bucketings are checked against the counts
+    of the lattice folds (``f_table``, ``n_vector``); a mismatch raises
+    PosetLabError before any certificate is made.
     """
-    _check_word_budget(p)
+    classes, positions = word_classes(p, z)
     F = f_table(p, z)
-    z1, z2, z3 = z.z1, z.z2, z.z3
-    classes: dict[tuple[int, int], list[Word]] = {}
-    positions: dict[int, list[Word]] = {}
-    for w in enumerate_extensions(p):
-        j = w.index(z2)
-        classes.setdefault((j - w.index(z1), w.index(z3) - j), []).append(w)
-        positions.setdefault(j + 1, []).append(w)
     where = f"on covers {list(p.covers)} with z={list(z.as_tuple())}"
     if {kl: len(ws) for kl, ws in classes.items()} != F.entries:
         raise PosetLabError(f"gap classes by enumeration disagree with f_table {where}")
     if "stanley" in maps:
-        nv = n_vector(p, z2)
+        nv = n_vector(p, z.z2)
         if {pos: len(ws) for pos, ws in positions.items()} != nv.counts:
             raise PosetLabError(f"positions of z2 by enumeration disagree with n_vector {where}")
     out: list[InjectionCertificate] = []
     for name in maps:
         if name == "stanley":
-            for kpos in sorted(nv.counts):
-                if nv.get(kpos - 1) > 0:
-                    out.append(certify_stanley(p, z2, kpos, positions))
+            for kpos in sorted(positions):
+                if kpos - 1 in positions:
+                    out.append(certify_stanley(p, z.z2, kpos, positions))
             continue
         _, _, dom_shift, img_shift = MAPS[name]
         for (kk, ll) in classes:
             k, l = kk - dom_shift[0], ll - dom_shift[1]
-            if k < 1 or l < 1:
-                continue
-            if F.get(k + img_shift[0], l + img_shift[1]) > 0:
-                out.append(certify_map(p, z, k, l, name, classes, F))
+            if k >= 1 and l >= 1 and (k + img_shift[0], l + img_shift[1]) in classes:
+                out.append(certify_map(p, z, k, l, name, classes))
     return out

@@ -12,8 +12,8 @@ in ``cover_up[x]`` (the upper covers of x) and ``down[y]`` (elements
 strictly below y), so both rows are attributes of every poset.  Everything
 else is computed on first read and kept in the instance dict:
 ``comparable``, ``covers`` (read off ``cover_up``), the ideal lattice
-(``lattice()``), next to it the folds that ``extensions`` makes over the
-lattice (``_folds``, keyed by their gap coordinates), and the order
+(``lattice()``), next to it the latest fold that ``extensions`` made over
+the lattice (``_fold``, with its gap coordinates), and the order
 parameters of the bounds:
 
 * ``b[x]`` = b(x) = |{y : y <= x}|, ``b_star[x]`` = b*(x) = |{y : y >= x}|

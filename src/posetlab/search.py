@@ -12,8 +12,7 @@ as soon as it is found, so a killed run keeps everything found before it
 stopped.
 
 The scan reads the cells of F once per (k, l) and compares the cpc, cpc1
-and cpc2 products as integers; a Fraction is made only for a slack that
-enters ``min_slack`` and a Certificate only for a failure.
+and cpc2 products as integers, and makes a Certificate only for a failure.
 
 Violations of the generalized product comparison (``gcpc``) are located
 through the signed-gap reduction: a ``cpc2`` violation at (k, l) yields,
@@ -37,7 +36,6 @@ import random
 from bisect import insort
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import BadParams, MalformedInput, TooLarge
 from .extensions import FTable, enumerate_extensions, f_table, f_table_signed
@@ -290,7 +288,7 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary) -> list:
     rows = _dense_rows(f_table(p, z))
     slot = _TRIO_SLOT[job.target]
     min_slack = summary.min_slack
-    cutoff = min_slack[4].numerator if len(min_slack) == 5 else None
+    cutoff = min_slack[4] if len(min_slack) == 5 else None
     holds = vacuous = 0
     for k in range(1, n):
         for l in range(1, n - k + 1):
@@ -313,10 +311,10 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary) -> list:
                 holds += 1
                 slack = rhs - lhs
                 if slack > 0 and (cutoff is None or slack < cutoff):
-                    insort(min_slack, Fraction(slack))
+                    insort(min_slack, slack)
                     del min_slack[5:]
                     if len(min_slack) == 5:
-                        cutoff = min_slack[4].numerator
+                        cutoff = min_slack[4]
                 continue
             summary.fails += 1
             if job.target == "gcpc":

@@ -45,6 +45,14 @@ def oracle_f_entries(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     return out
 
 
+def words_by_position(p: Poset, a: int) -> dict[int, list[tuple[int, ...]]]:
+    """Extension words bucketed by the (1-based) position of ``a``."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for w in enumerate_extensions(p):
+        out.setdefault(w.index(a) + 1, []).append(w)
+    return out
+
+
 def oracle_n_counts(p: Poset, a: int) -> dict[int, int]:
     out: dict[int, int] = {}
     for w in enumerate_extensions(p):

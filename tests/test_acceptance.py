@@ -10,7 +10,8 @@ criterion is expected to pass; a FAIL line is a regression.
   bottom-antichain-top family: once the marked middle element is placed,
   the k+l-1 free elements fill the remaining middle positions in any order.
 * criterion 7 does not claim that cpc1/cpc2 hold on width-2 posets: they
-  do not (6- and 7-element witnesses are pinned in test_inequalities).
+  do not (5-, 6- and 7-element witnesses are pinned in test_inequalities,
+  and no poset on at most 4 elements breaks either).
   Instead each width-2 cpc1/cpc2 failure in the sample must be confirmed
   by the brute-force gap-class oracle and mirrored on the dual poset, and
   the sample must contain at least one.
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import factorial
 
 from conftest import chain_triples, corpus
-from posetlab.extensions import FTable, f_table, gap_classes, n_vector
+from posetlab.extensions import FTable, f_table, n_vector, word_classes
 from posetlab.families import (
     family_antichain,
     family_converse_tight,
@@ -259,7 +260,7 @@ def test_criterion_7_inequality_suite():
                         if rep.verdict != FAILS:
                             continue
                         if oracle is None:
-                            classes = gap_classes(p, z)
+                            classes = word_classes(p, z)[0]
                             oracle = FTable(p.n, z, {kl: len(ws) for kl, ws in classes.items()})
                             dual = f_table(p.dual(), z.reversed())
                         recount = check(oracle, k, l)

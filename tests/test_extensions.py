@@ -342,11 +342,10 @@ def test_signed_table_reuses_the_kept_fold(medium_corpus):
     for q, z in medium_corpus[:20] + _width_five_instances():
         p = Poset(q.n, q.up)
         F = f_table(p, z)
-        kept = dict(p.__dict__["_folds"])
-        assert len(kept) == 1
+        kept = p.__dict__["_fold"]
+        assert kept[0] == ((z.z1, z.z2), (z.z2, z.z3))
         signed = f_table_signed(p, z.swapped12())
-        assert p.__dict__["_folds"].keys() == kept.keys()
-        assert all(p.__dict__["_folds"][key] is fold for key, fold in kept.items())
+        assert p.__dict__["_fold"] is kept
         assert {(-a, a + b): v for (a, b), v in signed.items()} == F.entries
 
 
@@ -366,12 +365,29 @@ def test_state_budget_checked_on_a_kept_fold():
     inst = family_cpc2_witness(1, 2)
     p, z = inst.poset, inst.z
     F = f_table(p, z)
-    assert len(p.__dict__["_folds"]) == 1
+    kept = p.__dict__["_fold"]
     with pytest.raises(TooLarge):
         f_table(p, z, state_budget=3)
     with pytest.raises(TooLarge):
         positional_gap_counts(p, z.as_tuple(), state_budget=3)
+    assert p.__dict__["_fold"] is kept
     assert f_table(p, z) == F
+
+
+def test_only_the_latest_fold_is_kept():
+    # one kept fold per poset, replaced on a miss: folding many mark tuples
+    # on a large poset keeps the last one only, and asking for it again is a hit
+    p = width_five_poset()
+    pairs = [(a, b) for a in range(10) for b in range(a + 1, 10)][:40]
+    for a, b in pairs:
+        counts = pair_gap_table(p, a, b)
+        ((u, v),), _ = kept = p.__dict__["_fold"]
+        assert {u, v} == {a, b}
+    assert [key for key in p.__dict__ if "fold" in key] == ["_fold"]
+    assert pair_gap_table(p, a, b) == counts
+    assert p.__dict__["_fold"] is kept
+    pair_gap_table(p, *pairs[0])
+    assert p.__dict__["_fold"] is not kept
 
 
 def test_kept_folds_leave_equality_and_hash_alone(medium_corpus):
@@ -381,7 +397,7 @@ def test_kept_folds_leave_equality_and_hash_alone(medium_corpus):
         f_table(p, z)
         f_table_signed(p, z.swapped12())
         n_vector(p, z.z1)
-        assert p.__dict__["_folds"] and "_folds" not in bare.__dict__
+        assert "_fold" in p.__dict__ and "_fold" not in bare.__dict__
         assert p == bare and hash(p) == hash(bare) == before
         assert len({p, bare}) == 1 and repr(p) == repr(bare)
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corpus
+from conftest import chain_triples, corpus
 from posetlab.errors import BadParams, HypothesesNotMet
 from posetlab.extensions import FTable, NVector, f_table, f_table_signed, n_vector
 from posetlab.families import (
@@ -284,14 +284,15 @@ def test_width_two_cpc2_violation_witness():
 
 
 def test_width_two_cpc1_six_element_witness():
-    """A 6-element width-2 poset already breaks cpc1.
+    """A 6-element width-2 poset that breaks cpc1.
 
     With z = (5, 0, 4) and (k, l) = (1, 1): F(3,1) F(1,2) = 3 > 2 =
     F(2,1) F(2,2).  The table is checked against the brute-force gap-class
     oracle; cpc1 fails only at this cell, cpc and cpc2 hold everywhere, and
-    two-of-three is satisfied.  Whether 6 is the smallest size is left open.
+    two-of-three is satisfied.  The smallest size is 5: see the witnesses
+    below and ``test_cpc1_cpc2_fail_once_up_to_five_elements``.
     """
-    from posetlab.extensions import gap_classes
+    from posetlab.extensions import word_classes
     from posetlab.posets import width
 
     p = build(6, [(0, 4), (1, 0), (1, 3), (2, 3), (2, 4), (5, 0), (5, 2)])
@@ -299,7 +300,7 @@ def test_width_two_cpc1_six_element_witness():
     assert width(p) == 2
     assert p.less(z.z1, z.z2) and p.less(z.z2, z.z3)
     F = f_table(p, z)
-    assert F.entries == {kl: len(words) for kl, words in gap_classes(p, z).items()}
+    assert F.entries == {kl: len(words) for kl, words in word_classes(p, z)[0].items()}
     rep = check_cpc1(F, 1, 1)
     assert rep.verdict == FAILS and rep.lhs == 3 and rep.rhs == 2
     for k in range(1, 6):
@@ -308,6 +309,58 @@ def test_width_two_cpc1_six_element_witness():
             assert check_cpc(F, k, l).verdict != FAILS
             assert check_cpc2(F, k, l).verdict != FAILS
             assert check_two_of_three(F, k, l).verdict != FAILS
+
+
+# the two smallest width-2 failures of cpc1 and cpc2, dual to each other:
+# (check, covers, z, F) with the failure at (k, l) = (1, 1), 2 > 1
+FIVE_ELEMENT_WITNESSES = [
+    (check_cpc1, [(0, 2), (0, 3), (1, 3), (2, 4), (3, 4)], (0, 3, 4),
+     {(1, 2): 1, (2, 1): 1, (2, 2): 1, (3, 1): 2}),
+    (check_cpc2, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4)], (0, 1, 4),
+     {(1, 2): 1, (1, 3): 2, (2, 1): 1, (2, 2): 1}),
+]
+
+
+def test_width_two_five_element_witnesses():
+    """cpc1: F(3,1) F(1,2) = 2 > 1 = F(2,1) F(2,2); cpc2 on the dual poset:
+    F(1,3) F(2,1) = 2 > 1 = F(1,2) F(2,2).  Tables match the word oracle."""
+    from posetlab.extensions import word_classes
+    from posetlab.posets import width
+
+    (_, covers1, z1, _), (_, covers2, z2, _) = FIVE_ELEMENT_WITNESSES
+    # the second is the dual of the first, relabelled by x -> 4 - x
+    assert build(5, [(4 - b, 4 - a) for a, b in covers1]) == build(5, covers2)
+    assert tuple(4 - x for x in reversed(z1)) == z2
+    for check, covers, marks, entries in FIVE_ELEMENT_WITNESSES:
+        p, z = build(5, covers), MarkedTriple(*marks)
+        assert width(p) == 2
+        assert p.less(z.z1, z.z2) and p.less(z.z2, z.z3)
+        F = f_table(p, z)
+        assert F.entries == entries
+        assert entries == {kl: len(words) for kl, words in word_classes(p, z)[0].items()}
+        rep = check(F, 1, 1)
+        assert rep.verdict == FAILS and rep.lhs == 2 and rep.rhs == 1
+
+
+def test_cpc1_cpc2_fail_once_up_to_five_elements(small_poset_classes):
+    """Over every poset class with n <= 5, every chain triple and every
+    (k, l), cpc1 and cpc2 each fail at exactly one point: the 5-element
+    witnesses above.  So no smaller poset, of any width, breaks either."""
+    failures = []
+    for n, reps in small_poset_classes.items():
+        for p in reps:
+            for z in chain_triples(p):
+                F = f_table(p, z)
+                for k in range(1, n + 1):
+                    for l in range(1, n + 1):
+                        for check in (check_cpc1, check_cpc2):
+                            rep = check(F, k, l)
+                            if rep.verdict == FAILS:
+                                failures.append((rep.ineq, n, k, l, F.entries))
+    assert sorted(failures, key=str) == [
+        ("cpc1", 5, 1, 1, FIVE_ELEMENT_WITNESSES[0][3]),
+        ("cpc2", 5, 1, 1, FIVE_ELEMENT_WITNESSES[1][3]),
+    ]
 
 
 def test_stanley_equality_on_tight_family():

@@ -9,21 +9,20 @@ import time
 
 import pytest
 
-from conftest import corpus
+from conftest import words_by_position
 from posetlab import injections
 from posetlab.cli import main
 from posetlab.errors import (
     HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError, TooLarge,
 )
 from posetlab.extensions import (
-    WORD_BUDGET, FTable, enumerate_extensions, f_table, gap_classes, n_vector,
+    WORD_BUDGET, FTable, enumerate_extensions, f_table, n_vector, word_classes,
 )
 from posetlab.families import family_stanley_tight
 from posetlab.injections import (
     MAPS,
     certify_map,
     certify_stanley,
-    encode_payload,
     grow_intervals,
     interval_total,
     phi_stanley,
@@ -67,7 +66,7 @@ def test_stanley_tight_family_certificate():
     inst = family_stanley_tight(5, 3)
     p, a = inst.poset, inst.a
     prm = params(p)
-    cert = certify_stanley(p, a, 3)
+    cert = certify_stanley(p, a, 3, words_by_position(p, a))
     assert cert.ok and cert.domain_size == 4 and cert.codomain_cells == 2
     assert cert.interval_total == prm.t[a]
     nv = n_vector(p, a)
@@ -144,9 +143,7 @@ def test_stanley_round_trip_and_bounds(medium_corpus):
     for p, z in medium_corpus[:20]:
         a = z.z2
         prm = params(p)
-        classes: dict[int, list] = {}
-        for w in enumerate_extensions(p):
-            classes.setdefault(w.index(a) + 1, []).append(w)
+        classes = words_by_position(p, a)
         nv = {pos: len(ws) for pos, ws in classes.items()}
         for kpos, count in sorted(nv.items()):
             if nv.get(kpos - 1, 0) > 0:
@@ -167,7 +164,7 @@ def test_transfer_edge_cannot_be_tightened():
     prm = params(p)
     F = f_table(p, z)
     assert F.get(2, 2) == 6 and F.get(1, 3) == 2
-    cert = certify_map(p, z, 1, 1, "transfer")
+    cert = certify_map(p, z, 1, 1, "transfer", word_classes(p, z)[0])
     assert cert.ok
     z1, z2, z3 = z.as_tuple()
     untight = min(prm.t[z2], 1) + min(prm.interval(z1, z2) - 2, prm.t_star[z1]) * (
@@ -180,30 +177,13 @@ def test_transfer_edge_cannot_be_tightened():
 def test_refuses_to_run_without_hypotheses():
     p = chain(4)
     z = MarkedTriple(0, 1, 2)
+    classes = word_classes(p, z)[0]
     with pytest.raises(HypothesesNotMet):
-        certify_map(p, z, 1, 2, "transfer")  # F(1,4) = 0 on the chain
+        certify_map(p, z, 1, 2, "transfer", classes)  # F(1,4) = 0 on the chain
     with pytest.raises(HypothesesNotMet):
-        certify_map(p, z, 2, 1, "grow")  # F(4,1) = 0
+        certify_map(p, z, 2, 1, "grow", classes)  # F(4,1) = 0
     with pytest.raises(HypothesesNotMet):
-        certify_stanley(p, 0, 1)  # N_0 is empty
-
-
-def test_payload_encoding_is_a_bijection():
-    boxes = [("1", (3,)), ("2.1", (2, 4)), ("2.2", (2, 5))]
-    seen = set()
-    for tag, dims in boxes:
-        for payload in _box_points(dims):
-            idx = encode_payload(boxes, tag, payload)
-            assert 1 <= idx <= interval_total(boxes)
-            assert idx not in seen
-            seen.add(idx)
-    assert len(seen) == interval_total(boxes)
-
-
-def _box_points(dims):
-    if len(dims) == 1:
-        return [(v,) for v in range(1, dims[0] + 1)]
-    return [(v, w) for v in range(1, dims[0] + 1) for w in range(1, dims[1] + 1)]
+        certify_stanley(p, 0, 1, words_by_position(p, 0))  # N_0 is empty
 
 
 def test_shrink_handles_conditional_final_swap():
@@ -225,9 +205,9 @@ def _shrink_fixture():
     # the 3-chain 0 < 1 < 2 plus two free elements; shrink at (1, 1) maps
     # the 4 words of F(2, 1) into the 6 words of F(1, 1)
     p, z = normalize(antichain(5), MarkedTriple(0, 1, 2))
-    classes = gap_classes(p, z)
+    classes = word_classes(p, z)[0]
     assert len(classes[(2, 1)]) == 4 and len(classes[(1, 1)]) == 6
-    return p, z, classes[(2, 1)], classes[(1, 1)]
+    return p, z, classes
 
 
 def _swap_shrink(monkeypatch, fn):
@@ -237,7 +217,8 @@ def _swap_shrink(monkeypatch, fn):
 
 def _broken_shrink_cert(monkeypatch, kind):
     """Certify shrink at (1, 1) on the fixture with one kind of broken map."""
-    p, z, domain, target = _shrink_fixture()
+    p, z, classes = _shrink_fixture()
+    domain, target = classes[(2, 1)], classes[(1, 1)]
 
     def zero_payload(p, z, k, l, word):
         tag, _, out = psi_shrink(p, z, k, l, word)
@@ -253,7 +234,7 @@ def _broken_shrink_cert(monkeypatch, kind):
         "raise": broken,
     }[kind]
     _swap_shrink(monkeypatch, fn)
-    return certify_map(p, z, 1, 1, "shrink"), domain
+    return certify_map(p, z, 1, 1, "shrink", classes), domain
 
 
 def _broken_stanley_cert(monkeypatch, kind):
@@ -261,9 +242,7 @@ def _broken_stanley_cert(monkeypatch, kind):
     of N_2) with one kind of broken map or inverse."""
     inst = family_stanley_tight(5, 3)
     p, a = inst.poset, inst.a
-    positions: dict[int, list] = {}
-    for w in enumerate_extensions(p):
-        positions.setdefault(w.index(a) + 1, []).append(w)
+    positions = words_by_position(p, a)
     domain, target = positions[3], positions[2]
     assert len(domain) == 4 and len(target) == 2
     real_phi = injections.phi_stanley
@@ -294,7 +273,7 @@ def _broken_stanley_cert(monkeypatch, kind):
         monkeypatch.setattr(injections, "phi_stanley", maps[kind])
     if kind in inverses:
         monkeypatch.setattr(injections, "phi_stanley_inverse", inverses[kind])
-    return certify_stanley(p, a, 3), domain
+    return certify_stanley(p, a, 3, positions), domain
 
 
 def test_certify_map_reports_collisions(monkeypatch):
@@ -326,7 +305,7 @@ def test_certify_map_reports_a_raising_map(monkeypatch):
 
 def test_certify_stanley_reports_a_wrong_inverse(monkeypatch):
     inst = family_stanley_tight(5, 3)
-    assert certify_stanley(inst.poset, inst.a, 3).ok
+    assert certify_stanley(inst.poset, inst.a, 3, words_by_position(inst.poset, inst.a)).ok
     cert, _ = _broken_stanley_cert(monkeypatch, "inverse")
     assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
     assert len(cert.errors) == cert.domain_size == 4
@@ -381,7 +360,7 @@ def test_injection_certificate_bytes_are_pinned(monkeypatch, medium_corpus, wide
 
 def test_verify_injections_cross_checks_the_counts(monkeypatch):
     # the enumerated classes must match the fold counts, else no certificate
-    p, z, _, _ = _shrink_fixture()
+    p, z, _ = _shrink_fixture()
     real_f_table, real_n_vector = injections.f_table, injections.n_vector
 
     def f_table_off_by_one(p, z):
@@ -421,9 +400,7 @@ def test_word_budget_fires_before_enumeration():
     for call in (
         lambda: verify_injections(p, z, ("transfer",)),
         lambda: verify_injections(p, z),
-        lambda: gap_classes(p, z),
-        lambda: certify_stanley(p, 1, 2),
-        lambda: certify_map(p, z, 1, 1, "transfer"),
+        lambda: word_classes(p, z),
     ):
         with pytest.raises(TooLarge, match="word budget"):
             call()
