@@ -1,8 +1,10 @@
 """Exact verdicts for every cross-product-type inequality on F-tables.
 
-Each checker returns a CheckReport whose lhs/rhs are exact rationals and
-whose verdict is derived from the sign of ``slack = rhs - lhs`` (inequality
-oriented as lhs <= rhs).  Comparisons involving square roots are decided by
+Each checker returns a CheckReport whose lhs/rhs are exact: an int, or a
+Fraction where the bound has a rational factor (``main``'s two vanishing
+branches and ``thin``).  The verdict is derived from the sign of
+``slack = rhs - lhs`` (inequality oriented as lhs <= rhs), and ``ratio``
+is always a Fraction.  Comparisons involving square roots are decided by
 isolating the root and squaring, with explicit sign analysis, so no
 floating point ever enters a verdict.  "vacuous" is a first-class verdict:
 it means a required positivity hypothesis fails (or every participating
@@ -40,21 +42,21 @@ class CheckReport:
     ineq: str
     k: int | None
     l: int | None
-    lhs: Fraction
-    rhs: Fraction
+    lhs: int | Fraction
+    rhs: int | Fraction
     verdict: str
     cells: dict[str, int] = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
     note: str = ""
 
     @property
-    def slack(self) -> Fraction:
+    def slack(self) -> int | Fraction:
         return self.rhs - self.lhs
 
     @property
     def ratio(self) -> Fraction | None:
         """Normalized rhs/lhs when lhs > 0; for human inspection."""
-        return self.rhs / self.lhs if self.lhs > 0 else None
+        return Fraction(self.rhs, self.lhs) if self.lhs > 0 else None
 
     def to_json_obj(self) -> dict:
         out = {
@@ -82,8 +84,8 @@ def _report(ineq, k, l, lhs, rhs, cells, vacuous=False, extra=None, note="") -> 
     if vacuous:
         verdict = VACUOUS
     else:
-        verdict = HOLDS if lhs <= rhs else FAILS  # before Fraction(): int comparison is cheaper
-    return CheckReport(ineq, k, l, Fraction(lhs), Fraction(rhs), verdict, cells, extra or {}, note)
+        verdict = HOLDS if lhs <= rhs else FAILS
+    return CheckReport(ineq, k, l, lhs, rhs, verdict, cells, extra or {}, note)
 
 
 # -- the product-comparison table ---------------------------------------------
@@ -256,8 +258,7 @@ def check_main(F: FTable, k: int, l: int) -> CheckReport:
         return _report("main", k, l, factor * B, A, cells, note="branch=second-vanishing")
     # both vanish: exact equality
     verdict = HOLDS if A == B else FAILS
-    return CheckReport("main", k, l, Fraction(B), Fraction(A), verdict, cells,
-                       note="branch=equality")
+    return CheckReport("main", k, l, B, A, verdict, cells, note="branch=equality")
 
 
 def check_thin_flat(F: FTable, p: Poset, t: int, k: int, l: int) -> CheckReport:
@@ -322,7 +323,7 @@ def check_stanley(N: NVector, k: int) -> CheckReport:
     if not applicable:
         return _report("stanley", k, None, 0, 0, cells, vacuous=True)
     verdict = FAILS if failures else HOLDS
-    return CheckReport("stanley", k, None, Fraction(lhs), Fraction(rhs), verdict, cells,
+    return CheckReport("stanley", k, None, lhs, rhs, verdict, cells,
                        extra={"failed": ",".join(failures)} if failures else {})
 
 

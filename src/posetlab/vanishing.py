@@ -13,7 +13,6 @@ z_1 < ... < z_r exists iff
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BadChain, HypothesesNotMet, IndexOutOfRange
 from .extensions import FTable, f_table
@@ -135,6 +134,6 @@ def equality_case_check(
     all_comparable = p.b[z.z2] + p.b_star[z.z2] == p.n + 1
     verdict = HOLDS if (A == B and all_comparable) else FAILS
     return CheckReport(
-        "vanishing-equality", k, l, Fraction(B), Fraction(A), verdict, cells,
+        "vanishing-equality", k, l, B, A, verdict, cells,
         extra={"z2_comparable_to_all": all_comparable},
     )

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetlab import geometry
 from posetlab.errors import BadParams, DegenerateSlice
@@ -16,7 +19,7 @@ from posetlab.geometry import (
     volume_formula,
     volume_mc,
 )
-from posetlab.posets import MarkedTriple, chain, normalize, antichain
+from posetlab.posets import MarkedTriple, antichain, build, chain, normalize
 from posetlab.search import random_instance
 
 
@@ -40,6 +43,74 @@ def test_formula_on_antichain_based_poset():
     F = f_table(p, z)
     v = volume_formula(F, Fraction(1, 4), Fraction(1, 4))
     assert v > 0 and v.denominator % 2 == 0
+
+
+def _fraction_by_fraction(F, s, t):
+    # reference: the polynomial summed one Fraction term at a time
+    s, t = Fraction(s), Fraction(t)
+    u, n, total = 1 - s - t, F.n, Fraction(0)
+    for (k, l), v in F.entries.items():
+        if v == 0 or k + l > n:
+            continue
+        total += (
+            v
+            * s ** (k - 1) / factorial(k - 1)
+            * t ** (l - 1) / factorial(l - 1)
+            * u ** (n - k - l) / factorial(n - k - l)
+        )
+    return total
+
+
+@st.composite
+def tables_and_points(draw):
+    n = draw(st.integers(3, 12))
+    cells = [(k, l) for k in range(1, n) for l in range(1, n - k + 1)]
+    entries = draw(st.dictionaries(st.sampled_from(cells), st.integers(0, 10**12), max_size=len(cells)))
+    point = st.fractions(min_value=Fraction(-2), max_value=Fraction(2), max_denominator=10**6)
+    return FTable(n, MarkedTriple(0, 1, 2), entries), draw(point), draw(point)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables_and_points())
+def test_formula_matches_fraction_by_fraction_sum(case):
+    F, s, t = case
+    assert volume_formula(F, s, t) == _fraction_by_fraction(F, s, t)
+
+
+def test_formula_at_points_with_different_denominators(medium_corpus):
+    points = [(Fraction(2, 7), Fraction(3, 11)), (Fraction(1, 6), Fraction(5, 9)),
+              (Fraction(3, 10), Fraction(1, 4)), (Fraction(1, 5), Fraction(1, 5)), (0, 1)]
+    for p, z in medium_corpus[:10]:
+        F = f_table(p, z)
+        for s, t in points:
+            assert volume_formula(F, s, t) == _fraction_by_fraction(F, s, t)
+
+
+# (poset, marks, s, t, seed, {samples: hits}), recorded while every call drew
+# one (samples, dim) array per 2^17 rows; the chart dims are 2, 2, 4 and 7
+_PINNED_HITS = [
+    (chain(4), (0, 1, 2), Fraction(1, 5), Fraction(1, 5), 1, {20_003: 3640, 1_001: 185}),
+    (build(4, [(0, 1), (1, 2)]), (0, 1, 2), Fraction(2, 7), Fraction(3, 11), 2,
+     {9_001: 3998, 1_001: 430}),
+    (build(6, [(0, 1), (0, 3), (1, 2), (1, 4), (1, 5), (3, 2)]), (0, 1, 2),
+     Fraction(1, 3), Fraction(1, 4), 3, {50_000: 2780, 1_001: 62}),
+    (build(9, [(1, 7), (3, 6), (3, 7), (5, 0), (7, 4)]), (3, 7, 4),
+     Fraction(1, 5), Fraction(1, 5), 4, {16_385: 1552, 1_001: 89}),
+]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 8192, 1 << 20])
+def test_mc_hits_do_not_depend_on_the_block_size(batch, monkeypatch):
+    # calls in a row with different dims share no buffer; every sample count
+    # but 1 001 = 7 * 143 (kept short for one row per block) ends on a
+    # partial block of 7 or 8192 rows
+    monkeypatch.setattr(geometry, "MC_BATCH", batch)
+    for p, marks, s, t, seed, pinned in _PINNED_HITS:
+        for samples, hits in pinned.items():
+            if batch == 1 and samples != 1_001:
+                continue
+            est = volume_mc(p, MarkedTriple(*marks), s, t, samples, seed)
+            assert (est.hits, est.samples) == (hits, samples), (p.covers, samples)
 
 
 def test_mc_agrees_with_formula_small_grid():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -480,3 +481,22 @@ def test_report_bytes_are_pinned():
             count += 1
     assert count > 10_000
     assert digest.hexdigest() == REPORT_BYTES_SHA256
+
+
+def test_report_field_types():
+    # lhs/rhs stay ints unless the bound has a rational factor; ratio is
+    # always a Fraction, never a float
+    rational = {"main": ("branch=first-vanishing", "branch=second-vanishing"), "thin": ("",)}
+    seen = Counter()
+    for p, z in _report_corpus():
+        for rep in _every_report(p, z):
+            if rep.verdict != VACUOUS and rep.note in rational.get(rep.ineq, ()):
+                assert (type(rep.lhs), type(rep.rhs)) == (Fraction, int), rep
+                seen[rep.ineq, rep.note] += 1
+            else:
+                assert (type(rep.lhs), type(rep.rhs)) == (int, int), rep
+                seen["int"] += 1
+            if rep.lhs > 0:
+                assert type(rep.ratio) is Fraction, rep
+                seen["ratio"] += 1
+    assert len(seen) == 5 and min(seen.values()) > 0, seen

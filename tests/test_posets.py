@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,32 @@ def test_lattice_budget_keeps_nothing_on_too_large():
     lat = p.lattice()
     assert lat == _reference_lattice(p) and (lat.widest, lat.count) == (20, 720)
     assert p.lattice(state_budget=1) is lat  # kept now, so the budget is not looked at again
+
+
+def test_lattice_budget_fires_mid_layer():
+    # antichain(60) has layers of 1, 60, 1 770 and 34 220 ideals; a check
+    # made only once a layer is complete keeps all 34 220 (~6.6 MB peak)
+    p = antichain(60)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="layer exceeds budget 2000"):
+            p.lattice(state_budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert "_lattice" not in p.__dict__
+
+
+def test_lattice_ideal_budget(monkeypatch):
+    p = build(11, [(0, 1), (1, 2)])  # a 3-chain and 8 free elements: 4 * 2^8 ideals
+    monkeypatch.setattr("posetlab.posets.IDEAL_BUDGET", 1023)
+    with pytest.raises(TooLarge, match="exceeds 1023 ideals"):
+        p.lattice()
+    assert "_lattice" not in p.__dict__
+    monkeypatch.setattr("posetlab.posets.IDEAL_BUDGET", 1024)
+    lat = p.lattice()
+    assert (len(lat.ideals), lat.widest) == (1024, 56 + 70 + 56 + 28)
 
 
 def _reference_params(p: Poset):
