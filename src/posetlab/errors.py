@@ -18,7 +18,8 @@ class IndexOutOfRange(PosetLabError):
 
 
 class TooLarge(PosetLabError):
-    """Instance exceeds a hard size guard or a configured state budget."""
+    """Instance exceeds a hard size guard or a budget: ideals in one
+    lattice, states in one fold, or words kept at once."""
 
 
 class BadChain(PosetLabError):

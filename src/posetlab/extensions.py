@@ -27,8 +27,9 @@ with coefficients in {-1, 0, 1}.  The latest fold is kept on the poset
 next to the lattice, with its coordinates, so every order of one chain
 triple (F and the signed table of the swapped triple alike) is folded once
 and later calls only decode it into a fresh dict; a fold in other
-coordinates replaces it.  The state budget counts folded slots and is
-checked on every call, whether the fold is kept or not.
+coordinates replaces it.  ``STATE_BUDGET`` bounds the widest layer's
+ideals times the folded slots; it is checked once, before a fold, so a
+kept fold, which passed it, is returned at once.
 
 ``enumerate_extensions`` and ``is_extension`` stay lattice-free; with
 ``word_classes`` they are the brute-force oracle the tests check both folds
@@ -50,14 +51,14 @@ from operator import sub
 
 from .errors import BadChain, BadParams, IndexOutOfRange, MalformedInput, TooLarge
 from .posets import (
-    DEFAULT_STATE_BUDGET, SCHEMA, MarkedTriple, Poset, _check_index, _json_int, _json_list,
-    is_normalized,
+    SCHEMA, MarkedTriple, Poset, _check_index, _json_int, _json_list, is_normalized,
 )
 
 ENUMERATION_MAX = 14
 # words a caller may keep at once: ~200 bytes and ~20 us (all four word
 # injections) per word, so ~0.4 GiB and ~40 s at the budget
 WORD_BUDGET = 1 << 21
+STATE_BUDGET = 1 << 26  # widest lattice layer x folded slots, in one fold
 
 
 def enumerate_extensions(p: Poset):
@@ -256,7 +257,7 @@ def _entry_order(p: Poset, marks: tuple, gaps: tuple):
     return tuple(coords), level
 
 
-def _fold(p: Poset, coords: tuple, state_budget: int) -> tuple[int, int, int, list[range]]:
+def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     """(packed, nbytes, slots, axes): extension counts by the gaps
     pos(v) - pos(u), one digit per (u, v) in ``coords`` (u = None stands
     for position 0).
@@ -276,15 +277,14 @@ def _fold(p: Poset, coords: tuple, state_budget: int) -> tuple[int, int, int, li
     result) pair, next to the lattice, so a later request in the same
     coordinates (the signed table of a reordered chain triple, a second
     ``f_table``) only decodes it; a request in other coordinates folds anew
-    and replaces it.  The budget is checked on every call, kept or not:
-    TooLarge when the widest layer's ideals times the slots exceed
-    ``state_budget``.
+    and replaces it.  Before it folds, TooLarge when the widest layer's
+    ideals times the slots exceed ``STATE_BUDGET``; a kept fold passed that
+    check, so it is returned as it is.
     """
-    lat = p.lattice(state_budget)
     kept = p.__dict__.get("_fold")
     if kept is not None and kept[0] == coords:
-        _check_budget(lat, kept[1][2], state_budget)
         return kept[1]
+    lat = p.lattice()
     nbytes = (lat.count.bit_length() + 7) // 8
     width = 8 * nbytes
     weight = {}  # bits a count moves per step of each mark
@@ -298,7 +298,8 @@ def _fold(p: Poset, coords: tuple, state_budget: int) -> tuple[int, int, int, li
         origin += slots * offset
         slots *= size
         axes.append(range(-offset * sign, (size - offset) * sign, sign))  # gap of digit d
-    _check_budget(lat, slots, state_budget)
+    if lat.widest * slots > STATE_BUDGET:
+        raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {STATE_BUDGET}")
     shift = {0: sum(weight.values())}  # marks inside the ideal, as a mask -> bits
     mark_mask = 0
     for m, w in weight.items():
@@ -319,14 +320,7 @@ def _fold(p: Poset, coords: tuple, state_budget: int) -> tuple[int, int, int, li
     return folded
 
 
-def _check_budget(lat, slots: int, state_budget: int) -> None:
-    if lat.widest * slots > state_budget:
-        raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {state_budget}")
-
-
-def _gap_counts(
-    p: Poset, marks: tuple, gaps: tuple, state_budget: int
-) -> dict[tuple[int, ...], int]:
+def _gap_counts(p: Poset, marks: tuple, gaps: tuple) -> dict[tuple[int, ...], int]:
     """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
     ``gaps``, between the given ``marks`` (u = None stands for position 0).
 
@@ -348,7 +342,7 @@ def _gap_counts(
     if len(set(marks)) != len(marks):
         raise BadParams(f"marked elements must be distinct, got {list(marks)}")
     coords, level = _entry_order(p, marks, gaps)
-    packed, nbytes, slots, axes = _fold(p, coords, state_budget)
+    packed, nbytes, slots, axes = _fold(p, coords)
     # one hex string per slot, slot 0 first
     hexes = reversed(packed.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split())
     zero = "00" * nbytes
@@ -372,7 +366,7 @@ def _gap_counts(
     return {key: int(h, 16) for key, h in zip(zip(*columns), hexes) if h != zero}
 
 
-def f_table(p: Poset, z: MarkedTriple, state_budget: int = DEFAULT_STATE_BUDGET) -> FTable:
+def f_table(p: Poset, z: MarkedTriple) -> FTable:
     """Exact F(k, l) by the gap-phase fold.
 
     Requires a normalized triple (z1 < z2 < z3), so the marks always enter
@@ -383,17 +377,15 @@ def f_table(p: Poset, z: MarkedTriple, state_budget: int = DEFAULT_STATE_BUDGET)
     if not is_normalized(p, z):
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
     z1, z2, z3 = marks = z.as_tuple()
-    return FTable(p.n, z, _gap_counts(p, marks, ((z1, z2), (z2, z3)), state_budget))
+    return FTable(p.n, z, _gap_counts(p, marks, ((z1, z2), (z2, z3))))
 
 
-def positional_gap_counts(
-    p: Poset, marks: tuple[int, ...], state_budget: int = DEFAULT_STATE_BUDGET
-) -> dict[tuple[int, ...], int]:
+def positional_gap_counts(p: Poset, marks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Counts of extensions by the absolute positions (1-based) of ``marks``.
 
     No order assumption on the marks.
     """
-    return _gap_counts(p, marks, tuple((None, m) for m in marks), state_budget)
+    return _gap_counts(p, marks, tuple((None, m) for m in marks))
 
 
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
@@ -403,12 +395,12 @@ def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     chain in another order is folded in entry order and re-keyed.
     """
     z1, z2, z3 = marks = z.as_tuple()
-    return _gap_counts(p, marks, ((z1, z2), (z2, z3)), DEFAULT_STATE_BUDGET)
+    return _gap_counts(p, marks, ((z1, z2), (z2, z3)))
 
 
 def pair_gap_table(p: Poset, x: int, y: int) -> dict[int, int]:
     """Counts of extensions by the signed gap pos(y) - pos(x)."""
-    counts = _gap_counts(p, (x, y), ((x, y),), DEFAULT_STATE_BUDGET)
+    counts = _gap_counts(p, (x, y), ((x, y),))
     return {g: v for (g,), v in counts.items()}
 
 
@@ -436,6 +428,6 @@ class NVector:
 
 
 def n_vector(p: Poset, a: int) -> NVector:
-    counts = _gap_counts(p, (a,), ((None, a),), DEFAULT_STATE_BUDGET)
+    counts = _gap_counts(p, (a,), ((None, a),))
     return NVector(p.n, a, {k: v for (k,), v in counts.items()})
 

@@ -69,7 +69,8 @@ def _slice_system(p: Poset, z: MarkedTriple, s: Fraction, t: Fraction):
 
     Chart: all coordinates except v(z2), v(z3); those are replaced by
     v(z1) + s and v(z1) + s + t.  Returns (columns, constraints) where each
-    constraint (i, j, c) means  x_i - x_j + c <= 0  (index None = absent).
+    constraint (i, j, c) means  x_i - x_j + c <= 0; j is None in the cube
+    bound x_i + c <= 0, and (None, None, 1.0) marks an infeasible system.
 
     Only cover relations give constraints.  Each reads v(a) <= v(b), and
     in exact arithmetic the one of any a < b is the sum of those along a
@@ -154,7 +155,8 @@ def _count_hits(constraints, dim: int, samples: int, rng) -> int:
     """Points among ``samples`` uniform draws from the unit ``dim``-cube
     that satisfy every constraint, drawn and tested ``MC_BATCH`` rows at a
     time.  Each constraint (i, j, c) is evaluated as x_i - x_j + c <= 0 in
-    that order, reading 0.0 for an absent index."""
+    that order, reading 0.0 for j = None.  i is never None: ``volume_mc``
+    answers the infeasible marker (None, None, 1.0) before it draws."""
     rows = min(MC_BATCH, samples)
     pts = np.empty((rows, dim))
     diff = np.empty(rows)
@@ -169,8 +171,6 @@ def _count_hits(constraints, dim: int, samples: int, rng) -> int:
         for ia, ib, c in constraints:
             if ib is None:
                 np.subtract(block[:, ia], 0.0, out=d)
-            elif ia is None:
-                np.subtract(0.0, block[:, ib], out=d)
             else:
                 np.subtract(block[:, ia], block[:, ib], out=d)
             np.add(d, c, out=d)

@@ -33,7 +33,6 @@ from typing import NamedTuple
 from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
 
 MAX_ELEMENTS = 64        # down-sets must fit one machine word
-DEFAULT_STATE_BUDGET = 1 << 26  # live DP states allowed in one lattice layer
 IDEAL_BUDGET = 1 << 21  # ideals one lattice may keep: ~330 bytes each, ~660 MiB in all
 
 SCHEMA = "posetlab/1"
@@ -127,16 +126,15 @@ class Poset:
         so x and y are incomparable exactly when bit y of it is clear."""
         return tuple(u | d | 1 << x for x, (u, d) in enumerate(zip(self.up, self.down)))
 
-    def lattice(self, state_budget: int = DEFAULT_STATE_BUDGET) -> "IdealLattice":
+    def lattice(self) -> "IdealLattice":
         """The lattice of order ideals, built on first use and kept on the poset.
 
-        Raises TooLarge as soon as a layer would hold more than
-        ``state_budget`` ideals, or the lattice more than ``IDEAL_BUDGET``;
-        nothing is kept then, so a later call with a larger budget rebuilds.
+        Raises TooLarge as soon as the lattice would hold more than
+        ``IDEAL_BUDGET`` ideals; nothing is kept then.
         """
         lat = self.__dict__.get("_lattice")
         if lat is None:
-            lat = self.__dict__["_lattice"] = _build_lattice(self, state_budget)
+            lat = self.__dict__["_lattice"] = _build_lattice(self)
         return lat
 
     @_cached
@@ -218,28 +216,25 @@ class IdealLattice(NamedTuple):
     count: int
 
 
-def _build_lattice(p: Poset, state_budget: int) -> IdealLattice:
+def _build_lattice(p: Poset) -> IdealLattice:
     """One breadth-first pass over the ideals: x covers I by I | 1 << x when
     x is addable to I, that is, a minimal element of its complement.  Each
     ideal's addable set is found once, when the ideal is first reached from
     I by x: the addable set of I without x, plus the upper covers y of x
     whose down[y] now lies inside (De Loof, De Meyer & De Baets, Fundamenta
     Informaticae 71, 2006).  The chain counts ride along to give e(P).
-    Both budgets are checked before each new ideal is kept, so TooLarge
-    comes mid-layer, before the ideal that would go over either is kept."""
+    ``IDEAL_BUDGET`` is checked before each new ideal is kept, so TooLarge
+    comes mid-layer, before the ideal that would go over it is kept."""
     down, cover_up = p.down, p.cover_up
     ideals, succ, ways = [0], [], [1]
     addable = [sum(1 << x for x, below in enumerate(down) if not below)]
     index = {0: 0}
     layer_end = widest = 1
-    limit = min(1 + state_budget, IDEAL_BUDGET)  # first index past either budget
+    limit = IDEAL_BUDGET  # first index past the budget
     for t, ideal in enumerate(ideals):
         if t == layer_end:  # the next layer is complete
             widest = max(widest, len(ideals) - t)
             layer_end = len(ideals)
-            limit = layer_end + state_budget
-            if limit > IDEAL_BUDGET:  # a compare, not min(): small lattices feel the call
-                limit = IDEAL_BUDGET
         w = ways[t]
         edges = []
         free = here = addable[t]
@@ -251,10 +246,7 @@ def _build_lattice(p: Poset, state_budget: int) -> IdealLattice:
             if j is None:
                 j = len(ideals)
                 if j >= limit:
-                    raise TooLarge(
-                        f"ideal lattice exceeds {IDEAL_BUDGET} ideals" if j >= IDEAL_BUDGET
-                        else f"ideal lattice layer exceeds budget {state_budget}"
-                    )
+                    raise TooLarge(f"ideal lattice exceeds {limit} ideals")
                 index[nxt] = j
                 ideals.append(nxt)
                 ways.append(w)

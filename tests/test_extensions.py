@@ -20,6 +20,7 @@ from posetlab.errors import (
     TooLarge,
 )
 from posetlab.extensions import (
+    ENUMERATION_MAX,
     _entry_order,
     _gap_axis,
     count_extensions,
@@ -48,6 +49,8 @@ def test_enumerate_trivial_cases():
 def test_enumerate_guard():
     with pytest.raises(TooLarge):
         next(enumerate_extensions(antichain(15)))
+    n = ENUMERATION_MAX  # the largest n the guard lets through
+    assert list(enumerate_extensions(chain(n))) == [tuple(range(n))]
 
 
 def test_enumerate_contract(medium_corpus):
@@ -104,10 +107,21 @@ def test_f_table_matches_oracle_and_positional_dp(medium_corpus):
         )
 
 
-def test_f_table_state_budget():
+def test_f_table_state_budget(monkeypatch):
+    # the budget is the widest layer's ideals times the folded slots: F fits
+    # at exactly that budget and not at one less; each call gets a fresh
+    # poset, so no kept fold answers
     inst = family_cpc2_witness(1, 2)
-    with pytest.raises(TooLarge):
-        f_table(inst.poset, inst.z, state_budget=3)
+    q, z = inst.poset, inst.z
+    slots = prod(_gap_axis(q, u, v)[2] for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
+    budget = q.lattice().widest * slots
+    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget)
+    assert f_table(Poset(q.n, q.up), z).entries == f_table(q, z).entries
+    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget - 1)
+    p = Poset(q.n, q.up)
+    with pytest.raises(TooLarge, match=f"exceeds state budget {budget - 1}"):
+        f_table(p, z)
+    assert "_fold" not in p.__dict__
 
 
 def test_support_inside_valid_window(medium_corpus):
@@ -234,6 +248,9 @@ def test_ftable_json_round_trip(medium_corpus):
         assert back.to_json_obj() == F.to_json_obj()
     with pytest.raises(IndexOutOfRange):
         FTable.from_json_obj({"n": 3, "z": [0, 1, 7], "F": []})
+    # a zero count is read as written and dropped again on output
+    zero = FTable.from_json_obj({"n": 3, "z": [0, 1, 2], "F": [[1, 1, "0"]]})
+    assert zero.entries == {(1, 1): 0} and zero.to_json_obj()["F"] == []
 
 
 @pytest.mark.parametrize(
@@ -318,22 +335,25 @@ def test_packed_slot_holding_a_power_of_two(levels):
     assert n_vector(p, n - 2).counts == {n - 1: e}
 
 
-def test_positional_state_budget(medium_corpus):
-    p, z = medium_corpus[0]
+def test_positional_state_budget(medium_corpus, monkeypatch):
+    q, z = medium_corpus[0]
+    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", 3)
     with pytest.raises(TooLarge):
-        positional_gap_counts(p, z.as_tuple(), state_budget=3)
+        positional_gap_counts(Poset(q.n, q.up), z.as_tuple())
     # the budget counts the slots folded: for chain marks, those of the
     # entry-order coordinates, fewer than the requested gaps would take
-    p, z = _width_five_instances()[0]
+    q, z = _width_five_instances()[0]
     marks = z.as_tuple()[::-1]
     gaps = tuple((None, m) for m in marks)
-    coords, _ = _entry_order(p, marks, gaps)
-    folded, asked = (prod(_gap_axis(p, u, v)[2] for u, v in g) for g in (coords, gaps))
+    coords, _ = _entry_order(q, marks, gaps)
+    folded, asked = (prod(_gap_axis(q, u, v)[2] for u, v in g) for g in (coords, gaps))
     assert folded < asked
-    budget = p.lattice().widest * folded
-    assert positional_gap_counts(p, marks, state_budget=budget)
+    budget = q.lattice().widest * folded
+    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget)
+    assert positional_gap_counts(Poset(q.n, q.up), marks)
+    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget - 1)
     with pytest.raises(TooLarge):
-        positional_gap_counts(p, marks, state_budget=budget - 1)
+        positional_gap_counts(Poset(q.n, q.up), marks)
 
 
 def test_signed_table_reuses_the_kept_fold(medium_corpus):
@@ -361,15 +381,16 @@ def test_kept_fold_is_not_changed_through_results(medium_corpus):
         assert n_vector(p, z.z2).counts == n_vector(fresh, z.z2).counts
 
 
-def test_state_budget_checked_on_a_kept_fold():
+def test_over_budget_fold_leaves_the_kept_fold(monkeypatch):
+    # a fold that raises TooLarge replaces nothing; the kept fold passed the
+    # budget when it was made, so F is still read off it
     inst = family_cpc2_witness(1, 2)
     p, z = inst.poset, inst.z
     F = f_table(p, z)
     kept = p.__dict__["_fold"]
+    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", 3)
     with pytest.raises(TooLarge):
-        f_table(p, z, state_budget=3)
-    with pytest.raises(TooLarge):
-        positional_gap_counts(p, z.as_tuple(), state_budget=3)
+        positional_gap_counts(p, z.as_tuple())
     assert p.__dict__["_fold"] is kept
     assert f_table(p, z) == F
 

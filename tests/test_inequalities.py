@@ -149,6 +149,15 @@ def test_sqrt_lower_and_main_fail_outright_when_2a_below_b():
     rep = check_main(F, 1, 1)  # both F(1,3) and F(3,1) positive
     assert (rep.lhs, rep.rhs) == (6 * 6 + 1, 0)  # B^2 + 1 > 0
     assert rep.verdict == FAILS and rep.note == "2A < B"
+    # B = 2 * 2 = 4, A = 1 * 2 = 2: 2A = B is not "2A < B"; the squared
+    # forms compare B^2 C D and B^2 with a zero left side
+    F = _ab_table(2, 2, 1, 2, 5, 7)
+    rep = check_sqrt_lower(F, 1, 1)
+    assert (rep.lhs, rep.rhs) == (4 * 4 * 5 * 7, 0)
+    assert rep.verdict == FAILS and rep.note == "squared"
+    rep = check_main(F, 1, 1)
+    assert (rep.lhs, rep.rhs) == (4 * 4, 0)
+    assert rep.verdict == FAILS and rep.note == "branch=nonvanishing(squared)"
 
 
 def test_vanish_lower_squared_branch():
@@ -160,6 +169,10 @@ def test_vanish_lower_squared_branch():
     rep = check_vanish_lower(_ab_table(1, 5, 2, 2, 0, 4), 1, 1)  # disc = 4 - 4 = 0
     assert (rep.lhs, rep.rhs) == (4, 0)
     assert rep.verdict == FAILS and rep.note == "squared"
+    # B - A = 7 - 4 = 3, so the square shows: 3^2 * 2^2 <= 4^2 (2^2 - 1 * 1)
+    rep = check_vanish_lower(_ab_table(1, 7, 2, 2, 0, 1), 1, 1)
+    assert (rep.lhs, rep.rhs) == (9 * 4, 16 * 3)
+    assert rep.verdict == HOLDS and rep.note == "squared"
 
 
 @pytest.mark.parametrize(

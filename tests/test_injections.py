@@ -394,7 +394,7 @@ def _chain_plus_free(free: int):
     return build(3 + free, [(0, 1), (1, 2)]), MarkedTriple(0, 1, 2)
 
 
-def test_word_budget_fires_before_enumeration():
+def test_word_budget_fires_before_enumeration(monkeypatch):
     p, z = _chain_plus_free(10)  # n = 13, e(P) = 1 037 836 800
     assert p.lattice().count == 1_037_836_800 > WORD_BUDGET
     for call in (
@@ -412,6 +412,13 @@ def test_word_budget_fires_before_enumeration():
     # words within the budget are certified as before
     p, z = _chain_plus_free(3)
     assert all(cert.ok for cert in verify_injections(p, z))
+    # e(P) = 6! / 3! = 120 words: kept at a budget of exactly 120, not at 119
+    monkeypatch.setattr("posetlab.extensions.WORD_BUDGET", 120)
+    classes, _ = word_classes(p, z)
+    assert sum(map(len, classes.values())) == 120
+    monkeypatch.setattr("posetlab.extensions.WORD_BUDGET", 119)
+    with pytest.raises(TooLarge, match="word budget 119"):
+        word_classes(p, z)
 
 
 def test_word_budget_cli_exit_code():

@@ -267,25 +267,27 @@ def test_lattice_and_rows_match_reference_on_corpus(medium_corpus):
         _assert_rows_and_lattice(p)
 
 
-def test_lattice_budget_keeps_nothing_on_too_large():
+def test_lattice_budget_keeps_nothing_on_too_large(monkeypatch):
     p = antichain(6)
-    widest = _reference_lattice(p).widest
+    monkeypatch.setattr("posetlab.posets.IDEAL_BUDGET", 2**6 - 1)
     with pytest.raises(TooLarge):
-        p.lattice(state_budget=widest - 1)
+        p.lattice()
     assert "_lattice" not in p.__dict__
+    monkeypatch.undo()
     lat = p.lattice()
     assert lat == _reference_lattice(p) and (lat.widest, lat.count) == (20, 720)
-    assert p.lattice(state_budget=1) is lat  # kept now, so the budget is not looked at again
 
 
-def test_lattice_budget_fires_mid_layer():
-    # antichain(60) has layers of 1, 60, 1 770 and 34 220 ideals; a check
-    # made only once a layer is complete keeps all 34 220 (~6.6 MB peak)
+def test_lattice_budget_fires_mid_layer(monkeypatch):
+    # antichain(60) has layers of 1, 60, 1 770 and 34 220 ideals: 1 831 fit
+    # in 2 000, so the budget runs out inside the fourth layer; a check made
+    # only once a layer is complete keeps all 34 220 (~6.6 MB peak)
     p = antichain(60)
+    monkeypatch.setattr("posetlab.posets.IDEAL_BUDGET", 2000)
     tracemalloc.start()
     try:
-        with pytest.raises(TooLarge, match="layer exceeds budget 2000"):
-            p.lattice(state_budget=2000)
+        with pytest.raises(TooLarge, match="exceeds 2000 ideals"):
+            p.lattice()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
