@@ -18,12 +18,13 @@ Each I is a disjoint union of per-case integer boxes whose total size is
 the bound being certified.  Case dispatch order is semantic: the images of
 later cases are only disjoint from earlier ones because earlier cases were
 ruled out first.  All moves are executed swap by swap with incomparability
-checked at every step.  Every map, ``stanley`` included, is certified by
-the same loop over its full domain, which re-verifies payload ranges, class
-membership, the round trip where there is an inverse, and global
-injectivity; collisions are found with an exact map of every (tag,
-payload, image) key, never a hash.  No map's boxes repeat a tag, so this is
-the relation of (box index, image) inside the disjoint union of boxes.
+checked at every step.  Every map, ``stanley`` included, is certified over
+its full domain in bulk, by exact set checks on the (tag, payload, image)
+keys of all words: payload ranges, class membership, the round trip where
+there is an inverse, and global injectivity; keys are compared whole,
+never by a hash alone.  Only a failed check walks the words one by one to
+list those behind each error and collision.  No map's boxes repeat a tag,
+so a key is (box index, image) inside the disjoint union of boxes.
 
 ``certify_map`` and ``certify_stanley`` take their words as buckets from
 ``extensions.word_classes``, which enumerates a poset's words once, unless
@@ -44,8 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 
-from .errors import CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError
+from .errors import (
+    BadParams, CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError,
+)
 from .extensions import f_table, n_vector, word_classes
 from .posets import SCHEMA, MarkedTriple, Poset
 
@@ -350,15 +354,39 @@ class InjectionCertificate:
         }
 
 
-def _certify(cert, boxes, domain, targets, where, step, inverse=None):
+def _in_box(dims, payload) -> bool:
+    return len(payload) == len(dims) and all(1 <= v <= d for v, d in zip(payload, dims))
+
+
+def _certify(cert, boxes, domain, target_set, where, step, inverse=None):
     """Run ``step(word) -> (tag, payload, image)`` over ``domain`` into ``cert``.
 
-    Per word, in this order: a raise, a payload outside ``boxes``, an image
-    outside ``targets`` and, given ``inverse``, ``inverse(image, *payload) !=
+    Decided in bulk over the exact keys of all words: every image lies in
+    ``target_set``, each distinct (tag, payload) pair in its box, the
+    inverse (if any) gives back ``domain`` and no two keys are equal.  If a
+    step raises or a check fails, ``_walk`` lists the words behind it."""
+    box = dict(boxes)
+    try:  # any raise hands the decision to the walk, which reports it
+        keys = list(map(step, domain))
+        if (target_set.issuperset(map(itemgetter(2), keys))
+                and all(tag in box and _in_box(box[tag], payload)
+                        for tag, payload in {(tag, payload) for tag, payload, _ in keys})
+                and len(set(keys)) == len(keys)
+                and (inverse is None
+                     or [inverse(out, *payload) for _, payload, out in keys] == domain)):
+            cert.image_size = len(keys)
+            return cert
+    except Exception:
+        pass
+    return _walk(cert, box, domain, target_set, where, step, inverse)
+
+
+def _walk(cert, box, domain, target_set, where, step, inverse):
+    """Explain a failed bulk decision word by word.  Per word, in this
+    order: a raise, a payload outside ``box``, an image outside
+    ``target_set`` and, given ``inverse``, ``inverse(image, *payload) !=
     word`` are errors; a repeated (tag, payload, image) key is a collision,
     found with an exact map of the keys seen."""
-    box = dict(boxes)
-    target_set = set(targets)
     seen: dict = {}
     for word in domain:
         try:
@@ -366,11 +394,8 @@ def _certify(cert, boxes, domain, targets, where, step, inverse=None):
             dims = box.get(tag)
             if dims is None:
                 raise CaseExhaustion(f"unknown case tag {tag}")
-            if len(payload) != len(dims):
+            if not _in_box(dims, payload):
                 raise CaseExhaustion(f"payload {payload} outside box {tag}={dims}")
-            for v, d in zip(payload, dims):
-                if not 1 <= v <= d:
-                    raise CaseExhaustion(f"payload {payload} outside box {tag}={dims}")
         except Exception as exc:  # certification must report, not crash
             cert.errors.append({"word": list(word), "error": str(exc)})
             continue
@@ -388,26 +413,43 @@ def _certify(cert, boxes, domain, targets, where, step, inverse=None):
     return cert
 
 
+def _check_map_names(names, known) -> None:
+    for name in names:
+        if name not in known:
+            raise BadParams(f"unknown map {name!r}; known maps: {', '.join(known)}")
+
+
 def certify_map(
-    p: Poset, z: MarkedTriple, k: int, l: int, name: str, classes: dict
+    p: Poset, z: MarkedTriple, k: int, l: int, name: str, classes: dict,
+    target_sets: dict | None = None,
 ) -> InjectionCertificate:
     """Run one gap-pair injection over all of its domain and certify it.
 
     ``classes`` holds the words by gap pair, as ``word_classes`` gives
-    them.  Raises HypothesesNotMet when the target class is empty (bounds
-    without their hypotheses are not claims).
+    them; ``target_sets`` keeps each target class's set across calls.
+    Raises BadParams for a name not in MAPS and HypothesesNotMet when the
+    target class is empty (bounds without their hypotheses are not claims).
     """
+    _check_map_names((name,), MAPS)
     fn, intervals_fn, dom_shift, img_shift = MAPS[name]
     target = (k + img_shift[0], l + img_shift[1])
     targets = classes.get(target, [])
     if not targets:
         raise HypothesesNotMet(f"{name}: target class F{target} is empty")
+    sets = {} if target_sets is None else target_sets
+    if target not in sets:
+        sets[target] = set(targets)
     domain = classes.get((k + dom_shift[0], l + dom_shift[1]), [])
     boxes = intervals_fn(p, z, k, l)
     cert = InjectionCertificate(
         name, k, l, len(domain), 0, interval_total(boxes), len(targets)
     )
-    return _certify(cert, boxes, domain, targets, f"F{target}", partial(fn, p, z, k, l))
+    return _certify(cert, boxes, domain, sets[target], f"F{target}", partial(fn, p, z, k, l))
+
+
+def stanley_intervals(p: Poset, a: int):
+    """The one case box of the single-element map: r in [1, t(a)]."""
+    return [("1", (p.t[a],))]
 
 
 def certify_stanley(p: Poset, a: int, kpos: int, positions: dict) -> InjectionCertificate:
@@ -424,7 +466,7 @@ def certify_stanley(p: Poset, a: int, kpos: int, positions: dict) -> InjectionCe
         out, r = phi_stanley(p, a, word)
         return "1", (r,), out
 
-    return _certify(cert, [("1", (p.t[a],))], domain, below, "N_{k-1}", step,
+    return _certify(cert, stanley_intervals(p, a), domain, set(below), "N_{k-1}", step,
                     partial(phi_stanley_inverse, p, a))
 
 
@@ -435,8 +477,10 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
     before any word is enumerated), bucketed by their (k, l) gap class and
     by the position of z2.  Both bucketings are checked against the counts
     of the lattice folds (``f_table``, ``n_vector``); a mismatch raises
-    PosetLabError before any certificate is made.
+    PosetLabError before any certificate is made; an unknown map name
+    raises BadParams before any word is enumerated.
     """
+    _check_map_names(maps, ("stanley", *MAPS))
     classes, positions = word_classes(p, z)
     F = f_table(p, z)
     where = f"on covers {list(p.covers)} with z={list(z.as_tuple())}"
@@ -447,6 +491,7 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
         if {pos: len(ws) for pos, ws in positions.items()} != nv.counts:
             raise PosetLabError(f"positions of z2 by enumeration disagree with n_vector {where}")
     out: list[InjectionCertificate] = []
+    target_sets: dict = {}
     for name in maps:
         if name == "stanley":
             for kpos in sorted(positions):
@@ -457,5 +502,5 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
         for (kk, ll) in classes:
             k, l = kk - dom_shift[0], ll - dom_shift[1]
             if k >= 1 and l >= 1 and (k + img_shift[0], l + img_shift[1]) in classes:
-                out.append(certify_map(p, z, k, l, name, classes))
+                out.append(certify_map(p, z, k, l, name, classes, target_sets))
     return out

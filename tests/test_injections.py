@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import io
 import json
+import re
 import time
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import words_by_position
+from conftest import chain_triples, words_by_position
 from posetlab import injections
 from posetlab.cli import main
 from posetlab.errors import (
-    HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError, TooLarge,
+    BadParams, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError, TooLarge,
 )
 from posetlab.extensions import (
     WORD_BUDGET, FTable, enumerate_extensions, f_table, n_vector, word_classes,
@@ -338,6 +343,193 @@ def test_certify_stanley_reports_a_raising_map(monkeypatch):
     cert, domain = _broken_stanley_cert(monkeypatch, "raise")
     assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
     assert cert.errors == [{"word": list(w), "error": "no pivot here"} for w in domain]
+
+
+def test_certify_map_reports_unknown_tags_and_wrong_arity(monkeypatch):
+    # the box checks of the bulk decision run once per distinct (tag,
+    # payload) pair, so a pair taken by one word only must still fail it
+    p, z, classes = _shrink_fixture()
+    domain = classes[(2, 1)]
+
+    def odd_keys(p, z, k, l, word):
+        tag, payload, out = psi_shrink(p, z, k, l, word)
+        if word == domain[0]:
+            return tag, payload + (1,), out
+        if word == domain[-1]:
+            return "9", payload, out
+        return tag, payload, out
+
+    _swap_shrink(monkeypatch, odd_keys)
+    cert = certify_map(p, z, 1, 1, "shrink", classes)
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 2
+    assert cert.errors == [
+        {"word": list(domain[0]), "error": "payload (1, 1) outside box 1=(1,)"},
+        {"word": list(domain[-1]), "error": "unknown case tag 9"},
+    ]
+
+
+@pytest.mark.parametrize("boxes, errors", [
+    ([("2", (2,))], ["unknown case tag 1"] * 4),
+    ([("1", (2, 2))], [f"payload ({r},) outside box 1=(2, 2)" for r in (2, 2, 1, 1)]),
+])
+def test_certify_stanley_reports_unknown_tags_and_wrong_arity(monkeypatch, boxes, errors):
+    inst = family_stanley_tight(5, 3)
+    positions = words_by_position(inst.poset, inst.a)
+    monkeypatch.setattr(injections, "stanley_intervals", lambda p, a: boxes)
+    cert = certify_stanley(inst.poset, inst.a, 3, positions)
+    assert cert.ok is False and cert.collisions == [] and cert.image_size == 0
+    assert cert.errors == [
+        {"word": list(w), "error": e} for w, e in zip(positions[3], errors)
+    ]
+
+
+def test_unknown_map_names_raise_bad_params(monkeypatch):
+    p, z, classes = _shrink_fixture()
+
+    def no_words(p, z):
+        raise AssertionError("words enumerated before the map names were checked")
+
+    monkeypatch.setattr(injections, "word_classes", no_words)
+    for maps in (("bogus",), ("shrink", "bogus")):
+        with pytest.raises(BadParams, match=re.escape(
+            "unknown map 'bogus'; known maps: stanley, transfer, shrink, grow"
+        )):
+            verify_injections(p, z, maps)
+    for name in ("nope", "stanley"):
+        with pytest.raises(BadParams, match=re.escape(
+            f"unknown map {name!r}; known maps: transfer, shrink, grow"
+        )):
+            certify_map(p, z, 1, 1, name, classes)
+
+
+# -- the bulk decision against the word-by-word walk ---------------------------
+
+
+@contextmanager
+def _both_paths():
+    """Run every certification twice: as ``_certify`` decides it and as the
+    forced walk explains it, on a fresh copy of the certificate.  Yields the
+    (decided, walked) JSON pairs and the calls ``_certify`` made to the walk."""
+    real_certify, real_walk = injections._certify, injections._walk
+    pairs, handed = [], []
+
+    def both(cert, boxes, domain, target_set, where, step, inverse=None):
+        walked = real_walk(copy.deepcopy(cert), dict(boxes), domain, target_set,
+                           where, step, inverse)
+        decided = real_certify(cert, boxes, domain, target_set, where, step, inverse)
+        pairs.append((decided.to_json_obj(), walked.to_json_obj()))
+        return decided
+
+    def walk(*args):
+        handed.append(args)
+        return real_walk(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(injections, "_certify", both)
+        m.setattr(injections, "_walk", walk)
+        yield pairs, handed
+
+
+@st.composite
+def small_marked_posets(draw):
+    """A random order on 3 <= n <= 7 elements, acyclic along a random
+    labelling, and one of its chain triples."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    label = draw(st.permutations(range(n)))
+    pairs = [
+        (label[i], label[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())
+    ]
+    p = build(n, pairs)
+    triples = chain_triples(p)
+    assume(triples)
+    return p, draw(st.sampled_from(triples))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_marked_posets())
+def test_bulk_decision_matches_the_forced_walk(pz):
+    p, z = pz
+    with _both_paths() as (pairs, handed):
+        certs = verify_injections(p, z)
+    assert len(pairs) == len(certs)
+    for decided, walked in pairs:
+        assert decided == walked
+    assert all(cert.ok for cert in certs) and handed == []
+
+
+def _shrink_broken_on(monkeypatch, kind, bad, other):
+    """Certify shrink at (1, 1) on the fixture, the real map broken on the
+    word ``bad`` only; a repeated key copies the key of the word ``other``."""
+    p, z, classes = _shrink_fixture()
+
+    def fn(p, z, k, l, word):
+        if word != bad:
+            return psi_shrink(p, z, k, l, word)
+        if kind == "raise":
+            raise NoPivot("no pivot here")
+        tag, payload, out = psi_shrink(p, z, k, l, word)
+        if kind == "payload":
+            return tag, (0,) * len(payload), out
+        if kind == "image":
+            return tag, payload, word
+        return psi_shrink(p, z, k, l, other)
+
+    _swap_shrink(monkeypatch, fn)
+    return certify_map(p, z, 1, 1, "shrink", classes)
+
+
+def _stanley_broken_on(monkeypatch, kind, bad):
+    """Certify stanley on N_3 of the tight family, the real map or its
+    inverse broken on the word ``bad`` only."""
+    inst = family_stanley_tight(5, 3)
+    real_phi, real_inverse = injections.phi_stanley, injections.phi_stanley_inverse
+
+    def phi(p, a, word):
+        if word == bad and kind == "raise":
+            raise NoPivot("no pivot here")
+        out, r = real_phi(p, a, word)
+        if word == bad and kind == "payload":
+            return out, 0
+        if word == bad and kind == "image":
+            return word, r
+        return out, r
+
+    def inverse(p, a, word, r):
+        back = real_inverse(p, a, word, r)
+        return back[::-1] if back == bad and kind == "inverse" else back
+
+    monkeypatch.setattr(injections, "phi_stanley", phi)
+    monkeypatch.setattr(injections, "phi_stanley_inverse", inverse)
+    return certify_stanley(inst.poset, inst.a, 3, words_by_position(inst.poset, inst.a))
+
+
+@pytest.mark.parametrize("at", [0, 2, 3], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("name, kind", [
+    ("shrink", "raise"), ("shrink", "payload"), ("shrink", "image"), ("shrink", "collision"),
+    ("stanley", "raise"), ("stanley", "payload"), ("stanley", "image"), ("stanley", "inverse"),
+])
+def test_a_map_broken_on_one_word_fails_both_paths_alike(monkeypatch, name, kind, at):
+    if name == "shrink":
+        domain = _shrink_fixture()[2][(2, 1)]
+    else:
+        inst = family_stanley_tight(5, 3)
+        domain = words_by_position(inst.poset, inst.a)[3]
+    assert len(domain) == 4
+    bad, other = domain[at], domain[at - 1]
+    with _both_paths() as (pairs, handed):
+        if name == "shrink":
+            cert = _shrink_broken_on(monkeypatch, kind, bad, other)
+        else:
+            cert = _stanley_broken_on(monkeypatch, kind, bad)
+    [(decided, walked)] = pairs
+    assert decided == walked and len(handed) == 1
+    assert cert.ok is False and cert.image_size == 3
+    if kind == "collision":
+        first, second = sorted((bad, other), key=domain.index)
+        assert cert.errors == []
+        assert cert.collisions == [{"first": list(first), "second": list(second)}]
+    else:
+        assert cert.collisions == [] and [e["word"] for e in cert.errors] == [list(bad)]
 
 
 # SHA-256 over the sorted-key JSON of every certificate below, one per line,
