@@ -171,7 +171,7 @@ def cmd_family(args, stdin, out) -> int:
 def cmd_verify_injections(args, stdin, out) -> int:
     p, z, _ = _read_poset(args.poset, stdin)
     p, z = _marked(p, z)
-    maps = (args.map,) if args.map else ("stanley", "transfer", "shrink", "grow")
+    maps = (args.map,) if args.map else injections.MAP_NAMES
     bad = False
     for cert in injections.verify_injections(p, z, maps):
         if not cert.ok:
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-injections", help="certify the word injections")
     sp.add_argument("--poset")
-    sp.add_argument("--map", choices=["stanley", "transfer", "shrink", "grow"])
+    sp.add_argument("--map", choices=injections.MAP_NAMES)
     sp.set_defaults(fn=cmd_verify_injections)
 
     sp = sub.add_parser("search", help="randomized violation search")

@@ -51,7 +51,7 @@ from operator import sub
 
 from .errors import BadChain, BadParams, IndexOutOfRange, MalformedInput, TooLarge
 from .posets import (
-    SCHEMA, MarkedTriple, Poset, _check_index, _json_int, _json_list, is_normalized,
+    SCHEMA, MarkedTriple, Poset, _json_int, _json_list, _json_marks, _json_object, is_normalized,
 )
 
 ENUMERATION_MAX = 14
@@ -181,21 +181,16 @@ class FTable:
         """Inverse of ``to_json_obj``.  MalformedInput for a missing key, a
         non-integer field, a cell that is not [k, l, count], a negative
         count or a cell outside the table's triangle k, l >= 1, k + l <= n - 1;
-        a count may be an int or, as written, a string of decimal digits.
-        IndexOutOfRange for a marked element outside 0..n-1, as in
-        ``load_poset``."""
-        if not isinstance(obj, dict):
-            raise MalformedInput(f"table JSON must be an object, got {type(obj).__name__}")
+        a count may be an int or, as written, ``str`` of one.  The marks are
+        read as in ``load_poset``."""
+        obj = _json_object(obj, "table JSON")
         n = _json_int(obj.get("n"), "'n'")
-        marks = [_json_int(x, "marked element") for x in _json_list(obj.get("z"), "'z'", 3)]
-        for x in marks:
-            _check_index(n, x)
-        z = MarkedTriple(*marks)
+        z = _json_marks(obj.get("z"), n)
         entries = {}
         for cell in _json_list(obj.get("F"), "'F'"):
             k, l, v = _json_list(cell, "cell", 3)
-            v = int(v) if isinstance(v, str) and v.isdecimal() else v
-            k, l, v = _json_int(k, "cell k"), _json_int(l, "cell l"), _json_int(v, "cell count")
+            k, l = _json_int(k, "cell k"), _json_int(l, "cell l")
+            v = _json_int(v, "cell count", text=True)
             if not (k >= 1 and l >= 1 and k + l <= n - 1):
                 raise MalformedInput(f"cell ({k}, {l}) outside 1 <= k, l and k + l <= {n - 1}")
             if v < 0:

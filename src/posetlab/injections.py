@@ -292,6 +292,7 @@ MAPS = {
     "shrink": (psi_shrink, shrink_intervals, (1, 0), (0, 0)),
     "grow": (psi_grow, grow_intervals, (1, 0), (2, 0)),
 }
+MAP_NAMES = ("stanley", *MAPS)  # every map ``verify_injections`` can certify
 
 
 def _box_size(dims) -> int:
@@ -470,7 +471,7 @@ def certify_stanley(p: Poset, a: int, kpos: int, positions: dict) -> InjectionCe
                     partial(phi_stanley_inverse, p, a))
 
 
-def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "shrink", "grow")):
+def verify_injections(p: Poset, z: MarkedTriple, maps=MAP_NAMES):
     """Certificates for every applicable (k, l) (or position) of each map.
 
     The words come from ``word_classes`` (TooLarge past the word budget,
@@ -480,7 +481,7 @@ def verify_injections(p: Poset, z: MarkedTriple, maps=("stanley", "transfer", "s
     PosetLabError before any certificate is made; an unknown map name
     raises BadParams before any word is enumerated.
     """
-    _check_map_names(maps, ("stanley", *MAPS))
+    _check_map_names(maps, MAP_NAMES)
     classes, positions = word_classes(p, z)
     F = f_table(p, z)
     where = f"on covers {list(p.covers)} with z={list(z.as_tuple())}"

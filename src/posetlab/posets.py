@@ -21,7 +21,10 @@ parameters of the bounds:
 * ``t[x]`` = max u(x,y), ``t_star[x]`` = max u*(x,y) over y || x, 1 if none,
   where u(x,y) = |{z <= x : z || y}| and u*(x,y) = |{z >= x : z || y}|
 * ``width`` (largest antichain) and ``height`` (longest chain).
-"""
+
+``load_poset``, ``FTable.from_json_obj`` and ``Certificate.from_json_obj``
+read every field through the ``_json_*`` readers here, so all three check
+integers and marks alike."""
 
 from __future__ import annotations
 
@@ -294,10 +297,24 @@ def antichain(n: int) -> Poset:
     return build(n, [])
 
 
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise MalformedInput(f"{what} must be an integer, got {value!r}")
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise MalformedInput(f"{what} must be an object, got {type(value).__name__}")
     return value
+
+
+def _json_int(value, what: str, text: bool = False) -> int:
+    """A JSON integer; with ``text``, also the string ``str`` writes for one
+    (``int`` alone also reads "1_0", " 6 ", "+1", "01" and non-ASCII digits)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if text and isinstance(value, str):
+        try:
+            if str(int(value)) == value:
+                return int(value)
+        except ValueError:
+            pass
+    raise MalformedInput(f"{what} must be an integer, got {value!r}")
 
 
 def _json_list(value, what: str, length: int | None = None):
@@ -307,6 +324,23 @@ def _json_list(value, what: str, length: int | None = None):
     return value
 
 
+def _json_covers(value) -> list[tuple[int, int]]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(c, (list, tuple)) and len(c) == 2 for c in value
+    ):
+        raise MalformedInput(f"'covers' must be a list of pairs, got {value!r}")
+    return [(_json_int(a, "cover element"), _json_int(b, "cover element")) for a, b in value]
+
+
+def _json_marks(value, n: int) -> "MarkedTriple":
+    """The marked triple ``z``: IndexOutOfRange for a mark outside 0..n-1,
+    BadParams for a repeated one."""
+    marks = [_json_int(x, "marked element") for x in _json_list(value, "'z'", 3)]
+    for x in marks:
+        _check_index(n, x)
+    return MarkedTriple(*marks)
+
+
 def load_poset(obj_or_text) -> tuple[Poset, "MarkedTriple | None", int | None]:
     """Parse poset JSON; returns (poset, marked triple or None, marked element or None).
 
@@ -314,32 +348,20 @@ def load_poset(obj_or_text) -> tuple[Poset, "MarkedTriple | None", int | None]:
     when the text is not JSON or a field has the wrong shape or type, and
     IndexOutOfRange when a marked element is not an element id.
     """
-    if isinstance(obj_or_text, str):
+    obj = obj_or_text
+    if isinstance(obj, str):
         try:
-            obj = json.loads(obj_or_text)
+            obj = json.loads(obj)
         except json.JSONDecodeError as exc:
             raise MalformedInput(f"poset input is not JSON: {exc}") from None
-    else:
-        obj = obj_or_text
-    if not isinstance(obj, dict):
-        raise MalformedInput(f"poset JSON must be an object, got {type(obj).__name__}")
-    n = _json_int(obj.get("n"), "'n'")
-    pairs = [
-        tuple(_json_int(x, "cover element") for x in _json_list(c, "cover", 2))
-        for c in _json_list(obj.get("covers", []), "'covers'")
-    ]
-    p = build(n, pairs)
+    obj = _json_object(obj, "poset JSON")
+    p = build(_json_int(obj.get("n"), "'n'"), _json_covers(obj.get("covers", [])))
     z = obj.get("z")
-    triple = None
-    if z is not None:
-        marks = [_json_int(x, "marked element") for x in _json_list(z, "'z'", 3)]
-        for x in marks:
-            _check_index(n, x)
-        triple = MarkedTriple(*marks)
+    triple = None if z is None else _json_marks(z, p.n)
     a = obj.get("a")
     if a is not None:
         a = _json_int(a, "'a'")
-        _check_index(n, a)
+        _check_index(p.n, a)
     return p, triple, a
 
 

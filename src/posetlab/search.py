@@ -41,6 +41,7 @@ from .errors import BadParams, MalformedInput, TooLarge
 from .extensions import FTable, enumerate_extensions, f_table, f_table_signed
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build
+from .posets import _json_covers, _json_int, _json_marks, _json_object
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 
@@ -98,62 +99,41 @@ class Certificate:
     @staticmethod
     def from_json_obj(obj: dict) -> "Certificate":
         """Inverse of ``to_json_obj`` (``index`` optional).  MalformedInput
-        for a missing key, a non-integer field or a field of the wrong shape."""
-        if not isinstance(obj, dict):
-            raise MalformedInput(f"certificate must be an object, got {type(obj).__name__}")
+        for a missing key, a non-integer field or a field of the wrong shape;
+        ``lhs`` and ``rhs`` may be ints or, as written, ``str`` of one.  The
+        marks are read as in ``load_poset``."""
+        obj = _json_object(obj, "certificate")
         missing = [key for key in _CERTIFICATE_KEYS if key not in obj]
         if missing:
             raise MalformedInput(f"certificate lacks {', '.join(missing)}")
         if not isinstance(obj["ineq"], str):
             raise MalformedInput(f"certificate 'ineq' must be a string, got {obj['ineq']!r}")
-        covers, z, indices = obj["covers"], obj["z"], obj["indices"]
-        pairs = isinstance(covers, (list, tuple)) and all(
-            isinstance(c, (list, tuple)) and len(c) == 2 for c in covers
-        )
-        if not pairs:
-            raise MalformedInput(f"certificate 'covers' must be a list of pairs, got {covers!r}")
-        if not isinstance(z, (list, tuple)) or len(z) != 3:
-            raise MalformedInput(f"certificate 'z' must be a list of 3, got {z!r}")
-        if not isinstance(indices, dict):
-            raise MalformedInput(f"certificate 'indices' must be an object, got {indices!r}")
+        n = _json_int(obj["n"], "'n'")
+        covers, z = _json_covers(obj["covers"]), _json_marks(obj["z"], n)
+        indices = _json_object(obj["indices"], "'indices'")
         return Certificate(
-            obj["ineq"],
-            _int_field(obj["n"], "'n'"),
-            [tuple(_int_field(x, "cover element") for x in c) for c in covers],
-            tuple(_int_field(x, "marked element") for x in z),
-            {key: _int_field(v, f"index {key!r}") for key, v in indices.items()},
-            _int_field(obj["lhs"], "'lhs'"),
-            _int_field(obj["rhs"], "'rhs'"),
-            _int_field(obj.get("index", -1), "'index'"),
+            obj["ineq"], n, covers, z.as_tuple(),
+            {key: _json_int(v, f"index {key!r}") for key, v in indices.items()},
+            _json_int(obj["lhs"], "'lhs'", text=True),
+            _json_int(obj["rhs"], "'rhs'", text=True),
+            _json_int(obj.get("index", -1), "'index'"),
         )
 
 
 _CERTIFICATE_KEYS = ("ineq", "n", "covers", "z", "indices", "lhs", "rhs")
 
 
-def _int_field(value, what: str) -> int:
-    """An int, or a string of one (``lhs`` and ``rhs`` are written so)."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise MalformedInput(f"certificate {what} must be an integer, got {value!r}")
-
-
 def verify_certificate(cert: Certificate) -> bool:
     """Recompute the embedded instance and confirm the recorded violation.
     BadParams when ``ineq`` is not gcpc or a table check, or ``indices``
-    lacks a key that check reads."""
+    lacks a key that check reads; marks are read as on reload."""
     if cert.ineq != "gcpc" and cert.ineq not in TABLE_CHECKS:
         raise BadParams(f"certificate names an unknown check {cert.ineq!r}")
     missing = [key for key in ("klpq" if cert.ineq == "gcpc" else "kl") if key not in cert.indices]
     if missing:
         raise BadParams(f"{cert.ineq} certificate indices lack {', '.join(missing)}")
     p = build(cert.n, cert.covers)
-    z = MarkedTriple(*cert.z)
+    z = _json_marks(cert.z, p.n)
     idx = cert.indices
     if cert.ineq == "gcpc":
         rep = check_gcpc(f_table_signed(p, z), idx["k"], idx["l"], idx["p"], idx["q"])

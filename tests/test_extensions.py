@@ -424,7 +424,7 @@ def test_kept_folds_leave_equality_and_hash_alone(medium_corpus):
 
 
 @st.composite
-def marked_posets(draw, max_n: int = 8):
+def marked_relations(draw, max_n: int = 8):
     """(n, pairs, z): a random relation on 3 <= n <= max_n elements, acyclic
     along a random labelling, with a chain triple z added to it."""
     n = draw(st.integers(min_value=3, max_value=max_n))
@@ -438,7 +438,7 @@ def marked_posets(draw, max_n: int = 8):
 
 
 @settings(max_examples=40, deadline=None)
-@given(marked_posets(), st.data())
+@given(marked_relations(), st.data())
 def test_kept_folds_match_fresh_posets_and_enumeration(instance, data):
     # calls in a random order on one poset, so each may find the folds the
     # others kept; each must equal the same call on a fresh poset and the words

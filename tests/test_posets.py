@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import width_five_poset
-from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, TooLarge
-from posetlab.extensions import count_extensions
+from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
+from posetlab.extensions import FTable, count_extensions, f_table
 from posetlab.families import family_cpc2_witness
 from posetlab.posets import (
     IdealLattice,
@@ -32,7 +32,7 @@ from posetlab.posets import (
     width,
     width_bruteforce,
 )
-from posetlab.search import canonical_key, random_instance
+from posetlab.search import Certificate, canonical_key, random_instance
 from posetlab.vanishing import support
 
 
@@ -464,3 +464,47 @@ def test_json_round_trip_accepts_unreduced_covers():
     obj["z"] = [0, 1, 2]
     q2, z2, _ = load_poset(obj)
     assert q2.up == p.up and z2 == MarkedTriple(0, 1, 2)
+
+
+def _json_formats():
+    """For each JSON format posetlab reads back: what its writer gives for
+    one marked poset, the reader, and copies of that object with each field
+    written as a decimal string (F-table counts, certificate lhs/rhs) set to
+    a given value."""
+    p, z = build(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (3, 5)]), MarkedTriple(0, 2, 5)
+    cert = Certificate("cpc2", p.n, list(p.covers), z.as_tuple(), {"k": 1, "l": 2}, 10**30, 7, 3)
+    table, line = f_table(p, z).to_json_obj(), cert.to_json_obj()
+    (k, l, _), *cells = table["F"]
+    return {
+        "poset": (p.to_json_obj(), lambda obj: load_poset(obj)[0], lambda v: []),
+        "table": (table, FTable.from_json_obj, lambda v: [{**table, "F": [[k, l, v], *cells]}]),
+        "certificate": (
+            line, Certificate.from_json_obj, lambda v: [{**line, "lhs": v}, {**line, "rhs": v}]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["poset", "table", "certificate"])
+def test_json_readers_share_one_set_of_field_checks(name):
+    obj, read, with_text = _json_formats()[name]
+    text = json.dumps(obj)
+    assert json.dumps(read(json.loads(text)).to_json_obj()) == text
+    for as_int, as_text in zip(with_text(12), with_text("12")):
+        assert read(as_int).to_json_obj() == read(as_text).to_json_obj() == as_text
+    # int() reads the first six (the fifth is 12 in Arabic-Indic digits);
+    # only the form str(int) writes is read back
+    for value in ("1_0", " 6 ", "+1", "01", "\u0661\u0662", "-0", "1e3", "x", 1.0, None):
+        for bad in with_text(value):
+            with pytest.raises(MalformedInput, match="must be an integer"):
+                read(bad)
+    for value in ("6", 6.0, True, None):
+        with pytest.raises(MalformedInput, match="'n' must be an integer"):
+            read({**obj, "n": value})
+    for z in ([0, 2, 6], [-1, 2, 5], [6, 7, 8]):
+        with pytest.raises(IndexOutOfRange):
+            read({**obj, "z": z})
+    with pytest.raises(BadParams, match="distinct"):
+        read({**obj, "z": [0, 2, 0]})
+    for z in ([0, 2], 5, [0, 2, "5"], [0, 2, 5.0]):
+        with pytest.raises(MalformedInput):
+            read({**obj, "z": z})

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from posetlab import search
-from posetlab.errors import BadParams, MalformedInput, TooLarge
+from posetlab.errors import BadParams, IndexOutOfRange, MalformedInput, TooLarge
 from posetlab.extensions import count_extensions, f_table
 from posetlab.inequalities import check_cpc, check_cpc1, check_cpc2
 from posetlab.posets import MarkedTriple
@@ -188,6 +188,14 @@ def test_verify_certificate_rejects_malformed_certificates():
         verify_certificate(Certificate("gcpc", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
     # well formed but not a violation on the chain
     assert not verify_certificate(Certificate("cpc2", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
+
+
+def test_verify_certificate_rejects_marks_outside_the_poset():
+    # a bare IndexError and a ValueError (negative shift count) before
+    for z, bad in (((9, 1, 2), 9), ((0, 1, -1), -1)):
+        cert = Certificate("cpc2", 6, [(0, 1), (1, 2)], z, {"k": 1, "l": 1}, 1, 0, 0)
+        with pytest.raises(IndexOutOfRange, match=f"element {bad} outside 0..5"):
+            verify_certificate(cert)
 
 
 def test_certificate_json_round_trip_and_malformed_input():
