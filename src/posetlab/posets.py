@@ -389,6 +389,9 @@ class MarkedTriple:
 
 
 def is_normalized(p: Poset, z: MarkedTriple) -> bool:
+    """Whether z1 < z2 < z3 in p; IndexOutOfRange for a mark outside 0..n-1."""
+    for a in z.as_tuple():
+        _check_index(p.n, a)
     return p.less(z.z1, z.z2) and p.less(z.z2, z.z3)
 
 
@@ -398,8 +401,6 @@ def normalize(p: Poset, z: MarkedTriple) -> tuple[Poset, MarkedTriple]:
     Raises CycleDetected when the requested order conflicts with existing
     relations.
     """
-    for a in z.as_tuple():
-        _check_index(p.n, a)
     if is_normalized(p, z):
         return p, z
     rows = list(p.up)

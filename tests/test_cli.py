@@ -53,27 +53,54 @@ def test_family_pipe_check_matches_in_process():
     assert any(r["k"] == 1 and r["l"] == 2 and r["ratio"] == "2/3" for r in failing)
 
 
-def test_shell_pipeline_bytes_match_in_process():
+def child_env() -> dict:
+    """Environment in which a child python imports the same posetlab as this
+    process, installed or not."""
     import os
-    import subprocess
-    import sys
     from pathlib import Path
 
     import posetlab
+
+    src = str(Path(posetlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_shell_pipeline_bytes_match_in_process():
+    import subprocess
+    import sys
 
     shell = (
         f"{sys.executable} -m posetlab family --id cpc2-witness --k 1 --l 2 | "
         f"{sys.executable} -m posetlab check --ineq cpc2 --all"
     )
-    # the child processes import the same posetlab as this one, installed or not
-    src = str(Path(posetlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(shell, shell=True, capture_output=True, text=True, env=env)
+    proc = subprocess.run(shell, shell=True, capture_output=True, text=True, env=child_env())
     assert proc.returncode == 1
     _, family_out, _ = run_cli(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"])
     _, in_process, _ = run_cli(["check", "--ineq", "cpc2", "--all"], stdin_text=family_out)
     assert proc.stdout == in_process
+
+
+def test_only_volume_mc_loads_numpy():
+    import subprocess
+    import sys
+
+    # a fresh interpreter: this one may have loaded numpy in the geometry tests
+    script = f"""
+import io, sys
+import posetlab, posetlab.cli
+from posetlab import extensions, geometry, inequalities, injections, posets, search, vanishing
+from posetlab.cli import main
+code = main(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"], stdout=io.StringIO())
+assert code == 0 and "numpy" not in sys.modules, "numpy loaded without a Monte Carlo draw"
+code = main(["volume-mc", "--s", "1/5", "--t", "1/5", "--samples", "100"],
+            stdin=io.StringIO({chain3_json()!r}), stdout=io.StringIO())
+assert code == 0 and "numpy" in sys.modules, "volume-mc drew without numpy"
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_two_of_three_exits_zero():

@@ -31,6 +31,7 @@ from posetlab.extensions import (
     n_vector,
     pair_gap_table,
     positional_gap_counts,
+    word_classes,
     FTable,
 )
 from posetlab.families import family_cpc2_witness, family_stanley_tight
@@ -299,6 +300,10 @@ def test_bad_marks_are_rejected():
         lambda: n_vector(p, -1),
         lambda: pair_gap_table(p, 0, 3),
         lambda: positional_gap_counts(p, (0, 5)),
+        lambda: f_table(chain(6), MarkedTriple(9, 1, 2)),
+        lambda: f_table(chain(6), MarkedTriple(0, 1, -1)),
+        lambda: word_classes(chain(6), MarkedTriple(9, 1, 2)),
+        lambda: word_classes(chain(6), MarkedTriple(0, 1, -1)),
     ):
         with pytest.raises(IndexOutOfRange):
             call()

@@ -601,6 +601,9 @@ def test_word_budget_fires_before_enumeration(monkeypatch):
     with pytest.raises(TooLarge, match="n <= 14"):
         verify_injections(p, z)
     assert "_lattice" not in p.__dict__
+    # so does a mark outside the poset
+    with pytest.raises(IndexOutOfRange):
+        verify_injections(chain(6), MarkedTriple(0, 1, -1))
     # words within the budget are certified as before
     p, z = _chain_plus_free(3)
     assert all(cert.ok for cert in verify_injections(p, z))

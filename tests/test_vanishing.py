@@ -108,6 +108,8 @@ def test_exists_extension_validation():
         exists_extension_at(build(3, []), [0, 1], [1, 2])
     with pytest.raises(IndexOutOfRange):
         exists_extension_at(p, [0, 1], [0, 2])
+    with pytest.raises(IndexOutOfRange):
+        support(chain(6), MarkedTriple(9, 1, 2))
     with pytest.raises(BadChain):
         exists_extension_at(p, [0], [])
 
