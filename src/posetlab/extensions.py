@@ -45,13 +45,13 @@ Counts are exact big integers throughout; no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 from operator import sub
 
 from .errors import BadChain, BadParams, IndexOutOfRange, MalformedInput, TooLarge
 from .posets import (
-    SCHEMA, MarkedTriple, Poset, _json_int, _json_list, _json_marks, _json_object, is_normalized,
+    SCHEMA, MarkedTriple, Poset, _json_int, _json_list, _json_marks, _json_object, _Record,
+    is_normalized,
 )
 
 ENUMERATION_MAX = 14
@@ -145,17 +145,21 @@ def count_extensions(p: Poset) -> int:
     return p.lattice().count
 
 
-@dataclass
-class FTable:
+class FTable(_Record):
     """Exact nonnegative-integer map (k, l) -> F(k, l) for one marked poset.
 
     Immutable by contract once built.  Entries absent from the map are zero;
     nonzero entries satisfy k, l >= 1 and k + l <= n - 1.
     """
 
-    n: int
-    z: MarkedTriple
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    __slots__ = ("n", "z", "entries")
+
+    def __init__(
+        self, n: int, z: MarkedTriple, entries: dict[tuple[int, int], int] | None = None
+    ) -> None:
+        self.n = n
+        self.z = z
+        self.entries = {} if entries is None else entries
 
     def get(self, k: int, l: int) -> int:
         return self.entries.get((k, l), 0)
@@ -399,13 +403,15 @@ def pair_gap_table(p: Poset, x: int, y: int) -> dict[int, int]:
     return {g: v for (g,), v in counts.items()}
 
 
-@dataclass
-class NVector:
+class NVector(_Record):
     """Counts N_k of extensions placing one marked element at position k."""
 
-    n: int
-    a: int
-    counts: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("n", "a", "counts")
+
+    def __init__(self, n: int, a: int, counts: dict[int, int] | None = None) -> None:
+        self.n = n
+        self.a = a
+        self.counts = {} if counts is None else counts
 
     def get(self, k: int) -> int:
         return self.counts.get(k, 0)

@@ -35,13 +35,12 @@ nowhere else in posetlab: every exact route, and every command but
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm, sqrt
 
 from .errors import BadParams, CycleDetected, DegenerateSlice
 from .extensions import FTable
-from .posets import MarkedTriple, Poset, normalize
+from .posets import MarkedTriple, Poset, _Record, normalize
 
 MC_BATCH = 1 << 13  # sample rows drawn and tested per block
 
@@ -108,12 +107,14 @@ def _slice_system(p: Poset, z: MarkedTriple, s: Fraction, t: Fraction):
     return cols, constraints
 
 
-@dataclass
-class McEstimate:
-    mean: float
-    stderr: float
-    hits: int
-    samples: int
+class McEstimate(_Record):
+    __slots__ = ("mean", "stderr", "hits", "samples")
+
+    def __init__(self, mean: float, stderr: float, hits: int, samples: int) -> None:
+        self.mean = mean
+        self.stderr = stderr
+        self.hits = hits
+        self.samples = samples
 
     def within(self, exact: Fraction, sigmas: float = 3.0) -> bool:
         return abs(self.mean - float(exact)) <= sigmas * self.stderr

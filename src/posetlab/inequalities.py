@@ -25,29 +25,41 @@ Abbreviations used in the cell dictionaries: ``F_kl`` is F(k, l),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from operator import itemgetter
 
 from .errors import BadParams
 from .extensions import FTable, NVector
-from .posets import SCHEMA, Poset, fraction_str, is_flat, is_thin
+from .posets import SCHEMA, Poset, _Record, fraction_str, is_flat, is_thin
 
 HOLDS, FAILS, VACUOUS = "holds", "fails", "vacuous"
 
 
-@dataclass
-class CheckReport:
-    ineq: str
-    k: int | None
-    l: int | None
-    lhs: int | Fraction
-    rhs: int | Fraction
-    verdict: str
-    cells: dict[str, int] = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-    note: str = ""
+class CheckReport(_Record):
+    __slots__ = ("ineq", "k", "l", "lhs", "rhs", "verdict", "cells", "extra", "note")
+
+    def __init__(
+        self,
+        ineq: str,
+        k: int | None,
+        l: int | None,
+        lhs: int | Fraction,
+        rhs: int | Fraction,
+        verdict: str,
+        cells: dict[str, int] | None = None,
+        extra: dict | None = None,
+        note: str = "",
+    ) -> None:
+        self.ineq = ineq
+        self.k = k
+        self.l = l
+        self.lhs = lhs
+        self.rhs = rhs
+        self.verdict = verdict
+        self.cells = {} if cells is None else cells
+        self.extra = {} if extra is None else extra
+        self.note = note
 
     @property
     def slack(self) -> int | Fraction:

@@ -43,7 +43,6 @@ b(z1,z2) - 1 lives in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 
@@ -51,7 +50,7 @@ from .errors import (
     BadParams, CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError,
 )
 from .extensions import f_table, n_vector, word_classes
-from .posets import SCHEMA, MarkedTriple, Poset
+from .posets import SCHEMA, MarkedTriple, Poset, _Record
 
 Word = tuple[int, ...]
 
@@ -309,19 +308,35 @@ def interval_total(boxes) -> int:
 # -- certification ------------------------------------------------------------
 
 
-@dataclass
-class InjectionCertificate:
+class InjectionCertificate(_Record):
     """Outcome of running one injection over its entire domain."""
 
-    name: str
-    k: int | None
-    l: int | None
-    domain_size: int
-    image_size: int
-    interval_total: int
-    codomain_cells: int
-    collisions: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
+    __slots__ = (
+        "name", "k", "l", "domain_size", "image_size", "interval_total", "codomain_cells",
+        "collisions", "errors",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        k: int | None,
+        l: int | None,
+        domain_size: int,
+        image_size: int,
+        interval_total: int,
+        codomain_cells: int,
+        collisions: list | None = None,
+        errors: list | None = None,
+    ) -> None:
+        self.name = name
+        self.k = k
+        self.l = l
+        self.domain_size = domain_size
+        self.image_size = image_size
+        self.interval_total = interval_total
+        self.codomain_cells = codomain_cells
+        self.collisions = [] if collisions is None else collisions
+        self.errors = [] if errors is None else errors
 
     @property
     def codomain_bound(self) -> int:

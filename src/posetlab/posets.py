@@ -2,8 +2,10 @@
 
 Elements are dense integer ids 0..n-1.  The strict order is stored as one
 bitmask per element (``up[x]`` = set of elements strictly above x), always
-transitively closed and irreflexive.  All types are immutable after
-construction and safe to share across threads.
+transitively closed and irreflexive.  ``Poset`` and ``MarkedTriple`` are
+frozen (assigning a field raises AttributeError) and safe to share across
+threads.  ``_Record`` and ``_FrozenRecord`` give them and every other record
+class of the package equality, repr, copying and pickling over its fields.
 
 ``Poset(n, rows)`` is the one constructor: it closes any acyclic relation
 in one walk that takes each element once its successors are closed, and
@@ -29,8 +31,8 @@ integers and marks alike."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
@@ -39,6 +41,52 @@ MAX_ELEMENTS = 64        # down-sets must fit one machine word
 IDEAL_BUDGET = 1 << 21  # ideals one lattice may keep: ~330 bytes each, ~660 MiB in all
 
 SCHEMA = "posetlab/1"
+
+
+class _Record:
+    """Base of posetlab's record classes.  A subclass lists its fields in
+    ``__slots__`` (or, when it keeps more slots, in ``_fields``), in the
+    order its own ``__init__`` takes them; equality (same class, equal
+    fields), the repr ``Name(f=v, ...)``, ``copy`` and ``pickle`` read those
+    fields.  Records are mutable and unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls.__dict__.get("_fields", cls.__slots__)
+        if fields:  # _FrozenRecord adds behaviour, not fields
+            cls._fields = fields
+            cls._values = staticmethod(attrgetter(*fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields are set once, by ``object.__setattr__`` in
+    ``__init__``, and hashed together."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class _cached:
@@ -61,19 +109,19 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class Poset:
+class Poset(_FrozenRecord):
     """Immutable strict partial order on 0..n-1, built from the bitmask rows
-    of any acyclic relation (``rows[x]``: some elements above x), closed or
+    of any acyclic relation (``up[x]``: some elements above x), closed or
     not.  ``up[x]``, ``down[x]`` and ``cover_up[x]`` are the elements above,
     below and covering x.  Raises IndexOutOfRange on a bad n or row and
-    CycleDetected on a cycle."""
+    CycleDetected on a cycle.  Equality, hash and repr read ``(n, up)``;
+    the instance dict holds only what is computed on first read."""
 
-    n: int
-    up: tuple[int, ...]
+    __slots__ = ("n", "up", "down", "cover_up", "__dict__")
+    _fields = ("n", "up")
 
-    def __post_init__(self) -> None:
-        n, rows = self.n, self.up
+    def __init__(self, n: int, up: tuple[int, ...]) -> None:
+        rows = up  # as given; ``up`` below is the closed relation
         if not 1 <= n <= MAX_ELEMENTS:
             raise IndexOutOfRange(f"n={n} outside 1..{MAX_ELEMENTS}")
         if len(rows) != n:
@@ -111,6 +159,7 @@ class Poset:
                 y = above & -above
                 above ^= y
                 down[y.bit_length() - 1] |= below
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "up", tuple(up))
         object.__setattr__(self, "down", tuple(down))
         object.__setattr__(self, "cover_up", tuple(cover_up))
@@ -368,15 +417,15 @@ def load_poset(obj_or_text) -> tuple[Poset, "MarkedTriple | None", int | None]:
 # -- marked triple ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MarkedTriple:
-    z1: int
-    z2: int
-    z3: int
+class MarkedTriple(_FrozenRecord):
+    __slots__ = ("z1", "z2", "z3")
 
-    def __post_init__(self) -> None:
-        if len({self.z1, self.z2, self.z3}) != 3:
+    def __init__(self, z1: int, z2: int, z3: int) -> None:
+        if len({z1, z2, z3}) != 3:
             raise BadParams("marked elements must be distinct")
+        object.__setattr__(self, "z1", z1)
+        object.__setattr__(self, "z2", z2)
+        object.__setattr__(self, "z3", z3)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.z1, self.z2, self.z3)

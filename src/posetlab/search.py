@@ -35,12 +35,11 @@ import json
 import random
 from bisect import insort
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 from .errors import BadParams, MalformedInput, TooLarge
 from .extensions import FTable, enumerate_extensions, f_table, f_table_signed
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
-from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, build
+from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, _FrozenRecord, _Record, build
 from .posets import _json_covers, _json_int, _json_marks, _json_object
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
@@ -50,37 +49,56 @@ ENUMERATION_MAX_N = 6
 CANONICAL_EXACT_MAX = 9  # canonical_key walks every linear extension
 
 
-@dataclass(frozen=True)
-class SearchJob:
-    target: str
-    n_max: int
-    seed: int
-    budget: int
-    n_min: int = 3
-    width_max: int | None = None
-    out: str | None = None
+class SearchJob(_FrozenRecord):
+    __slots__ = ("target", "n_max", "seed", "budget", "n_min", "width_max", "out")
 
-    def __post_init__(self):
-        if self.target not in SEARCH_TARGETS:
-            raise ValueError(f"target must be one of {SEARCH_TARGETS}")
-        if not 3 <= self.n_min <= self.n_max <= MAX_ELEMENTS:
-            raise BadParams(
-                f"need 3 <= n_min <= n_max <= {MAX_ELEMENTS}, got {self.n_min}, {self.n_max}"
-            )
-        if self.budget < 0:
-            raise BadParams(f"budget must be >= 0, got {self.budget}")
+    def __init__(
+        self,
+        target: str,
+        n_max: int,
+        seed: int,
+        budget: int,
+        n_min: int = 3,
+        width_max: int | None = None,
+        out: str | None = None,
+    ) -> None:
+        if target not in SEARCH_TARGETS:
+            raise BadParams(f"target must be one of {SEARCH_TARGETS}")
+        if not 3 <= n_min <= n_max <= MAX_ELEMENTS:
+            raise BadParams(f"need 3 <= n_min <= n_max <= {MAX_ELEMENTS}, got {n_min}, {n_max}")
+        if budget < 0:
+            raise BadParams(f"budget must be >= 0, got {budget}")
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "n_min", n_min)
+        object.__setattr__(self, "width_max", width_max)
+        object.__setattr__(self, "out", out)
 
 
-@dataclass
-class Certificate:
-    ineq: str
-    n: int
-    covers: list
-    z: tuple[int, int, int]
-    indices: dict
-    lhs: int
-    rhs: int
-    index: int  # instance index that produced it
+class Certificate(_Record):
+    __slots__ = ("ineq", "n", "covers", "z", "indices", "lhs", "rhs", "index")
+
+    def __init__(
+        self,
+        ineq: str,
+        n: int,
+        covers: list,
+        z: tuple[int, int, int],
+        indices: dict,
+        lhs: int,
+        rhs: int,
+        index: int,  # instance index that produced it
+    ) -> None:
+        self.ineq = ineq
+        self.n = n
+        self.covers = covers
+        self.z = z
+        self.indices = indices
+        self.lhs = lhs
+        self.rhs = rhs
+        self.index = index
 
     def to_json_obj(self) -> dict:
         return {
@@ -142,17 +160,33 @@ def verify_certificate(cert: Certificate) -> bool:
     return rep.lhs == cert.lhs and rep.rhs == cert.rhs and rep.verdict == FAILS
 
 
-@dataclass
-class SearchSummary:
-    target: str
-    instances: int = 0
-    usable: int = 0
-    holds: int = 0
-    fails: int = 0
-    vacuous: int = 0
-    certificates: int = 0
-    min_slack: list = field(default_factory=list)  # up to 5 smallest positive slacks
-    critical: list = field(default_factory=list)  # two-of-three violations (never expected)
+class SearchSummary(_Record):
+    __slots__ = (
+        "target", "instances", "usable", "holds", "fails", "vacuous", "certificates",
+        "min_slack", "critical",
+    )
+
+    def __init__(
+        self,
+        target: str,
+        instances: int = 0,
+        usable: int = 0,
+        holds: int = 0,
+        fails: int = 0,
+        vacuous: int = 0,
+        certificates: int = 0,
+        min_slack: list | None = None,  # up to 5 smallest positive slacks
+        critical: list | None = None,  # two-of-three violations (never expected)
+    ) -> None:
+        self.target = target
+        self.instances = instances
+        self.usable = usable
+        self.holds = holds
+        self.fails = fails
+        self.vacuous = vacuous
+        self.certificates = certificates
+        self.min_slack = [] if min_slack is None else min_slack
+        self.critical = [] if critical is None else critical
 
     def absorb(self, other: "SearchSummary") -> None:
         self.instances += other.instances

@@ -12,24 +12,24 @@ z_1 < ... < z_r exists iff
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import BadChain, HypothesesNotMet, IndexOutOfRange
 from .extensions import FTable, f_table
 from .inequalities import FAILS, HOLDS, CheckReport, ab_products
-from .posets import MarkedTriple, Poset, is_normalized
+from .posets import MarkedTriple, Poset, _FrozenRecord, is_normalized
 
 
-@dataclass(frozen=True)
-class SupportRegion:
+class SupportRegion(_FrozenRecord):
     """Six exact integer bounds cutting out {(k, l) : F(k, l) > 0}."""
 
-    k_lo: int
-    k_hi: int
-    l_lo: int
-    l_hi: int
-    s_lo: int
-    s_hi: int
+    __slots__ = ("k_lo", "k_hi", "l_lo", "l_hi", "s_lo", "s_hi")
+
+    def __init__(self, k_lo: int, k_hi: int, l_lo: int, l_hi: int, s_lo: int, s_hi: int) -> None:
+        object.__setattr__(self, "k_lo", k_lo)
+        object.__setattr__(self, "k_hi", k_hi)
+        object.__setattr__(self, "l_lo", l_lo)
+        object.__setattr__(self, "l_hi", l_hi)
+        object.__setattr__(self, "s_lo", s_lo)
+        object.__setattr__(self, "s_hi", s_hi)
 
     def membership(self, k: int, l: int) -> bool:
         return (

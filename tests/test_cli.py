@@ -93,6 +93,7 @@ from posetlab import extensions, geometry, inequalities, injections, posets, sea
 from posetlab.cli import main
 code = main(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"], stdout=io.StringIO())
 assert code == 0 and "numpy" not in sys.modules, "numpy loaded without a Monte Carlo draw"
+assert "dataclasses" not in sys.modules, "the record classes loaded dataclasses"
 code = main(["volume-mc", "--s", "1/5", "--t", "1/5", "--samples", "100"],
             stdin=io.StringIO({chain3_json()!r}), stdout=io.StringIO())
 assert code == 0 and "numpy" in sys.modules, "volume-mc drew without numpy"

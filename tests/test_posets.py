@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
+import pickle
 import random
 import tracemalloc
 
@@ -13,8 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import width_five_poset
 from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
-from posetlab.extensions import FTable, count_extensions, f_table
-from posetlab.families import family_cpc2_witness
+from posetlab.extensions import FTable, count_extensions, f_table, n_vector
+from posetlab.families import build_family, family_cpc2_witness
+from posetlab.geometry import McEstimate
+from posetlab.inequalities import check_cpc2
+from posetlab.injections import InjectionCertificate, verify_injections
 from posetlab.posets import (
     IdealLattice,
     MarkedTriple,
@@ -32,7 +37,7 @@ from posetlab.posets import (
     width,
     width_bruteforce,
 )
-from posetlab.search import Certificate, canonical_key, random_instance
+from posetlab.search import Certificate, SearchJob, canonical_key, random_instance, run
 from posetlab.vanishing import support
 
 
@@ -358,6 +363,64 @@ def test_marked_triple_validation_and_normalize():
     assert q2.up == q.up
     with pytest.raises(CycleDetected):
         normalize(chain(3), MarkedTriple(1, 0, 2))
+
+
+def _one_of_each_record():
+    """One instance of each of the package's twelve record classes, the
+    frozen four first, built the way the package builds them."""
+    fam = build_family("cpc2-witness", k=1, l=2)
+    p, z = fam.poset, fam.z
+    job = SearchJob("cpc2", 6, 3, 40, width_max=3)
+    _, summary = run(job)
+    table = f_table(p, z)
+    return [
+        p, z, job, support(p, z),
+        table, n_vector(p, z.z2), check_cpc2(table, 1, 2), verify_injections(p, z)[0],
+        Certificate("cpc", 3, [(0, 1), (1, 2)], (0, 1, 2), {"k": 1, "l": 1}, 2, 1, 0),
+        summary, McEstimate(0.25, 0.05, 25, 100), fam,
+    ]
+
+
+def test_records_copy_and_pickle_to_equal_objects():
+    records = _one_of_each_record()
+    assert len({type(r) for r in records}) == 12
+    for r in records:
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert type(twin) is type(r) and twin == r and repr(twin) == repr(r)
+    assert repr(MarkedTriple(0, 1, 2)) == "MarkedTriple(z1=0, z2=1, z3=2)"
+    assert repr(chain(3)) == "Poset(n=3, up=(6, 4, 0))"
+    assert repr(McEstimate(0.5, 0.1, 1, 2)) == "McEstimate(mean=0.5, stderr=0.1, hits=1, samples=2)"
+
+
+def test_frozen_records_refuse_assignment_and_hash_their_fields():
+    frozen = _one_of_each_record()[:4]
+    for r, name in zip(frozen, ("n", "z1", "budget", "k_lo")):
+        before = getattr(r, name)
+        with pytest.raises(AttributeError):
+            setattr(r, name, 7)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+        assert getattr(r, name) == before
+        assert hash(copy.deepcopy(r)) == hash(r)
+    p, z = frozen[0], frozen[1]
+    assert hash(p) == hash((p.n, p.up)) and hash(z) == hash(z.as_tuple())
+    assert z != z.as_tuple() and p != chain(p.n)
+    # the kept lattice and order parameters are not fields
+    assert p.lattice() and p.b and p == Poset(p.n, p.up) and "_lattice" in p.__dict__
+    for r in _one_of_each_record()[4:]:
+        with pytest.raises(TypeError):
+            hash(r)
+
+
+def test_record_defaults_are_fresh_containers():
+    z = MarkedTriple(0, 1, 2)
+    a, b = FTable(3, z), FTable(3, z)
+    a.entries[(1, 1)] = 1
+    assert b.entries == {} and a != b
+    first, second = (InjectionCertificate("transfer", 1, 1, 0, 0, 0, 0) for _ in range(2))
+    first.errors.append("x")
+    first.collisions.append("y")
+    assert second.errors == [] and second.collisions == []
 
 
 def test_thin_flat_definitions():
