@@ -19,22 +19,21 @@ coordinate in the lowest digits:
   ``positional_gap_counts``) -- any marks, gaps of either sign, absolute
   positions; a mark not yet placed moves on with each step.
 
-Both are the same fold with different gap axes.  Marks that form a chain
-in P, in any order, are folded in entry-order coordinates (the gaps
-between consecutive marks of the chain), so one digit moves at a time;
-each nonzero cell is then re-keyed to the requested gaps by a linear map
-with coefficients in {-1, 0, 1}.  The latest fold is kept on the poset
-next to the lattice, with its coordinates, so every order of one chain
-triple (F and the signed table of the swapped triple alike) is folded once
-and later calls only decode it into a fresh dict; a fold in other
-coordinates replaces it.  ``STATE_BUDGET`` bounds the widest layer's
-ideals times the folded slots; it is checked once, before a fold, so a
-kept fold, which passed it, is returned at once.
+Both are the same fold with different gap axes, each run in the gaps its
+caller asks for.  The signed table of a chain triple, in any order, is F
+of the chain, relabelled: each cell moves by a linear map with
+coefficients in {-1, 0, 1}.  The latest fold is kept on the poset next to
+the lattice, with its coordinates, so F and the signed table of any order
+of the same chain triple are folded once and later calls only decode it
+into a fresh dict; a fold in other coordinates replaces it.
+``STATE_BUDGET`` bounds the widest layer's ideals times the folded slots;
+it is checked once, before a fold, so a kept fold, which passed it, is
+returned at once.
 
-``enumerate_extensions`` and ``is_extension`` stay lattice-free; with
-``word_classes`` they are the brute-force oracle the tests check both folds
-against.  ``word_classes`` is the one caller that keeps every word (for the
-word injections): it first compares e(P), read off the lattice, with
+``enumerate_extensions`` stays lattice-free; with ``word_classes`` it is
+the brute-force oracle the tests check both folds against.
+``word_classes`` is the one caller that keeps every word (for the word
+injections): it first compares e(P), read off the lattice, with
 ``WORD_BUDGET``.  The enumerator is an iterative depth-first walk over
 bitmasks; it also supplies the words that ``injections`` certifies.  It and
 the gap axes read the rows ``down`` and ``cover_up``, which the poset fills
@@ -46,7 +45,6 @@ Counts are exact big integers throughout; no floating point.
 from __future__ import annotations
 
 from itertools import product
-from operator import sub
 
 from .errors import BadChain, BadParams, IndexOutOfRange, MalformedInput, TooLarge
 from .posets import (
@@ -101,17 +99,6 @@ def enumerate_extensions(p: Poset):
                 nxt |= y
         d += 1
         free[d] = todo[d] = nxt
-
-
-def is_extension(p: Poset, word) -> bool:
-    if sorted(word) != list(range(p.n)):
-        return False
-    seen = 0
-    for x in word:
-        if p.down[x] & ~seen:
-            return False
-        seen |= 1 << x
-    return True
 
 
 def word_classes(p: Poset, z: MarkedTriple) -> tuple[dict, dict]:
@@ -225,37 +212,6 @@ def _gap_axis(p: Poset, u: int | None, v: int) -> tuple[int, int, int]:
     return 1, lo, lo + hi + 1
 
 
-def _entry_order(p: Poset, marks: tuple, gaps: tuple):
-    """(coords, level): the gaps to fold for ``gaps``, and the map back.
-
-    Marks forming a chain c1 < c2 < ... in P get the coords (c1, c2),
-    (c2, c3), ..., led by (None, c1) when a gap is absolute.  pos(x) -
-    pos(c1) (or pos(x)) is the sum of the first ``level[x]`` coords, so a
-    gap (u, v) is the signed sum of coords between level[u] and level[v].
-    Every caller's gaps tie all marks together, so this is one-to-one.
-    (gaps, None) when the gaps already are in entry order, as in
-    ``f_table`` and ``n_vector`` (only this scan is paid), or no chain.
-    """
-    up = p.up
-    prev = gaps[0][0]
-    for u, v in gaps:
-        if u != prev or u is not None and not up[u] >> v & 1:
-            break
-        prev = v
-    else:
-        return gaps, None
-    down = p.down
-    order = sorted(marks, key=lambda m: down[m].bit_count())
-    coords = [(None, order[0])] if any(u is None for u, _ in gaps) else []
-    level = {None: 0, order[0]: len(coords)}
-    for a, b in zip(order, order[1:]):
-        if not up[a] >> b & 1:
-            return gaps, None
-        coords.append((a, b))
-        level[b] = len(coords)
-    return tuple(coords), level
-
-
 def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     """(packed, nbytes, slots, axes): extension counts by the gaps
     pos(v) - pos(u), one digit per (u, v) in ``coords`` (u = None stands
@@ -274,11 +230,12 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
 
     The latest result is kept in ``p.__dict__["_fold"]`` as a (coords,
     result) pair, next to the lattice, so a later request in the same
-    coordinates (the signed table of a reordered chain triple, a second
-    ``f_table``) only decodes it; a request in other coordinates folds anew
-    and replaces it.  Before it folds, TooLarge when the widest layer's
-    ideals times the slots exceed ``STATE_BUDGET``; a kept fold passed that
-    check, so it is returned as it is.
+    coordinates (a second ``f_table``, or the signed table of any order of
+    the same chain triple, which is F relabelled) only decodes it; a
+    request in other coordinates folds anew and replaces it.  Before it
+    folds, TooLarge when the widest layer's ideals times the slots exceed
+    ``STATE_BUDGET``; a kept fold passed that check, so it is returned as
+    it is.
     """
     kept = p.__dict__.get("_fold")
     if kept is not None and kept[0] == coords:
@@ -319,50 +276,33 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     return folded
 
 
-def _gap_counts(p: Poset, marks: tuple, gaps: tuple) -> dict[tuple[int, ...], int]:
-    """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
-    ``gaps``, between the given ``marks`` (u = None stands for position 0).
-
-    Folded (``_fold``) in the coordinates that ``_entry_order`` picks and
-    decoded into a fresh dict, so no caller can change what is kept.
-    Folded as asked, the gaps (z2, z1), (z1, z3) of a chain z1 < z2 < z3
-    both move once z1 is placed, so counts sit at slots d * (1 + size0)
-    and the ints are long.  In entry order one digit moves at a time and
-    the first, lowest, opens first: until z2 is placed a count stays below
-    slot n.  Cells are then re-keyed; non-chain marks have no entry order.
-
-    Raises IndexOutOfRange for a mark that is not an element, BadParams for
-    a repeated mark and TooLarge as ``_fold`` does.
-    """
+def _check_marks(p: Poset, marks: tuple) -> None:
+    """IndexOutOfRange for a mark that is not an element, BadParams for a
+    repeated mark."""
     n = p.n
     for m in marks:
         if not 0 <= m < n:
             raise IndexOutOfRange(f"marked element {m} outside 0..{n - 1}")
     if len(set(marks)) != len(marks):
         raise BadParams(f"marked elements must be distinct, got {list(marks)}")
-    coords, level = _entry_order(p, marks, gaps)
-    packed, nbytes, slots, axes = _fold(p, coords)
+
+
+def _gap_counts(p: Poset, marks: tuple, gaps: tuple) -> dict[tuple[int, ...], int]:
+    """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
+    ``gaps``, between the given ``marks`` (u = None stands for position 0).
+
+    Folded (``_fold``) in the requested gaps and decoded into a fresh dict,
+    so no caller can change what is kept.  Raises as ``_check_marks`` does
+    and TooLarge as ``_fold`` does.
+    """
+    _check_marks(p, marks)
+    packed, nbytes, slots, axes = _fold(p, gaps)
     # one hex string per slot, slot 0 first
     hexes = reversed(packed.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split())
     zero = "00" * nbytes
-    if level is None:
-        # product() runs its last axis fastest: keys come highest digit first
-        keys = product(*reversed(axes))
-        return {key[::-1]: int(h, 16) for key, h in zip(keys, hexes) if h != zero}
-    # re-key: at[i], the sum of the first i digits, is the position of the
-    # mark at level i (from the chain's first mark, or from 0 when position 0
-    # leads) over one period of slots, the span of those digits; each
-    # requested gap is the difference of two of them, tiled to all slots
-    at = [[0]]
-    for axis in axes:
-        at.append([s + g for g in axis for s in at[-1]])
-    columns = []
-    for u, v in gaps:
-        hi, lo = at[level[v]], at[level[u]]
-        period = max(len(hi), len(lo))
-        gap = list(map(sub, hi * (period // len(hi)), lo * (period // len(lo))))
-        columns.append(gap * (slots // period))
-    return {key: int(h, 16) for key, h in zip(zip(*columns), hexes) if h != zero}
+    # product() runs its last axis fastest: keys come highest digit first
+    keys = product(*reversed(axes))
+    return {key[::-1]: int(h, 16) for key, h in zip(keys, hexes) if h != zero}
 
 
 def f_table(p: Poset, z: MarkedTriple) -> FTable:
@@ -382,7 +322,11 @@ def f_table(p: Poset, z: MarkedTriple) -> FTable:
 def positional_gap_counts(p: Poset, marks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """Counts of extensions by the absolute positions (1-based) of ``marks``.
 
-    No order assumption on the marks.
+    No order assumption on the marks.  Folded in the requested positions,
+    one digit per mark, chain marks included, so the slots that
+    ``STATE_BUDGET`` counts are the product of the marks' position ranges,
+    and TooLarge can come at a smaller poset than for ``f_table`` of the
+    same chain.
     """
     return _gap_counts(p, marks, tuple((None, m) for m in marks))
 
@@ -390,11 +334,27 @@ def positional_gap_counts(p: Poset, marks: tuple[int, ...]) -> dict[tuple[int, .
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     """Signed gap table F'(a, b) with a = pos(z2) - pos(z1), b = pos(z3) - pos(z2).
 
-    The triple need not be chain-ordered, so a and b may be negative.  A
-    chain in another order is folded in entry order and re-keyed.
+    The triple need not be chain-ordered, so a and b may be negative.  When
+    the marks form a chain c1 < c2 < c3 in P, in any order, the table is F
+    of the chain, relabelled: with pos(c1) = 0, pos(c2) = k and pos(c3) =
+    k + l, the cell (k, l) of ``f_table(p, MarkedTriple(c1, c2, c3))``
+    moves to the requested gaps, each a difference of two of those
+    positions, so every coefficient is in {-1, 0, 1}.  For the swapped
+    triple (c2, c1, c3) that is F'(a, b) = F(-a, a + b).  Other marks are
+    folded in the requested gaps.
     """
     z1, z2, z3 = marks = z.as_tuple()
-    return _gap_counts(p, marks, ((z1, z2), (z2, z3)))
+    gaps = ((z1, z2), (z2, z3))
+    _check_marks(p, marks)
+    down, up = p.down, p.up
+    c1, c2, c3 = chain = sorted(marks, key=lambda m: down[m].bit_count())
+    if not (up[c1] >> c2 & 1 and up[c2] >> c3 & 1):
+        return _gap_counts(p, marks, gaps)
+    # pos(x) - pos(c1) as coefficients of (k, l); a gap is a difference of two
+    at = {c1: (0, 0), c2: (1, 0), c3: (1, 1)}
+    (a, b), (c, d) = [(at[v][0] - at[u][0], at[v][1] - at[u][1]) for u, v in gaps]
+    F = _gap_counts(p, chain, ((c1, c2), (c2, c3)))  # the cells of f_table
+    return {(a * k + b * l, c * k + d * l): v for (k, l), v in F.items()}
 
 
 def pair_gap_table(p: Poset, x: int, y: int) -> dict[int, int]:

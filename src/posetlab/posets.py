@@ -503,24 +503,6 @@ def width(p: Poset) -> int:
     return p.width
 
 
-def width_bruteforce(p: Poset) -> int:
-    """Maximum antichain by scanning all subsets; oracle for small n."""
-    if p.n > 20:
-        raise BadParams("brute-force width restricted to n <= 20")
-    comparable = p.comparable
-    best = 1
-    for mask in range(1, 1 << p.n):
-        bits = mask
-        while bits:
-            x = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if (comparable[x] & mask) != 1 << x:
-                break
-        else:
-            best = max(best, mask.bit_count())
-    return best
-
-
 def params(p: Poset) -> Poset:
     """The poset itself, whose cached attributes ``b``, ``b_star``, ``t``,
     ``t_star``, ``width``, ``height`` and ``interval(x, y)`` are the order

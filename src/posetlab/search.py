@@ -20,8 +20,8 @@ after swapping the roles of z1 and z2, a signed table F' with
 F'(a, b) = F(-a, a+b), and the four cells at a = -k-1, b = k+l+1 violate
 F'(a,b) F'(a+1,b+1) <= F'(a+1,b) F'(a,b+1).  Those four cells are cpc2's
 own cells, so the certificate takes cpc2's products; ``verify_certificate``
-recounts them on the signed table, by the same entry-order fold as
-``f_table``, re-keyed.  Certificates embed the poset and re-verify from
+recounts them on the signed table, which for a chain triple is F of the
+chain, relabelled.  Certificates embed the poset and re-verify from
 scratch on reload.
 
 ``enumerate_posets`` lists one poset per isomorphism class for n <= 6,

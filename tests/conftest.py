@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from posetlab.errors import BadParams
 from posetlab.extensions import enumerate_extensions
 from posetlab.posets import MarkedTriple, Poset, build
 from posetlab.search import enumerate_posets, random_instance
@@ -43,6 +44,37 @@ def oracle_f_entries(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
         if k >= 1 and l >= 1:
             out[(k, l)] = out.get((k, l), 0) + 1
     return out
+
+
+def is_extension(p: Poset, word) -> bool:
+    """Whether ``word`` lists every element once with no element after one
+    above it."""
+    if sorted(word) != list(range(p.n)):
+        return False
+    seen = 0
+    for x in word:
+        if p.down[x] & ~seen:
+            return False
+        seen |= 1 << x
+    return True
+
+
+def width_bruteforce(p: Poset) -> int:
+    """Maximum antichain by scanning all subsets; oracle for small n."""
+    if p.n > 20:
+        raise BadParams("brute-force width restricted to n <= 20")
+    comparable = p.comparable
+    best = 1
+    for mask in range(1, 1 << p.n):
+        bits = mask
+        while bits:
+            x = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            if (comparable[x] & mask) != 1 << x:
+                break
+        else:
+            best = max(best, mask.bit_count())
+    return best
 
 
 def words_by_position(p: Poset, a: int) -> dict[int, list[tuple[int, ...]]]:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_f_entries, oracle_n_counts, width_five_poset
+from conftest import is_extension, oracle_f_entries, oracle_n_counts, width_five_poset
 from posetlab.errors import (
     BadChain,
     BadParams,
@@ -21,13 +21,12 @@ from posetlab.errors import (
 )
 from posetlab.extensions import (
     ENUMERATION_MAX,
-    _entry_order,
     _gap_axis,
+    _gap_counts,
     count_extensions,
     enumerate_extensions,
     f_table,
     f_table_signed,
-    is_extension,
     n_vector,
     pair_gap_table,
     positional_gap_counts,
@@ -150,20 +149,28 @@ def _width_five_instances():
 
 def test_translation_identity_via_signed_table(medium_corpus):
     # swapping the first two marks sends (k, l) to (-k, l + k); the swapped
-    # triple is still a chain, so its signed table is re-keyed from the
-    # entry-order fold, here also in the big-int regime
+    # triple is still a chain, so its signed table is F relabelled, here
+    # also in the big-int regime
     for p, z in medium_corpus[:25] + _width_five_instances():
         assert is_normalized(p, z)
         F = f_table(p, z)
         signed = f_table_signed(p, z.swapped12())
         assert {(-a, a + b): v for (a, b), v in signed.items()} == F.entries
         assert F.total() == sum(signed.values()) == count_extensions(p)
+    # so the relabelling is checked by more than itself: every order of each
+    # big chain triple against a fold in the requested gaps on a fresh poset
+    for p, z in _width_five_instances():
+        fresh = Poset(p.n, p.up)
+        for marks in permutations(z.as_tuple()):
+            a, b, c = marks
+            folded = _gap_counts(fresh, marks, ((a, b), (b, c)))
+            assert f_table_signed(p, MarkedTriple(*marks)) == folded, marks
 
 
 def test_signed_and_pair_tables_match_oracle_on_any_marks(medium_corpus):
     # marks in any order, comparable or not, against plain enumeration: a
     # sample of all ordered triples, and every order of the chain triple,
-    # which the fold counts in entry order and re-keys
+    # whose signed table is F relabelled
     for p, z in medium_corpus[:30]:
         words = list(enumerate_extensions(p))
         triples = list(permutations(range(p.n), 3))[::17] + list(permutations(z.as_tuple()))
@@ -178,22 +185,6 @@ def test_signed_and_pair_tables_match_oracle_on_any_marks(medium_corpus):
             assert pair_gap_table(p, a, c) == pair
             assert pair_gap_table(p, c, a) == {-g: v for g, v in pair.items()}
             assert positional_gap_counts(p, (a, b, c)) == positions
-
-
-def test_chain_marks_fold_in_entry_order(medium_corpus):
-    # every order of a chain triple is folded in the gaps between
-    # consecutive marks, led by position 0 when the request is absolute
-    for p, z in medium_corpus[:10]:
-        z1, z2, z3 = z.as_tuple()
-        entry = ((z1, z2), (z2, z3))
-        for a, b, c in permutations((z1, z2, z3)):
-            coords, level = _entry_order(p, (a, b, c), ((a, b), (b, c)))
-            assert coords == entry and (level is None) == ((a, b, c) == (z1, z2, z3))
-            coords, level = _entry_order(p, (a, b, c), ((None, a), (None, b), (None, c)))
-            assert coords == ((None, z1),) + entry and level[z3] == 3
-        # a pair that is not a chain keeps the requested gap
-        x, y = next((x, y) for x in range(p.n) for y in range(p.n) if p.incomparable(x, y))
-        assert _entry_order(p, (x, y), ((x, y),)) == (((x, y),), None)
 
 
 def test_pair_gap_consistency(medium_corpus):
@@ -302,6 +293,8 @@ def test_bad_marks_are_rejected():
         lambda: positional_gap_counts(p, (0, 5)),
         lambda: f_table(chain(6), MarkedTriple(9, 1, 2)),
         lambda: f_table(chain(6), MarkedTriple(0, 1, -1)),
+        lambda: f_table_signed(chain(6), MarkedTriple(9, 1, 2)),
+        lambda: f_table_signed(chain(6), MarkedTriple(0, 1, -1)),
         lambda: word_classes(chain(6), MarkedTriple(9, 1, 2)),
         lambda: word_classes(chain(6), MarkedTriple(0, 1, -1)),
     ):
@@ -345,20 +338,6 @@ def test_positional_state_budget(medium_corpus, monkeypatch):
     monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", 3)
     with pytest.raises(TooLarge):
         positional_gap_counts(Poset(q.n, q.up), z.as_tuple())
-    # the budget counts the slots folded: for chain marks, those of the
-    # entry-order coordinates, fewer than the requested gaps would take
-    q, z = _width_five_instances()[0]
-    marks = z.as_tuple()[::-1]
-    gaps = tuple((None, m) for m in marks)
-    coords, _ = _entry_order(q, marks, gaps)
-    folded, asked = (prod(_gap_axis(q, u, v)[2] for u, v in g) for g in (coords, gaps))
-    assert folded < asked
-    budget = q.lattice().widest * folded
-    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget)
-    assert positional_gap_counts(Poset(q.n, q.up), marks)
-    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget - 1)
-    with pytest.raises(TooLarge):
-        positional_gap_counts(Poset(q.n, q.up), marks)
 
 
 def test_signed_table_reuses_the_kept_fold(medium_corpus):

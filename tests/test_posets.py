@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import width_five_poset
+from conftest import width_bruteforce, width_five_poset
 from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
 from posetlab.extensions import FTable, count_extensions, f_table, n_vector
 from posetlab.families import build_family, family_cpc2_witness
@@ -35,7 +35,6 @@ from posetlab.posets import (
     params,
     thin_threshold,
     width,
-    width_bruteforce,
 )
 from posetlab.search import Certificate, SearchJob, canonical_key, random_instance, run
 from posetlab.vanishing import support
