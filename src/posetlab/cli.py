@@ -1,8 +1,10 @@
 """Command-line entry point.
 
 Machine-readable JSON lines go to stdout, logs to stderr; ``--human``
-renders aligned tables instead.  Exit codes: 0 success, 1 when a report
-that was asserted to hold came back failing, 2 on usage errors.
+prints each of those lines as comma-separated key=value pairs instead,
+without ``schema``.  Exit codes: 0 success, 1 when a report that was
+asserted to hold came back failing, 2 on a usage error or a data error
+(input that is malformed, out of range or too large).
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from .inequalities import (
     check_stanley,
     check_thin_flat,
 )
-from .posets import (
-    SCHEMA,
-    fraction_str,
-    load_poset,
-    normalize,
-    thin_threshold,
-)
+from .posets import SCHEMA, load_poset, normalize, thin_threshold
 
 
 def _read_poset(path: str | None, stdin):
@@ -207,9 +203,9 @@ def cmd_volume_mc(args, stdin, out) -> int:
     obj = {
         "schema": SCHEMA,
         "type": "volume",
-        "s": fraction_str(s),
-        "t": fraction_str(t),
-        "formula": fraction_str(exact),
+        "s": str(s),
+        "t": str(t),
+        "formula": str(exact),
         "formula_float": float(exact),
         "mc_mean": est.mean,
         "mc_stderr": est.stderr,

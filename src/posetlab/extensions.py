@@ -46,10 +46,10 @@ from __future__ import annotations
 
 from itertools import product
 
-from .errors import BadChain, BadParams, IndexOutOfRange, MalformedInput, TooLarge
+from .errors import BadChain, MalformedInput, TooLarge
 from .posets import (
-    SCHEMA, MarkedTriple, Poset, _json_int, _json_list, _json_marks, _json_object, _Record,
-    is_normalized,
+    SCHEMA, MarkedTriple, Poset, _check_size, _json_int, _json_list, _json_marks, _json_object,
+    _Record, check_marks, is_normalized,
 )
 
 ENUMERATION_MAX = 14
@@ -172,10 +172,11 @@ class FTable(_Record):
         """Inverse of ``to_json_obj``.  MalformedInput for a missing key, a
         non-integer field, a cell that is not [k, l, count], a negative
         count or a cell outside the table's triangle k, l >= 1, k + l <= n - 1;
-        a count may be an int or, as written, ``str`` of one.  The marks are
-        read as in ``load_poset``."""
+        a count may be an int or, as written, ``str`` of one.  IndexOutOfRange
+        for n outside 1..MAX_ELEMENTS; the marks are read as in ``load_poset``."""
         obj = _json_object(obj, "table JSON")
         n = _json_int(obj.get("n"), "'n'")
+        _check_size(n)
         z = _json_marks(obj.get("z"), n)
         entries = {}
         for cell in _json_list(obj.get("F"), "'F'"):
@@ -276,26 +277,14 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     return folded
 
 
-def _check_marks(p: Poset, marks: tuple) -> None:
-    """IndexOutOfRange for a mark that is not an element, BadParams for a
-    repeated mark."""
-    n = p.n
-    for m in marks:
-        if not 0 <= m < n:
-            raise IndexOutOfRange(f"marked element {m} outside 0..{n - 1}")
-    if len(set(marks)) != len(marks):
-        raise BadParams(f"marked elements must be distinct, got {list(marks)}")
-
-
-def _gap_counts(p: Poset, marks: tuple, gaps: tuple) -> dict[tuple[int, ...], int]:
+def _gap_counts(p: Poset, gaps: tuple) -> dict[tuple[int, ...], int]:
     """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
-    ``gaps``, between the given ``marks`` (u = None stands for position 0).
+    ``gaps`` (u = None stands for position 0), whose marks the caller has
+    checked with ``posets.check_marks``.
 
     Folded (``_fold``) in the requested gaps and decoded into a fresh dict,
-    so no caller can change what is kept.  Raises as ``_check_marks`` does
-    and TooLarge as ``_fold`` does.
+    so no caller can change what is kept.  Raises TooLarge as ``_fold`` does.
     """
-    _check_marks(p, marks)
     packed, nbytes, slots, axes = _fold(p, gaps)
     # one hex string per slot, slot 0 first
     hexes = reversed(packed.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split())
@@ -315,8 +304,8 @@ def f_table(p: Poset, z: MarkedTriple) -> FTable:
     """
     if not is_normalized(p, z):
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
-    z1, z2, z3 = marks = z.as_tuple()
-    return FTable(p.n, z, _gap_counts(p, marks, ((z1, z2), (z2, z3))))
+    z1, z2, z3 = z.as_tuple()
+    return FTable(p.n, z, _gap_counts(p, ((z1, z2), (z2, z3))))
 
 
 def positional_gap_counts(p: Poset, marks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -328,7 +317,8 @@ def positional_gap_counts(p: Poset, marks: tuple[int, ...]) -> dict[tuple[int, .
     and TooLarge can come at a smaller poset than for ``f_table`` of the
     same chain.
     """
-    return _gap_counts(p, marks, tuple((None, m) for m in marks))
+    check_marks(p.n, marks)
+    return _gap_counts(p, tuple((None, m) for m in marks))
 
 
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
@@ -345,21 +335,22 @@ def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     """
     z1, z2, z3 = marks = z.as_tuple()
     gaps = ((z1, z2), (z2, z3))
-    _check_marks(p, marks)
+    check_marks(p.n, marks)
     down, up = p.down, p.up
     c1, c2, c3 = chain = sorted(marks, key=lambda m: down[m].bit_count())
     if not (up[c1] >> c2 & 1 and up[c2] >> c3 & 1):
-        return _gap_counts(p, marks, gaps)
+        return _gap_counts(p, gaps)
     # pos(x) - pos(c1) as coefficients of (k, l); a gap is a difference of two
     at = {c1: (0, 0), c2: (1, 0), c3: (1, 1)}
     (a, b), (c, d) = [(at[v][0] - at[u][0], at[v][1] - at[u][1]) for u, v in gaps]
-    F = _gap_counts(p, chain, ((c1, c2), (c2, c3)))  # the cells of f_table
+    F = _gap_counts(p, ((c1, c2), (c2, c3)))  # the cells of f_table
     return {(a * k + b * l, c * k + d * l): v for (k, l), v in F.items()}
 
 
 def pair_gap_table(p: Poset, x: int, y: int) -> dict[int, int]:
     """Counts of extensions by the signed gap pos(y) - pos(x)."""
-    counts = _gap_counts(p, (x, y), ((x, y),))
+    check_marks(p.n, (x, y))
+    counts = _gap_counts(p, ((x, y),))
     return {g: v for (g,), v in counts.items()}
 
 
@@ -389,6 +380,7 @@ class NVector(_Record):
 
 
 def n_vector(p: Poset, a: int) -> NVector:
-    counts = _gap_counts(p, (a,), ((None, a),))
+    check_marks(p.n, (a,))
+    counts = _gap_counts(p, ((None, a),))
     return NVector(p.n, a, {k: v for (k,), v in counts.items()})
 

@@ -17,7 +17,9 @@ scale 1, 2 or c(k,l,n) = 2kl(min(k,l)+1)n, vacuity rule) into its check_*
 function, and check_gcpc compares its four corner cells with the same
 core.  sqrt-lower, vanish-lower, main, thin, two-of-three and stanley are
 bespoke; the first four read A = F(k+1,l) F(k,l+1), B = F(k,l) F(k+1,l+1)
-and their cells from ``ab_products``.
+and their cells from ``ab_products``.  The first three (``main`` when
+F(k,l+2) F(k+2,l) > 0) decide their square root by one sign-guarded
+comparison, ``_sqrt_compare``.
 
 Abbreviations used in the cell dictionaries: ``F_kl`` is F(k, l),
 ``F_k1l`` is F(k+1, l), ``F_kl2`` is F(k, l+2), and so on.
@@ -31,7 +33,7 @@ from operator import itemgetter
 
 from .errors import BadParams
 from .extensions import FTable, NVector
-from .posets import SCHEMA, Poset, _Record, fraction_str, is_flat, is_thin
+from .posets import SCHEMA, Poset, _Record, is_flat, is_thin
 
 HOLDS, FAILS, VACUOUS = "holds", "fails", "vacuous"
 
@@ -77,16 +79,16 @@ class CheckReport(_Record):
             "ineq": self.ineq,
             "k": self.k,
             "l": self.l,
-            "lhs": fraction_str(self.lhs),
-            "rhs": fraction_str(self.rhs),
-            "slack": fraction_str(self.slack),
+            "lhs": str(self.lhs),
+            "rhs": str(self.rhs),
+            "slack": str(self.slack),
             "verdict": self.verdict,
             "cells": {name: str(v) for name, v in self.cells.items()},
         }
         if self.extra:
             out["extra"] = {key: str(v) for key, v in self.extra.items()}
         r = self.ratio
-        out["ratio"] = fraction_str(r) if r is not None else None
+        out["ratio"] = str(r) if r is not None else None
         if self.note:
             out["note"] = self.note
         return out
@@ -204,21 +206,26 @@ def check_two_of_three(F: FTable, k: int, l: int) -> CheckReport:
 # -- ratio lower bounds -------------------------------------------------------
 
 
+def _sqrt_compare(ineq, k, l, cells, left, scale, lhs, note="squared") -> CheckReport:
+    """Report left sqrt(scale) >= sqrt(lhs), lhs, scale >= 0: lhs <= left^2 scale,
+    or, when left < 0, lhs + 1 against 0 with the note "2A < B" (which a
+    negative left implies in every caller, on a table of counts)."""
+    if left < 0:
+        return _report(ineq, k, l, lhs + 1, 0, cells, note="2A < B")
+    return _report(ineq, k, l, lhs, left * left * scale, cells, note=note)
+
+
 def check_sqrt_lower(F: FTable, k: int, l: int) -> CheckReport:
     """A/B >= 1/2 + sqrt(F(k,l+2) F(k+2,l)) / (2 F(k+1,l+1)), B > 0 required;
     A = F(k+1,l) F(k,l+1), B = F(k,l) F(k+1,l+1).
 
-    Decided exactly: (2A - B) F(k+1,l+1) >= B sqrt(CD) with both sides
-    nonnegative, then squared.
+    Decided exactly: (2A - B) F(k+1,l+1) >= sqrt(B^2 CD), sign-guarded.
     """
     A, B, cells = ab_products(F, k, l, wide=True)
-    C, D = cells["F_kl2"], cells["F_k2l"]
     if B == 0:
         return _report("sqrt-lower", k, l, 0, 0, cells, vacuous=True)
-    left = (2 * A - B) * cells["F_k1l1"]
-    if left < 0:
-        return _report("sqrt-lower", k, l, B * B * C * D + 1, 0, cells, note="2A < B")
-    return _report("sqrt-lower", k, l, B * B * C * D, left * left, cells, note="squared")
+    left, lhs = (2 * A - B) * cells["F_k1l1"], B * B * cells["F_kl2"] * cells["F_k2l"]
+    return _sqrt_compare("sqrt-lower", k, l, cells, left, 1, lhs)
 
 
 def check_vanish_lower(F: FTable, k: int, l: int) -> CheckReport:
@@ -226,7 +233,7 @@ def check_vanish_lower(F: FTable, k: int, l: int) -> CheckReport:
     B > 0 and F(k,l+2) = 0.
 
     Equivalent to A sqrt(F(k+1,l)^2 - F(k,l) F(k+2,l)) >= (B - A) F(k+1,l);
-    immediate when A >= B, otherwise squared.
+    immediate when A >= B, otherwise sign-guarded and squared.
     """
     A, B, cells = ab_products(F, k, l, wide=True)
     if B == 0 or cells["F_kl2"] != 0:
@@ -235,9 +242,7 @@ def check_vanish_lower(F: FTable, k: int, l: int) -> CheckReport:
         return _report("vanish-lower", k, l, B, A, cells, note="A >= B")
     f_k1l = cells["F_k1l"]
     disc = f_k1l ** 2 - cells["F_kl"] * cells["F_k2l"]
-    lhs = (B - A) ** 2 * f_k1l ** 2
-    rhs = A * A * disc
-    return _report("vanish-lower", k, l, lhs, rhs, cells, note="squared")
+    return _sqrt_compare("vanish-lower", k, l, cells, A, disc, (B - A) ** 2 * f_k1l ** 2)
 
 
 def check_main(F: FTable, k: int, l: int) -> CheckReport:
@@ -256,12 +261,11 @@ def check_main(F: FTable, k: int, l: int) -> CheckReport:
     if B == 0:
         return _report("main", k, l, 0, 0, cells, vacuous=True)
     if C > 0 and D > 0:
-        # (2A - B) 2 n sqrt(k l) >= B, squared
-        left = 2 * A - B
-        if left < 0:
-            return _report("main", k, l, B * B + 1, 0, cells, note="2A < B")
-        lhs, rhs = B * B, left * left * 4 * n * n * k * l
-        return _report("main", k, l, lhs, rhs, cells, note="branch=nonvanishing(squared)")
+        # (2A - B) sqrt(4 n^2 k l) >= sqrt(B^2)
+        return _sqrt_compare(
+            "main", k, l, cells, 2 * A - B, 4 * n * n * k * l, B * B,
+            note="branch=nonvanishing(squared)",
+        )
     if C == 0 and D > 0:
         factor = Fraction(1, 2) + Fraction(1, 16 * n * k * l * l)
         return _report("main", k, l, factor * B, A, cells, note="branch=first-vanishing")

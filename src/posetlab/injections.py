@@ -44,6 +44,7 @@ b(z1,z2) - 1 lives in the test suite.
 from __future__ import annotations
 
 from functools import partial
+from math import prod
 from operator import itemgetter
 
 from .errors import (
@@ -294,15 +295,8 @@ MAPS = {
 MAP_NAMES = ("stanley", *MAPS)  # every map ``verify_injections`` can certify
 
 
-def _box_size(dims) -> int:
-    size = 1
-    for d in dims:
-        size *= max(d, 0)
-    return size
-
-
 def interval_total(boxes) -> int:
-    return sum(_box_size(dims) for _, dims in boxes)
+    return sum(prod(max(d, 0) for d in dims) for _, dims in boxes)
 
 
 # -- certification ------------------------------------------------------------

@@ -31,7 +31,6 @@ integers and marks alike."""
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -122,8 +121,7 @@ class Poset(_FrozenRecord):
 
     def __init__(self, n: int, up: tuple[int, ...]) -> None:
         rows = up  # as given; ``up`` below is the closed relation
-        if not 1 <= n <= MAX_ELEMENTS:
-            raise IndexOutOfRange(f"n={n} outside 1..{MAX_ELEMENTS}")
+        _check_size(n)
         if len(rows) != n:
             raise IndexOutOfRange(f"{len(rows)} relation rows for n={n}")
         full = pending = (1 << n) - 1  # pending: elements not closed yet
@@ -318,9 +316,22 @@ def _build_lattice(p: Poset) -> IdealLattice:
     return IdealLattice(ideals, succ, widest, ways[-1])
 
 
+def _check_size(n: int) -> None:
+    if not 1 <= n <= MAX_ELEMENTS:
+        raise IndexOutOfRange(f"n={n} outside 1..{MAX_ELEMENTS}")
+
+
 def _check_index(n: int, x: int) -> None:
     if not 0 <= x < n:
         raise IndexOutOfRange(f"element {x} outside 0..{n - 1}")
+
+
+def check_marks(n: int, marks) -> None:
+    """IndexOutOfRange for a mark outside 0..n-1, BadParams for a repeat."""
+    for x in marks:
+        _check_index(n, x)
+    if len(set(marks)) != len(marks):
+        raise BadParams(f"marked elements must be distinct, got {list(marks)}")
 
 
 def build(n: int, cover_pairs) -> Poset:
@@ -328,8 +339,7 @@ def build(n: int, cover_pairs) -> Poset:
 
     Raises CycleDetected on cyclic input or a self-pair, IndexOutOfRange on bad ids.
     """
-    if not 1 <= n <= MAX_ELEMENTS:
-        raise IndexOutOfRange(f"n={n} outside 1..{MAX_ELEMENTS}")
+    _check_size(n)
     rows = [0] * n
     for a, b in cover_pairs:
         _check_index(n, a)
@@ -382,11 +392,9 @@ def _json_covers(value) -> list[tuple[int, int]]:
 
 
 def _json_marks(value, n: int) -> "MarkedTriple":
-    """The marked triple ``z``: IndexOutOfRange for a mark outside 0..n-1,
-    BadParams for a repeated one."""
+    """The marked triple ``z``, checked by ``check_marks``."""
     marks = [_json_int(x, "marked element") for x in _json_list(value, "'z'", 3)]
-    for x in marks:
-        _check_index(n, x)
+    check_marks(n, marks)
     return MarkedTriple(*marks)
 
 
@@ -439,8 +447,7 @@ class MarkedTriple(_FrozenRecord):
 
 def is_normalized(p: Poset, z: MarkedTriple) -> bool:
     """Whether z1 < z2 < z3 in p; IndexOutOfRange for a mark outside 0..n-1."""
-    for a in z.as_tuple():
-        _check_index(p.n, a)
+    check_marks(p.n, z.as_tuple())
     return p.less(z.z1, z.z2) and p.less(z.z2, z.z3)
 
 
@@ -540,6 +547,3 @@ def flat_threshold(p: Poset, z: MarkedTriple) -> int:
     """Smallest t for which the poset is t-flat w.r.t. the marked set."""
     return max(1, max(p.b[u] + p.b_star[u] for u in z.as_tuple()) - 1)
 
-
-def fraction_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)

@@ -144,15 +144,15 @@ _CERTIFICATE_KEYS = ("ineq", "n", "covers", "z", "indices", "lhs", "rhs")
 def verify_certificate(cert: Certificate) -> bool:
     """Recompute the embedded instance and confirm the recorded violation.
     BadParams when ``ineq`` is not gcpc or a table check, or ``indices``
-    lacks a key that check reads; marks are read as on reload."""
+    lacks a key that check reads; indices and marks are read as on reload."""
     if cert.ineq != "gcpc" and cert.ineq not in TABLE_CHECKS:
         raise BadParams(f"certificate names an unknown check {cert.ineq!r}")
     missing = [key for key in ("klpq" if cert.ineq == "gcpc" else "kl") if key not in cert.indices]
     if missing:
         raise BadParams(f"{cert.ineq} certificate indices lack {', '.join(missing)}")
+    idx = {key: _json_int(v, f"index {key!r}") for key, v in cert.indices.items()}
     p = build(cert.n, cert.covers)
     z = _json_marks(cert.z, p.n)
-    idx = cert.indices
     if cert.ineq == "gcpc":
         rep = check_gcpc(f_table_signed(p, z), idx["k"], idx["l"], idx["p"], idx["q"])
     else:
@@ -335,19 +335,12 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary) -> list:
                 # signed-gap reduction: swap z1, z2 and translate indices; the
                 # signed cells there are cpc2's cells, so lhs and rhs carry over
                 a, b = -k - 1, k + l + 1
-                certs.append(
-                    Certificate(
-                        "gcpc", n, list(p.covers), z.swapped12().as_tuple(),
-                        {"k": a, "l": b, "p": a + 1, "q": b + 1}, lhs, rhs, index,
-                    )
-                )
+                marks = z.swapped12().as_tuple()
+                indices = {"k": a, "l": b, "p": a + 1, "q": b + 1}
             else:
-                certs.append(
-                    Certificate(
-                        job.target, n, list(p.covers), z.as_tuple(),
-                        {"k": k, "l": l}, lhs, rhs, index,
-                    )
-                )
+                marks, indices = z.as_tuple(), {"k": k, "l": l}
+            cert = Certificate(job.target, n, list(p.covers), marks, indices, lhs, rhs, index)
+            certs.append(cert)
             summary.certificates += 1
     summary.holds += holds
     summary.vacuous += vacuous

@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import BadChain, HypothesesNotMet, IndexOutOfRange
 from .extensions import FTable, f_table
 from .inequalities import FAILS, HOLDS, CheckReport, ab_products
-from .posets import MarkedTriple, Poset, _FrozenRecord, is_normalized
+from .posets import MarkedTriple, Poset, _FrozenRecord, check_marks, is_normalized
 
 
 class SupportRegion(_FrozenRecord):
@@ -74,16 +74,16 @@ def support(p: Poset, z: MarkedTriple) -> SupportRegion:
 def exists_extension_at(p: Poset, zs, positions) -> bool:
     """Is there an extension with the chain zs[i] at position positions[i]?
 
-    ``zs`` must be strictly chain-ordered, ``positions`` strictly increasing
-    within 1..n.
+    ``zs`` must be distinct elements (``check_marks``), strictly
+    chain-ordered, and ``positions`` strictly increasing within 1..n.
     """
     zs, positions = list(zs), list(positions)
     if len(zs) != len(positions) or not zs:
         raise BadChain("need one position per chain element")
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if not p.less(zs[i], zs[j]):
-                raise BadChain(f"marks not chain-ordered: {zs[i]} !< {zs[j]}")
+    check_marks(p.n, zs)
+    for x, y in zip(zs, zs[1:]):
+        if not p.less(x, y):
+            raise BadChain(f"marks not chain-ordered: {x} !< {y}")
     for a in positions:
         if not 1 <= a <= p.n:
             raise IndexOutOfRange(f"position {a} outside 1..{p.n}")

@@ -283,6 +283,18 @@ def test_human_mode_renders():
     assert code == 0 and "F=" in out and "{" not in out.splitlines()[0][:1]
 
 
+@pytest.mark.parametrize("argv", [["table"], ["check", "--ineq", "cpc2", "--all"]])
+def test_human_mode_prints_one_key_value_line_per_json_line(argv):
+    _, family_out, _ = run_cli(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"])
+    code, plain, _ = run_cli(argv, stdin_text=family_out)
+    human_code, human, _ = run_cli(["--human", *argv], stdin_text=family_out)
+    assert human_code == code
+    objs = [json.loads(line) for line in plain.splitlines()]
+    assert len(objs) > 0 and len(human.splitlines()) == len(objs)
+    for obj, line in zip(objs, human.splitlines()):
+        assert line == ", ".join(f"{key}={v}" for key, v in obj.items() if key != "schema")
+
+
 def test_every_json_line_carries_schema():
     _, family_out, _ = run_cli(["family", "--id", "converse-tight", "--n", "8", "--k", "2", "--l", "1"])
     for argv in (

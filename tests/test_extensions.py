@@ -163,7 +163,7 @@ def test_translation_identity_via_signed_table(medium_corpus):
         fresh = Poset(p.n, p.up)
         for marks in permutations(z.as_tuple()):
             a, b, c = marks
-            folded = _gap_counts(fresh, marks, ((a, b), (b, c)))
+            folded = _gap_counts(fresh, ((a, b), (b, c)))
             assert f_table_signed(p, MarkedTriple(*marks)) == folded, marks
 
 
@@ -240,6 +240,10 @@ def test_ftable_json_round_trip(medium_corpus):
         assert back.to_json_obj() == F.to_json_obj()
     with pytest.raises(IndexOutOfRange):
         FTable.from_json_obj({"n": 3, "z": [0, 1, 7], "F": []})
+    # n is bounded as for a poset: grid() on n = 10**9 would walk ~5e17 points
+    for n in (65, 10**9):
+        with pytest.raises(IndexOutOfRange, match=f"n={n} outside 1..64"):
+            FTable.from_json_obj({"n": n, "z": [0, 1, 2], "F": []})
     # a zero count is read as written and dropped again on output
     zero = FTable.from_json_obj({"n": 3, "z": [0, 1, 2], "F": [[1, 1, "0"]]})
     assert zero.entries == {(1, 1): 0} and zero.to_json_obj()["F"] == []
@@ -341,8 +345,8 @@ def test_positional_state_budget(medium_corpus, monkeypatch):
 
 
 def test_signed_table_reuses_the_kept_fold(medium_corpus):
-    # every order of a chain triple folds in the same entry-order coords, so
-    # the signed table of the swapped triple only decodes F's kept fold
+    # every order of a chain triple is F of the chain, relabelled, so the
+    # signed table of the swapped triple only decodes F's kept fold
     for q, z in medium_corpus[:20] + _width_five_instances():
         p = Poset(q.n, q.up)
         F = f_table(p, z)

@@ -188,6 +188,9 @@ def test_verify_certificate_rejects_malformed_certificates():
         verify_certificate(Certificate("cpc2", 3, covers, (0, 1, 2), {"k": 1}, 1, 0, 0))
     with pytest.raises(BadParams, match="lack p, q"):
         verify_certificate(Certificate("gcpc", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
+    # indices are read as on reload, so a string index is malformed input
+    with pytest.raises(MalformedInput, match="index 'k' must be an integer"):
+        verify_certificate(Certificate("cpc", 3, covers, (0, 1, 2), {"k": "1", "l": 1}, 0, 0, 0))
     # well formed but not a violation on the chain
     assert not verify_certificate(Certificate("cpc2", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import chain_triples, corpus
-from posetlab.errors import BadChain, HypothesesNotMet, IndexOutOfRange
+from posetlab.errors import BadChain, BadParams, HypothesesNotMet, IndexOutOfRange
 from posetlab.extensions import enumerate_extensions, f_table
 from posetlab.families import family_antichain
 from posetlab.posets import MarkedTriple, build, chain, normalize, params
@@ -112,6 +112,13 @@ def test_exists_extension_validation():
         support(chain(6), MarkedTriple(9, 1, 2))
     with pytest.raises(BadChain):
         exists_extension_at(p, [0], [])
+    # marks are checked as elements first: a negative id would otherwise
+    # index the rows from the end, then fail on a negative shift count
+    for zs, bad in (([-4, 1], -4), ([0, 9], 9)):
+        with pytest.raises(IndexOutOfRange, match=f"element {bad} outside 0..3"):
+            exists_extension_at(p, zs, [1, 2])
+    with pytest.raises(BadParams, match="distinct"):
+        exists_extension_at(p, [1, 1], [1, 2])
 
 
 def test_hexagon_closure_on_regions_and_sets(medium_corpus):
