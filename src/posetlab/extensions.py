@@ -8,9 +8,11 @@ is the table
 
 computed exactly from the lattice of down-sets (order ideals).  That
 lattice is built once per poset and cached on it (``Poset.lattice``, which
-also gives e(P)); every count is then one fold over it (``_fold``), with
-each ideal's counts Kronecker-packed into a single Python int, first
-coordinate in the lowest digits:
+also gives e(P) and the chain counts from the empty ideal and to the full
+one); every count is then one fold over it (``_fold``), with each ideal's
+counts Kronecker-packed into a single Python int, first coordinate in the
+lowest digits.  The fold does that work only between the first and the
+last mark: the chain counts carry every path before and after that band.
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
@@ -44,7 +46,8 @@ Counts are exact big integers throughout; no floating point.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import compress, product, repeat
+from operator import itemgetter
 
 from .errors import BadChain, MalformedInput, TooLarge
 from .posets import (
@@ -229,6 +232,17 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     slots, the sum of the weights of the marks outside I.  Every digit stays
     on its ``_gap_axis``, which makes a negative (right) shift exact.
 
+    Big-int work is done only in the band: the ideals that hold some marks
+    but not all.  Before the first mark every step shifts by shift[0] >= 0
+    (only u = None adds to it), so the value at an ideal t there is its
+    chain count ``lat.ways[t]``, moved by W*origin plus shift[0] per step;
+    an edge out of t that places a mark seeds the successor with it.  After
+    the last mark nothing shifts, so an edge into an ideal j that holds
+    every mark adds its value times ``lat.above[j]``, the chains from j to
+    the full ideal, to ``packed``, and such ideals are skipped.  With one
+    mark (``n_vector``) the band is empty: each path is seeded and closed
+    at the edge that places the mark.
+
     The latest result is kept in ``p.__dict__["_fold"]`` as a (coords,
     result) pair, next to the lattice, so a later request in the same
     coordinates (a second ``f_table``, or the signed table of any order of
@@ -264,34 +278,64 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
         mark_mask |= bit
         for mask, bits in list(shift.items()):
             shift[mask | bit] = bits - w
-    vals = [0] * len(lat.ideals)
-    vals[0] = 1 << width * origin
-    for t, (ideal, edges) in enumerate(zip(lat.ideals, lat.succ)):
-        c, s = vals[t], shift[ideal & mark_mask]
-        vals[t] = 0  # release it; the full ideal comes last, with shift 0
-        c = c << s if s >= 0 else c >> -s
+    ideals, ways, above = lat.ideals, lat.ways, lat.above
+    start, s0 = width * origin, shift[0]  # s0 >= 0: only u = None adds to it
+    held = [ideal & mark_mask for ideal in ideals]
+    packed, vals = 0, [0] * len(ideals)
+    for t, edges in enumerate(lat.succ):
+        h = held[t]
+        if h == mark_mask:  # after the last mark: closed on the way in
+            continue
+        if h:  # in the band: some marks placed, not all
+            c, s = vals[t], shift[h]
+            vals[t] = 0  # release it
+            c = c << s if s >= 0 else c >> -s
+            missing = mark_mask ^ h
+            if missing & missing - 1:  # more than one mark missing: no edge closes
+                for j in edges:
+                    vals[j] += c
+                continue
+        else:  # before the first mark: the chain count, shifted once per step
+            c = None
         for j in edges:
-            vals[j] += c
-    folded = c, nbytes, slots, axes
+            hj = held[j]
+            if not hj:
+                continue
+            if c is None:
+                c = ways[t] << start + s0 * (ideals[t].bit_count() + 1)
+            if hj == mark_mask:  # times every path on to the full ideal
+                packed += c * above[j]
+            else:
+                vals[j] += c
+    folded = packed, nbytes, slots, axes
     p.__dict__["_fold"] = coords, folded
     return folded
 
 
-def _gap_counts(p: Poset, gaps: tuple) -> dict[tuple[int, ...], int]:
-    """Counts of extensions by the gaps pos(v) - pos(u), one per (u, v) in
-    ``gaps`` (u = None stands for position 0), whose marks the caller has
-    checked with ``posets.check_marks``.
+_REVERSED = itemgetter(slice(None, None, -1))
 
-    Folded (``_fold``) in the requested gaps and decoded into a fresh dict,
-    so no caller can change what is kept.  Raises TooLarge as ``_fold`` does.
+
+def _cells(p: Poset, gaps: tuple):
+    """(key, count) for each nonzero count of extensions by the gaps
+    pos(v) - pos(u), one per (u, v) in ``gaps`` (u = None stands for
+    position 0), whose marks the caller has checked with
+    ``posets.check_marks``; each key holds one gap per (u, v), in order.
+
+    Decoded from ``_fold`` in the requested gaps as fresh ints, so no caller
+    can change what is kept.  Raises TooLarge as ``_fold`` does.
     """
     packed, nbytes, slots, axes = _fold(p, gaps)
-    # one hex string per slot, slot 0 first
-    hexes = reversed(packed.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split())
-    zero = "00" * nbytes
+    hexes = packed.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split()
+    hexes.reverse()  # one hex string per slot, slot 0 first
+    nonzero = list(map(("00" * nbytes).__ne__, hexes))
     # product() runs its last axis fastest: keys come highest digit first
-    keys = product(*reversed(axes))
-    return {key[::-1]: int(h, 16) for key, h in zip(keys, hexes) if h != zero}
+    keys = map(_REVERSED, compress(product(*reversed(axes)), nonzero))
+    return zip(keys, map(int, compress(hexes, nonzero), repeat(16)))
+
+
+def _gap_counts(p: Poset, gaps: tuple) -> dict[tuple[int, ...], int]:
+    """The cells of ``_cells`` as a fresh dict, key -> count."""
+    return dict(_cells(p, gaps))
 
 
 def f_table(p: Poset, z: MarkedTriple) -> FTable:
@@ -343,15 +387,14 @@ def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     # pos(x) - pos(c1) as coefficients of (k, l); a gap is a difference of two
     at = {c1: (0, 0), c2: (1, 0), c3: (1, 1)}
     (a, b), (c, d) = [(at[v][0] - at[u][0], at[v][1] - at[u][1]) for u, v in gaps]
-    F = _gap_counts(p, ((c1, c2), (c2, c3)))  # the cells of f_table
-    return {(a * k + b * l, c * k + d * l): v for (k, l), v in F.items()}
+    F = _cells(p, ((c1, c2), (c2, c3)))  # the cells of f_table
+    return {(a * k + b * l, c * k + d * l): v for (k, l), v in F}
 
 
 def pair_gap_table(p: Poset, x: int, y: int) -> dict[int, int]:
     """Counts of extensions by the signed gap pos(y) - pos(x)."""
     check_marks(p.n, (x, y))
-    counts = _gap_counts(p, ((x, y),))
-    return {g: v for (g,), v in counts.items()}
+    return {g: v for (g,), v in _cells(p, ((x, y),))}
 
 
 class NVector(_Record):
@@ -381,6 +424,5 @@ class NVector(_Record):
 
 def n_vector(p: Poset, a: int) -> NVector:
     check_marks(p.n, (a,))
-    counts = _gap_counts(p, ((None, a),))
-    return NVector(p.n, a, {k: v for (k,), v in counts.items()})
+    return NVector(p.n, a, {k: v for (k,), v in _cells(p, ((None, a),))})
 

@@ -14,9 +14,10 @@ in ``cover_up[x]`` (the upper covers of x) and ``down[y]`` (elements
 strictly below y), so both rows are attributes of every poset.  Everything
 else is computed on first read and kept in the instance dict:
 ``comparable``, ``covers`` (read off ``cover_up``), the ideal lattice
-(``lattice()``), next to it the latest fold that ``extensions`` made over
-the lattice (``_fold``, with its gap coordinates), and the order
-parameters of the bounds:
+(``lattice()``, with the number of chains from the empty ideal to each
+ideal and from each ideal to the full one), next to it the latest fold
+that ``extensions`` made over the lattice (``_fold``, with its gap
+coordinates), and the order parameters of the bounds:
 
 * ``b[x]`` = b(x) = |{y : y <= x}|, ``b_star[x]`` = b*(x) = |{y : y >= x}|
 * ``interval(x, y)`` = b(x,y) = |{z : x <= z <= y}|, 0 unless x <= y (no table)
@@ -37,7 +38,7 @@ from typing import NamedTuple
 from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
 
 MAX_ELEMENTS = 64        # down-sets must fit one machine word
-IDEAL_BUDGET = 1 << 21  # ideals one lattice may keep: ~330 bytes each, ~660 MiB in all
+IDEAL_BUDGET = 1 << 21  # ideals one lattice may keep: ~380 bytes each at peak, ~750 MiB in all
 
 SCHEMA = "posetlab/1"
 
@@ -258,12 +259,17 @@ class IdealLattice(NamedTuple):
     ideals ``I | 1 << x`` covering ``I = ideals[t]``, in ascending x.
     ``widest`` is the size of the largest layer and ``count`` is e(P), the
     number of maximal chains from the empty ideal to the full one.
+    ``ways[t]`` counts the chains from the empty ideal to ``ideals[t]`` and
+    ``above[t]`` those from it to the full one, so ``ways[-1]`` and
+    ``above[0]`` are both e(P).
     """
 
     ideals: list
     succ: list
     widest: int
     count: int
+    ways: list
+    above: list
 
 
 def _build_lattice(p: Poset) -> IdealLattice:
@@ -272,9 +278,11 @@ def _build_lattice(p: Poset) -> IdealLattice:
     ideal's addable set is found once, when the ideal is first reached from
     I by x: the addable set of I without x, plus the upper covers y of x
     whose down[y] now lies inside (De Loof, De Meyer & De Baets, Fundamenta
-    Informaticae 71, 2006).  The chain counts ride along to give e(P).
-    ``IDEAL_BUDGET`` is checked before each new ideal is kept, so TooLarge
-    comes mid-layer, before the ideal that would go over it is kept."""
+    Informaticae 71, 2006).  The forward chain counts ride along; the
+    backward ones take one reverse pass over ``succ`` once every ideal is
+    kept.  ``IDEAL_BUDGET`` is checked before each new ideal is kept, so
+    TooLarge comes mid-layer, before the ideal that would go over it is
+    kept."""
     down, cover_up = p.down, p.cover_up
     ideals, succ, ways = [0], [], [1]
     addable = [sum(1 << x for x, below in enumerate(down) if not below)]
@@ -301,10 +309,10 @@ def _build_lattice(p: Poset) -> IdealLattice:
                 ideals.append(nxt)
                 ways.append(w)
                 more = here ^ low
-                above = cover_up[low.bit_length() - 1]
-                while above:
-                    y = above & -above
-                    above ^= y
+                covers = cover_up[low.bit_length() - 1]
+                while covers:
+                    y = covers & -covers
+                    covers ^= y
                     below = down[y.bit_length() - 1]
                     if below & nxt == below:
                         more |= y
@@ -313,7 +321,13 @@ def _build_lattice(p: Poset) -> IdealLattice:
                 ways[j] += w
             edges.append(j)
         succ.append(edges)
-    return IdealLattice(ideals, succ, widest, ways[-1])
+    above = [1] * len(ideals)
+    for t in range(len(ideals) - 2, -1, -1):
+        w = 0
+        for j in succ[t]:
+            w += above[j]
+        above[t] = w
+    return IdealLattice(ideals, succ, widest, ways[-1], ways, above)
 
 
 def _check_size(n: int) -> None:

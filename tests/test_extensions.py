@@ -203,9 +203,14 @@ def test_n_vector_examples_and_sum(medium_corpus):
     d = 3
     assert n_vector(chain(6), d).counts == {d + 1: 1}
     for p, z in medium_corpus[:20]:
-        nv = n_vector(p, z.z2)
-        assert nv.total() == count_extensions(p)
-        assert nv.counts == oracle_n_counts(p, z.z2)
+        # z2, then a minimal and a maximal element: the mark placed first
+        # or last in some extension, next to the fold's empty or full ideal
+        low = min(x for x in range(p.n) if not p.down[x])
+        high = max(x for x in range(p.n) if not p.up[x])
+        for a in (z.z2, low, high):
+            nv = n_vector(p, a)
+            assert nv.total() == count_extensions(p)
+            assert nv.counts == oracle_n_counts(p, a)
 
 
 @st.composite
@@ -271,18 +276,23 @@ def test_ftable_from_json_obj_rejects_malformed_input(obj):
 
 
 def test_positional_engine_multi_mark(medium_corpus):
-    # three gaps in one fold: every digit of every key checked against the
-    # absolute positions read off the words, for the chain-ordered triple,
-    # two orders of it that are not chain orders, and the first three ids
+    # several positions in one fold: every digit of every key checked
+    # against the absolute positions read off the words, for the
+    # chain-ordered triple, two orders of it that are not chain orders, the
+    # first three ids and, up to n = 6, every element, so that only the
+    # empty ideal comes before the first mark and only the full one after
+    # the last
     for p, z in medium_corpus:
         z1, z2, z3 = z.as_tuple()
-        triples = [(z1, z2, z3), (z3, z1, z2), (z2, z3, z1), (0, 1, 2)]
-        expected = {marks: Counter() for marks in triples}
+        mark_tuples = [(z1, z2, z3), (z3, z1, z2), (z2, z3, z1), (0, 1, 2)]
+        if p.n <= 6:
+            mark_tuples.append(tuple(range(p.n)))
+        expected = {marks: Counter() for marks in mark_tuples}
         for w in enumerate_extensions(p):
             pos = {e: i + 1 for i, e in enumerate(w)}
             for marks, counter in expected.items():
                 counter[tuple(pos[m] for m in marks)] += 1
-        for marks in triples:
+        for marks in mark_tuples:
             counts = positional_gap_counts(p, marks)
             assert counts == dict(expected[marks]), (p.covers, marks)
             assert sum(counts.values()) == count_extensions(p)

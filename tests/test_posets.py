@@ -240,7 +240,15 @@ def _reference_lattice(p: Poset) -> IdealLattice:
             ways[index[nxt]] += ways[t]
             edges.append(index[nxt])
         succ.append(edges)
-    return IdealLattice(ideals, succ, max(layers), ways[-1])
+    # chains to the full ideal, by a walk down from it: J covers J - x for
+    # every x of J with nothing of J above it
+    above = [0] * len(ideals)
+    above[-1] = 1
+    for ideal in sorted(ideals, key=int.bit_count, reverse=True):
+        for x in range(p.n):
+            if ideal >> x & 1 and not any(ideal >> y & 1 and p.less(x, y) for y in range(p.n)):
+                above[index[ideal ^ 1 << x]] += above[index[ideal]]
+    return IdealLattice(ideals, succ, max(layers), ways[-1], ways, above)
 
 
 def _assert_rows_and_lattice(p: Poset) -> None:
@@ -253,7 +261,9 @@ def _assert_rows_and_lattice(p: Poset) -> None:
     reduction = tuple((x, y) for x in range(n) for y in range(n) if less(x, y) and not between[x][y])
     assert p.down == down and p.cover_up == cover_up
     assert p.covers == reduction and build(n, p.covers).up == p.up
-    assert p.lattice() == _reference_lattice(p)
+    lat = p.lattice()
+    assert lat == _reference_lattice(p)
+    assert lat.ways[-1] == lat.above[0] == lat.count
 
 
 @settings(max_examples=120, deadline=None)
