@@ -6,13 +6,13 @@ is the table
 
     F(k, l) = #{ extensions : pos(z2) - pos(z1) = k, pos(z3) - pos(z2) = l },
 
-computed exactly from the lattice of down-sets (order ideals).  That
-lattice is built once per poset and cached on it (``Poset.lattice``, which
-also gives e(P) and the chain counts from the empty ideal and to the full
-one); every count is then one fold over it (``_fold``), with each ideal's
-counts Kronecker-packed into a single Python int, first coordinate in the
-lowest digits.  The fold does that work only between the first and the
-last mark: the chain counts carry every path before and after that band.
+computed exactly from the lattice of down-sets (order ideals), which
+``lattice(p)`` builds once per poset within ``IDEAL_BUDGET`` ideals, with
+e(P) and the chain counts from the empty ideal and to the full one; every
+count is then one fold over it (``_fold``), with each ideal's counts
+Kronecker-packed into a single Python int, first coordinate in the lowest
+digits.  The fold does that work only between the first and the last
+mark: the chain counts carry every path before and after that band.
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from itertools import compress, product, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import BadChain, MalformedInput, TooLarge
 from .posets import (
@@ -60,6 +61,97 @@ ENUMERATION_MAX = 14
 # injections) per word, so ~0.4 GiB and ~40 s at the budget
 WORD_BUDGET = 1 << 21
 STATE_BUDGET = 1 << 26  # widest lattice layer x folded slots, in one fold
+IDEAL_BUDGET = 1 << 21  # ideals one lattice may keep: ~380 bytes each at peak, ~750 MiB in all
+
+
+class IdealLattice(NamedTuple):
+    """Order ideals of a poset, smallest first.
+
+    ``ideals`` lists every ideal as a bitmask, layer by layer (all ideals of
+    size i before those of size i + 1), so it starts with the empty ideal
+    and ends with the full one.  ``succ[t]`` lists the indices of the
+    ideals ``I | 1 << x`` covering ``I = ideals[t]``, in ascending x.
+    ``widest`` is the size of the largest layer and ``count`` is e(P), the
+    number of maximal chains from the empty ideal to the full one.
+    ``ways[t]`` counts the chains from the empty ideal to ``ideals[t]`` and
+    ``above[t]`` those from it to the full one, so ``ways[-1]`` and
+    ``above[0]`` are both e(P).
+    """
+
+    ideals: list
+    succ: list
+    widest: int
+    count: int
+    ways: list
+    above: list
+
+
+def _build_lattice(p: Poset) -> IdealLattice:
+    """One breadth-first pass over the ideals: x covers I by I | 1 << x when
+    x is addable to I, that is, a minimal element of its complement.  Each
+    ideal's addable set is found once, when the ideal is first reached from
+    I by x: the addable set of I without x, plus the upper covers y of x
+    whose down[y] now lies inside (De Loof, De Meyer & De Baets, Fundamenta
+    Informaticae 71, 2006).  The forward chain counts ride along; the
+    backward ones take one reverse pass over ``succ`` once every ideal is
+    kept.  ``IDEAL_BUDGET`` is checked before each new ideal is kept, so
+    TooLarge comes mid-layer, before the ideal that would go over it is
+    kept."""
+    down, cover_up = p.down, p.cover_up
+    ideals, succ, ways = [0], [], [1]
+    addable = [sum(1 << x for x, below in enumerate(down) if not below)]
+    index = {0: 0}
+    layer_end = widest = 1
+    limit = IDEAL_BUDGET  # first index past the budget
+    for t, ideal in enumerate(ideals):
+        if t == layer_end:  # the next layer is complete
+            widest = max(widest, len(ideals) - t)
+            layer_end = len(ideals)
+        w = ways[t]
+        edges = []
+        free = here = addable[t]
+        while free:
+            low = free & -free
+            free ^= low
+            nxt = ideal | low
+            j = index.get(nxt)
+            if j is None:
+                j = len(ideals)
+                if j >= limit:
+                    raise TooLarge(f"ideal lattice exceeds {limit} ideals")
+                index[nxt] = j
+                ideals.append(nxt)
+                ways.append(w)
+                more = here ^ low
+                covers = cover_up[low.bit_length() - 1]
+                while covers:
+                    y = covers & -covers
+                    covers ^= y
+                    below = down[y.bit_length() - 1]
+                    if below & nxt == below:
+                        more |= y
+                addable.append(more)
+            else:
+                ways[j] += w
+            edges.append(j)
+        succ.append(edges)
+    above = [1] * len(ideals)
+    for t in range(len(ideals) - 2, -1, -1):
+        w = 0
+        for j in succ[t]:
+            w += above[j]
+        above[t] = w
+    return IdealLattice(ideals, succ, widest, ways[-1], ways, above)
+
+
+def lattice(p: Poset) -> IdealLattice:
+    """The lattice of order ideals, built on first use and kept in
+    ``p.__dict__["_lattice"]``.  Raises TooLarge as soon as it would hold
+    more than ``IDEAL_BUDGET`` ideals; nothing is kept then."""
+    lat = p.__dict__.get("_lattice")
+    if lat is None:
+        lat = p.__dict__["_lattice"] = _build_lattice(p)
+    return lat
 
 
 def enumerate_extensions(p: Poset):
@@ -117,7 +209,7 @@ def word_classes(p: Poset, z: MarkedTriple) -> tuple[dict, dict]:
         raise TooLarge(f"enumeration guarded at n <= {ENUMERATION_MAX}")
     if not is_normalized(p, z):
         raise BadChain("word_classes requires z1 < z2 < z3; call normalize() first")
-    count = p.lattice().count
+    count = lattice(p).count
     if count > WORD_BUDGET:
         raise TooLarge(f"e(P) = {count} words exceeds the word budget {WORD_BUDGET}")
     z1, z2, z3 = z.as_tuple()
@@ -132,7 +224,7 @@ def word_classes(p: Poset, z: MarkedTriple) -> tuple[dict, dict]:
 
 def count_extensions(p: Poset) -> int:
     """e(P): number of maximal chains in the cached ideal lattice."""
-    return p.lattice().count
+    return lattice(p).count
 
 
 class FTable(_Record):
@@ -173,8 +265,8 @@ class FTable(_Record):
     @staticmethod
     def from_json_obj(obj: dict) -> "FTable":
         """Inverse of ``to_json_obj``.  MalformedInput for a missing key, a
-        non-integer field, a cell that is not [k, l, count], a negative
-        count or a cell outside the table's triangle k, l >= 1, k + l <= n - 1;
+        non-integer field, a cell that is not [k, l, count] or is repeated, a
+        negative count or a cell outside the triangle k, l >= 1, k + l <= n - 1;
         a count may be an int or, as written, ``str`` of one.  IndexOutOfRange
         for n outside 1..MAX_ELEMENTS; the marks are read as in ``load_poset``."""
         obj = _json_object(obj, "table JSON")
@@ -190,6 +282,8 @@ class FTable(_Record):
                 raise MalformedInput(f"cell ({k}, {l}) outside 1 <= k, l and k + l <= {n - 1}")
             if v < 0:
                 raise MalformedInput(f"cell ({k}, {l}) has negative count {v}")
+            if (k, l) in entries:
+                raise MalformedInput(f"cell ({k}, {l}) appears twice")
             entries[k, l] = v
         return FTable(n, z, entries)
 
@@ -255,7 +349,7 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     kept = p.__dict__.get("_fold")
     if kept is not None and kept[0] == coords:
         return kept[1]
-    lat = p.lattice()
+    lat = lattice(p)
     nbytes = (lat.count.bit_length() + 7) // 8
     width = 8 * nbytes
     weight = {}  # bits a count moves per step of each mark

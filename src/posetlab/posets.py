@@ -12,12 +12,9 @@ in one walk that takes each element once its successors are closed, and
 raises CycleDetected on a cycle, a self-pair included.  The walk also fills
 in ``cover_up[x]`` (the upper covers of x) and ``down[y]`` (elements
 strictly below y), so both rows are attributes of every poset.  Everything
-else is computed on first read and kept in the instance dict:
-``comparable``, ``covers`` (read off ``cover_up``), the ideal lattice
-(``lattice()``, with the number of chains from the empty ideal to each
-ideal and from each ideal to the full one), next to it the latest fold
-that ``extensions`` made over the lattice (``_fold``, with its gap
-coordinates), and the order parameters of the bounds:
+else is computed on first read and kept in the instance dict (where
+``extensions`` also keeps what it counts): ``comparable``, ``covers``
+(read off ``cover_up``) and the order parameters of the bounds:
 
 * ``b[x]`` = b(x) = |{y : y <= x}|, ``b_star[x]`` = b*(x) = |{y : y >= x}|
 * ``interval(x, y)`` = b(x,y) = |{z : x <= z <= y}|, 0 unless x <= y (no table)
@@ -33,12 +30,10 @@ from __future__ import annotations
 
 import json
 from operator import attrgetter
-from typing import NamedTuple
 
-from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
+from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput
 
-MAX_ELEMENTS = 64        # down-sets must fit one machine word
-IDEAL_BUDGET = 1 << 21  # ideals one lattice may keep: ~380 bytes each at peak, ~750 MiB in all
+MAX_ELEMENTS = 64  # down-sets must fit one machine word
 
 SCHEMA = "posetlab/1"
 
@@ -177,17 +172,6 @@ class Poset(_FrozenRecord):
         so x and y are incomparable exactly when bit y of it is clear."""
         return tuple(u | d | 1 << x for x, (u, d) in enumerate(zip(self.up, self.down)))
 
-    def lattice(self) -> "IdealLattice":
-        """The lattice of order ideals, built on first use and kept on the poset.
-
-        Raises TooLarge as soon as the lattice would hold more than
-        ``IDEAL_BUDGET`` ideals; nothing is kept then.
-        """
-        lat = self.__dict__.get("_lattice")
-        if lat is None:
-            lat = self.__dict__["_lattice"] = _build_lattice(self)
-        return lat
-
     @_cached
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction as a sorted tuple of (lower, upper) pairs."""
@@ -248,86 +232,6 @@ class Poset(_FrozenRecord):
 
     def to_json_obj(self) -> dict:
         return {"schema": SCHEMA, "n": self.n, "covers": [list(c) for c in self.covers]}
-
-
-class IdealLattice(NamedTuple):
-    """Order ideals of a poset, smallest first.
-
-    ``ideals`` lists every ideal as a bitmask, layer by layer (all ideals of
-    size i before those of size i + 1), so it starts with the empty ideal
-    and ends with the full one.  ``succ[t]`` lists the indices of the
-    ideals ``I | 1 << x`` covering ``I = ideals[t]``, in ascending x.
-    ``widest`` is the size of the largest layer and ``count`` is e(P), the
-    number of maximal chains from the empty ideal to the full one.
-    ``ways[t]`` counts the chains from the empty ideal to ``ideals[t]`` and
-    ``above[t]`` those from it to the full one, so ``ways[-1]`` and
-    ``above[0]`` are both e(P).
-    """
-
-    ideals: list
-    succ: list
-    widest: int
-    count: int
-    ways: list
-    above: list
-
-
-def _build_lattice(p: Poset) -> IdealLattice:
-    """One breadth-first pass over the ideals: x covers I by I | 1 << x when
-    x is addable to I, that is, a minimal element of its complement.  Each
-    ideal's addable set is found once, when the ideal is first reached from
-    I by x: the addable set of I without x, plus the upper covers y of x
-    whose down[y] now lies inside (De Loof, De Meyer & De Baets, Fundamenta
-    Informaticae 71, 2006).  The forward chain counts ride along; the
-    backward ones take one reverse pass over ``succ`` once every ideal is
-    kept.  ``IDEAL_BUDGET`` is checked before each new ideal is kept, so
-    TooLarge comes mid-layer, before the ideal that would go over it is
-    kept."""
-    down, cover_up = p.down, p.cover_up
-    ideals, succ, ways = [0], [], [1]
-    addable = [sum(1 << x for x, below in enumerate(down) if not below)]
-    index = {0: 0}
-    layer_end = widest = 1
-    limit = IDEAL_BUDGET  # first index past the budget
-    for t, ideal in enumerate(ideals):
-        if t == layer_end:  # the next layer is complete
-            widest = max(widest, len(ideals) - t)
-            layer_end = len(ideals)
-        w = ways[t]
-        edges = []
-        free = here = addable[t]
-        while free:
-            low = free & -free
-            free ^= low
-            nxt = ideal | low
-            j = index.get(nxt)
-            if j is None:
-                j = len(ideals)
-                if j >= limit:
-                    raise TooLarge(f"ideal lattice exceeds {limit} ideals")
-                index[nxt] = j
-                ideals.append(nxt)
-                ways.append(w)
-                more = here ^ low
-                covers = cover_up[low.bit_length() - 1]
-                while covers:
-                    y = covers & -covers
-                    covers ^= y
-                    below = down[y.bit_length() - 1]
-                    if below & nxt == below:
-                        more |= y
-                addable.append(more)
-            else:
-                ways[j] += w
-            edges.append(j)
-        succ.append(edges)
-    above = [1] * len(ideals)
-    for t in range(len(ideals) - 2, -1, -1):
-        w = 0
-        for j in succ[t]:
-            w += above[j]
-        above[t] = w
-    return IdealLattice(ideals, succ, widest, ways[-1], ways, above)
 
 
 def _check_size(n: int) -> None:

@@ -37,10 +37,10 @@ from bisect import insort
 from contextlib import nullcontext
 
 from .errors import BadParams, MalformedInput, TooLarge
-from .extensions import FTable, enumerate_extensions, f_table, f_table_signed
+from .extensions import FTable, enumerate_extensions, f_table, f_table_signed, lattice
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, _FrozenRecord, _Record, build
-from .posets import _json_covers, _json_int, _json_marks, _json_object
+from .posets import _check_index, _check_size, _json_covers, _json_int, _json_marks, _json_object
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 
@@ -118,8 +118,8 @@ class Certificate(_Record):
     def from_json_obj(obj: dict) -> "Certificate":
         """Inverse of ``to_json_obj`` (``index`` optional).  MalformedInput
         for a missing key, a non-integer field or a field of the wrong shape;
-        ``lhs`` and ``rhs`` may be ints or, as written, ``str`` of one.  The
-        marks are read as in ``load_poset``."""
+        ``lhs`` and ``rhs`` may be ints or, as written, ``str`` of one.  n,
+        the cover elements and the marks are checked as in ``load_poset``."""
         obj = _json_object(obj, "certificate")
         missing = [key for key in _CERTIFICATE_KEYS if key not in obj]
         if missing:
@@ -127,7 +127,10 @@ class Certificate(_Record):
         if not isinstance(obj["ineq"], str):
             raise MalformedInput(f"certificate 'ineq' must be a string, got {obj['ineq']!r}")
         n = _json_int(obj["n"], "'n'")
+        _check_size(n)
         covers, z = _json_covers(obj["covers"]), _json_marks(obj["z"], n)
+        for x in (x for pair in covers for x in pair):
+            _check_index(n, x)
         indices = _json_object(obj["indices"], "'indices'")
         return Certificate(
             obj["ineq"], n, covers, z.as_tuple(),
@@ -189,12 +192,8 @@ class SearchSummary(_Record):
         self.critical = [] if critical is None else critical
 
     def absorb(self, other: "SearchSummary") -> None:
-        self.instances += other.instances
-        self.usable += other.usable
-        self.holds += other.holds
-        self.fails += other.fails
-        self.vacuous += other.vacuous
-        self.certificates += other.certificates
+        for name in ("instances", "usable", "holds", "fails", "vacuous", "certificates"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         self.min_slack = sorted(self.min_slack + other.min_slack)[:5]
         self.critical.extend(other.critical)
 
@@ -400,7 +399,7 @@ def enumerate_posets(n: int):
     for size in range(2, n + 1):
         seen = {}
         for p in reps:
-            for ideal in p.lattice().ideals:
+            for ideal in lattice(p).ideals:
                 # the new element's row in the dual is the ideal, its strict down-set
                 q = Poset(size, (*p.down, ideal)).dual()
                 seen.setdefault(canonical_key(q), q)

@@ -13,7 +13,7 @@ from posetlab.cli import main
 from posetlab.families import FAMILY_IDS, family_cpc2_witness, family_stanley_tight
 from posetlab.inequalities import ALL_CHECK_IDS
 from posetlab.posets import MAX_ELEMENTS, chain
-from posetlab.search import SEARCH_TARGETS, Certificate, verify_certificate
+from posetlab.search import SEARCH_TARGETS, Certificate, SearchJob, run, verify_certificate
 
 
 def run_cli(argv, stdin_text: str = ""):
@@ -140,6 +140,29 @@ def test_search_command_with_out_file(tmp_path):
     certs = [Certificate.from_json_obj(json.loads(line)) for line in out_path.read_text().splitlines()]
     assert len(certs) == summary["certificates"] > 0
     assert all(verify_certificate(c) for c in certs)
+
+
+def test_search_command_prints_certificates_before_the_summary():
+    argv = ["--target", "cpc2", "--n-max", "6", "--seed", "42", "--budget", "300"]
+    code, out, _ = run_cli(["search", *argv])
+    certs, summary = run(SearchJob("cpc2", n_max=6, seed=42, budget=300))
+    assert code == 0 and certs
+    expected = [c.to_json_obj() for c in certs] + [summary.to_json_obj()]
+    assert [json.loads(line) for line in out.splitlines()] == expected
+
+
+def test_family_out_writes_the_printed_line(tmp_path):
+    argv = ["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"]
+    path = tmp_path / "family.json"
+    code, printed, _ = run_cli(argv)
+    assert code == 0
+    code, out, _ = run_cli([*argv, "--out", str(path)])
+    assert code == 0 and out == "" and path.read_text() == printed
+
+
+def test_stanley_check_without_a_mark_exits_two():
+    code, out, err = run_cli(["check", "--ineq", "stanley"], stdin_text='{"n": 3, "covers": [[0, 1]]}')
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_volume_mc_command():

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +28,7 @@ from posetlab.extensions import (
     enumerate_extensions,
     f_table,
     f_table_signed,
+    lattice,
     n_vector,
     pair_gap_table,
     positional_gap_counts,
@@ -114,7 +116,7 @@ def test_f_table_state_budget(monkeypatch):
     inst = family_cpc2_witness(1, 2)
     q, z = inst.poset, inst.z
     slots = prod(_gap_axis(q, u, v)[2] for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
-    budget = q.lattice().widest * slots
+    budget = lattice(q).widest * slots
     monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget)
     assert f_table(Poset(q.n, q.up), z).entries == f_table(q, z).entries
     monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget - 1)
@@ -200,6 +202,9 @@ def test_n_vector_examples_and_sum(medium_corpus):
     inst = family_stanley_tight(5, 3)
     nv = n_vector(inst.poset, inst.a)
     assert (nv.get(2), nv.get(3), nv.get(4)) == (2, 4, 2)
+    assert nv.to_json_obj() == {
+        "schema": "posetlab/1", "n": 5, "a": 0, "N": [[2, "2"], [3, "4"], [4, "2"]],
+    }
     d = 3
     assert n_vector(chain(6), d).counts == {d + 1: 1}
     for p, z in medium_corpus[:20]:
@@ -268,6 +273,7 @@ def test_ftable_json_round_trip(medium_corpus):
         {"n": 3, "z": [0, 1, 2], "F": [[0, 9, "1"], [-2, 1, "4"]]},  # cells off the triangle
         {"n": 3, "z": [0, 1, 2], "F": [[1, 2, "1"]]},  # k + l = n
         {"n": 3, "z": [0, 1, 2], "F": [[1, 1, -1]]},  # negative count
+        {"n": 4, "z": [0, 1, 2], "F": [[1, 1, "2"], [1, 1, "3"]]},  # a repeated cell
     ],
 )
 def test_ftable_from_json_obj_rejects_malformed_input(obj):
@@ -470,3 +476,159 @@ def test_kept_folds_match_fresh_posets_and_enumeration(instance, data):
                 results.append(positional_gap_counts(q, marks))
         gaps = positions if name in ("n_vector", "positional_gap_counts") else signed_gaps
         assert results[0] == results[1] == oracle(marks, gaps), (name, marks)
+
+
+# -- composition identities: exact checks of the fold above ENUMERATION_MAX ----
+#
+# P holds the marks and is counted by enumeration, never by the fold; the
+# rest is a disjoint union of chains, whose e is a multinomial.  An
+# extension of P + Q is a shuffle of one of P with one of Q, so summing over
+# where the first mark lands (Vandermonde) leaves, with p = |P|, N = p + |Q|,
+#   F_{P+Q}(k, l) = e(Q) sum F_P(k', l') C(k-1, k'-1) C(l-1, l'-1) C(N-k-l, p-k'-l')
+#   N_{P+Q}(k)    = e(Q) sum N_P(k') C(k-1, k'-1) C(N-k, p-k').
+# In an ordinal sum A + P + B (all of A below P, all of B above) every
+# extension is one of A, then one of P, then one of B: F = e(A) e(B) F_P.
+# Tier-1 runs four cases of each (N = 36-47 for the unions); ``pytest -m
+# slow`` runs forty more.
+
+UNION_SEED = 1
+
+
+def _chains_from(first: int, lengths) -> list[tuple[int, int]]:
+    """Cover pairs of disjoint chains of the given lengths on first, first + 1, ..."""
+    starts = [first + sum(lengths[:i]) for i in range(len(lengths))]
+    return [(x, x + 1) for s, c in zip(starts, lengths) for x in range(s, s + c - 1)]
+
+
+def _multinomial(lengths) -> int:
+    """e of a disjoint union of chains of the given lengths."""
+    return factorial(sum(lengths)) // prod(map(factorial, lengths))
+
+
+def _shuffled(gaps: dict, p: int, size: int) -> dict:
+    """Gaps (k', l') between three marks of P, in position order, taken to
+    P's elements spread over ``size`` positions, without the factor e(Q)."""
+    out: dict[tuple[int, int], int] = {}
+    for (k1, l1), v in gaps.items():
+        for k in range(k1, size):
+            for l in range(l1, size - k):
+                w = comb(k - 1, k1 - 1) * comb(l - 1, l1 - 1) * comb(size - k - l, p - k1 - l1)
+                if w:
+                    out[k, l] = out.get((k, l), 0) + v * w
+    return out
+
+
+def _signed_oracle(p: Poset, marks, size: int) -> dict[tuple[int, int], int]:
+    """The signed table of ``marks`` of p spread over ``size`` positions, as
+    ``_shuffled``: each extension of p is bucketed by the order in which the
+    marks come and the two gaps between them in that order."""
+    by_order: dict[tuple[int, ...], Counter] = {}
+    for w in enumerate_extensions(p):
+        at = [w.index(m) for m in marks]
+        order = tuple(sorted(range(3), key=at.__getitem__))
+        lo, mid, hi = sorted(at)
+        by_order.setdefault(order, Counter())[mid - lo, hi - mid] += 1
+    out = {}
+    for order, gaps in by_order.items():
+        for (g1, g2), v in _shuffled(gaps, p.n, size).items():
+            at = [0, 0, 0]
+            for i, s in zip(order, (0, g1, g1 + g2)):
+                at[i] = s
+            out[at[1] - at[0], at[2] - at[1]] = v
+    return out
+
+
+def _marked_cases(seed: int, count: int):
+    """``count`` (P, z, other marks, rng): a ``random_instance`` with 5-8
+    elements and a chain triple, three distinct elements of P in random
+    order, and a generator seeded for the case."""
+    rng = random.Random(seed)
+    out, index = [], 0
+    while len(out) < count:
+        p, z = random_instance(seed, index, 5, 8)
+        index += 1
+        if z is not None:
+            out.append((p, z, MarkedTriple(*rng.sample(range(p.n), 3)), random.Random(rng.random())))
+    return out
+
+
+def _check_disjoint_union(p: Poset, z: MarkedTriple, marks: MarkedTriple, lengths, signed: bool):
+    """F, N and (with ``signed``) the signed table of P + chains of the
+    given lengths against the shuffle transform; returns the bits of F's
+    largest cell."""
+    size = p.n + sum(lengths)
+    u = build(size, [*p.covers, *_chains_from(p.n, lengths)])
+    e_q = _multinomial(lengths)
+    F = f_table(u, z).entries
+    assert F == {kl: e_q * v for kl, v in _shuffled(oracle_f_entries(p, z), p.n, size).items()}
+    n_p = oracle_n_counts(p, z.z2)
+    expected = {}
+    for k in range(1, size + 1):
+        v = sum(c * comb(k - 1, k1 - 1) * comb(size - k, p.n - k1) for k1, c in n_p.items())
+        if v:
+            expected[k] = e_q * v
+    assert n_vector(u, z.z2).counts == expected
+    if signed:
+        oracle = _signed_oracle(p, marks.as_tuple(), size)
+        assert f_table_signed(u, marks) == {ab: e_q * v for ab, v in oracle.items()}
+    return max(F.values()).bit_length()
+
+
+def _check_ordinal_sum(p: Poset, z: MarkedTriple, marks: MarkedTriple, below, above):
+    """A + P + B with A and B disjoint unions of chains of the lengths
+    ``below`` and ``above`` (a single chain has e = 1): F and the signed
+    table are e(A) e(B) times P's, and N is too, moved by |A|.  Returns the
+    bits of F's largest cell."""
+    a0, b0 = p.n, p.n + sum(below)  # A is a0..b0-1, B is b0..size-1
+    size = b0 + sum(above)
+    pairs = [*p.covers, *_chains_from(a0, below), *_chains_from(b0, above)]
+    pairs += [(a, x) for a in range(a0, b0) for x in range(p.n)]
+    pairs += [(x, b) for x in range(p.n) for b in range(b0, size)]
+    u = build(size, pairs)
+    e = _multinomial(below) * _multinomial(above)
+    F = f_table(u, z).entries
+    assert F == {kl: e * v for kl, v in oracle_f_entries(p, z).items()}
+    n_p = oracle_n_counts(p, z.z2)
+    assert n_vector(u, z.z2).counts == {k + b0 - a0: e * v for k, v in n_p.items()}
+    signed = _signed_oracle(p, marks.as_tuple(), p.n)  # p.n positions: P's own table
+    assert f_table_signed(u, marks) == {ab: e * v for ab, v in signed.items()}
+    return max(F.values()).bit_length()
+
+
+def _union_bits(seed: int, count: int, signed: int) -> list[int]:
+    """``_check_disjoint_union`` on ``count`` cases with three chains of
+    6-16 elements each, the first ``signed`` of them with the signed table."""
+    return [
+        _check_disjoint_union(p, z, marks, [rng.randint(6, 16) for _ in range(3)], i < signed)
+        for i, (p, z, marks, rng) in enumerate(_marked_cases(seed, count))
+    ]
+
+
+def _ordinal_bits(seed: int, count: int) -> list[int]:
+    """``_check_ordinal_sum`` on ``count`` cases: in the first, A and B are
+    single chains of 6-16 elements; in the rest, three chains of 5-9 each,
+    so N stays within 64."""
+    out = []
+    for i, (p, z, marks, rng) in enumerate(_marked_cases(seed, count)):
+        if i == 0:
+            below, above = [rng.randint(6, 16)], [rng.randint(6, 16)]
+        else:
+            below, above = ([rng.randint(5, 9) for _ in range(3)] for _ in "AB")
+        out.append(_check_ordinal_sum(p, z, marks, below, above))
+    return out
+
+
+def test_disjoint_union_with_chains_matches_the_shuffle_transform():
+    bits = _union_bits(UNION_SEED, 4, signed=1)
+    assert max(bits) > 64  # past one machine word
+
+
+def test_ordinal_sum_with_chains_scales_the_table_of_p():
+    bits = _ordinal_bits(UNION_SEED, 4)
+    assert max(bits) > 64
+
+
+@pytest.mark.slow
+def test_composition_identities_on_a_larger_sample():
+    assert max(_union_bits(UNION_SEED + 1, 40, signed=10)) > 64
+    assert max(_ordinal_bits(UNION_SEED + 1, 40)) > 64

@@ -15,13 +15,12 @@ from hypothesis import strategies as st
 
 from conftest import width_bruteforce, width_five_poset
 from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
-from posetlab.extensions import FTable, count_extensions, f_table, n_vector
+from posetlab.extensions import FTable, IdealLattice, count_extensions, f_table, lattice, n_vector
 from posetlab.families import build_family, family_cpc2_witness
 from posetlab.geometry import McEstimate
 from posetlab.inequalities import check_cpc2
 from posetlab.injections import InjectionCertificate, verify_injections
 from posetlab.posets import (
-    IdealLattice,
     MarkedTriple,
     Poset,
     antichain,
@@ -261,7 +260,7 @@ def _assert_rows_and_lattice(p: Poset) -> None:
     reduction = tuple((x, y) for x in range(n) for y in range(n) if less(x, y) and not between[x][y])
     assert p.down == down and p.cover_up == cover_up
     assert p.covers == reduction and build(n, p.covers).up == p.up
-    lat = p.lattice()
+    lat = lattice(p)
     assert lat == _reference_lattice(p)
     assert lat.ways[-1] == lat.above[0] == lat.count
 
@@ -283,12 +282,12 @@ def test_lattice_and_rows_match_reference_on_corpus(medium_corpus):
 
 def test_lattice_budget_keeps_nothing_on_too_large(monkeypatch):
     p = antichain(6)
-    monkeypatch.setattr("posetlab.posets.IDEAL_BUDGET", 2**6 - 1)
+    monkeypatch.setattr("posetlab.extensions.IDEAL_BUDGET", 2**6 - 1)
     with pytest.raises(TooLarge):
-        p.lattice()
+        lattice(p)
     assert "_lattice" not in p.__dict__
     monkeypatch.undo()
-    lat = p.lattice()
+    lat = lattice(p)
     assert lat == _reference_lattice(p) and (lat.widest, lat.count) == (20, 720)
 
 
@@ -297,11 +296,11 @@ def test_lattice_budget_fires_mid_layer(monkeypatch):
     # in 2 000, so the budget runs out inside the fourth layer; a check made
     # only once a layer is complete keeps all 34 220 (~6.6 MB peak)
     p = antichain(60)
-    monkeypatch.setattr("posetlab.posets.IDEAL_BUDGET", 2000)
+    monkeypatch.setattr("posetlab.extensions.IDEAL_BUDGET", 2000)
     tracemalloc.start()
     try:
         with pytest.raises(TooLarge, match="exceeds 2000 ideals"):
-            p.lattice()
+            lattice(p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -311,12 +310,12 @@ def test_lattice_budget_fires_mid_layer(monkeypatch):
 
 def test_lattice_ideal_budget(monkeypatch):
     p = build(11, [(0, 1), (1, 2)])  # a 3-chain and 8 free elements: 4 * 2^8 ideals
-    monkeypatch.setattr("posetlab.posets.IDEAL_BUDGET", 1023)
+    monkeypatch.setattr("posetlab.extensions.IDEAL_BUDGET", 1023)
     with pytest.raises(TooLarge, match="exceeds 1023 ideals"):
-        p.lattice()
+        lattice(p)
     assert "_lattice" not in p.__dict__
-    monkeypatch.setattr("posetlab.posets.IDEAL_BUDGET", 1024)
-    lat = p.lattice()
+    monkeypatch.setattr("posetlab.extensions.IDEAL_BUDGET", 1024)
+    lat = lattice(p)
     assert (len(lat.ideals), lat.widest) == (1024, 56 + 70 + 56 + 28)
 
 
@@ -415,7 +414,7 @@ def test_frozen_records_refuse_assignment_and_hash_their_fields():
     assert hash(p) == hash((p.n, p.up)) and hash(z) == hash(z.as_tuple())
     assert z != z.as_tuple() and p != chain(p.n)
     # the kept lattice and order parameters are not fields
-    assert p.lattice() and p.b and p == Poset(p.n, p.up) and "_lattice" in p.__dict__
+    assert lattice(p) and p.b and p == Poset(p.n, p.up) and "_lattice" in p.__dict__
     for r in _one_of_each_record()[4:]:
         with pytest.raises(TypeError):
             hash(r)

@@ -229,6 +229,13 @@ def test_certificate_json_round_trip_and_malformed_input():
             Certificate.from_json_obj({**good, field: value})
     with pytest.raises(MalformedInput, match="must be an object"):
         Certificate.from_json_obj([good])
+    # n and the cover elements are range-checked on load, as in load_poset
+    line = {"ineq": "cpc2", "n": 10**9, "covers": [[0, 1]], "z": [0, 1, 2],
+            "indices": {"k": 1, "l": 1}, "lhs": "1", "rhs": "0"}
+    with pytest.raises(IndexOutOfRange, match=r"n=1000000000 outside 1\.\.64"):
+        Certificate.from_json_obj(line)
+    with pytest.raises(IndexOutOfRange, match=r"element 7 outside 0\.\.2"):
+        Certificate.from_json_obj({**line, "n": 3, "covers": [[0, 7]]})
 
 
 def test_bad_target_rejected():
