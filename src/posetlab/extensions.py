@@ -13,6 +13,9 @@ count is then one fold over it (``_fold``), with each ideal's counts
 Kronecker-packed into a single Python int, first coordinate in the lowest
 digits.  The fold does that work only between the first and the last
 mark: the chain counts carry every path before and after that band.
+``_cells`` reads the packed int back as little-endian ``nbytes``-byte
+words, one per slot, slot 0 first; it is the one decode behind every
+count below.
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
@@ -416,15 +419,24 @@ def _cells(p: Poset, gaps: tuple):
     ``posets.check_marks``; each key holds one gap per (u, v), in order.
 
     Decoded from ``_fold`` in the requested gaps as fresh ints, so no caller
-    can change what is kept.  Raises TooLarge as ``_fold`` does.
+    can change what is kept: the packed int is read back as little-endian
+    ``nbytes``-byte words, one per slot, slot 0 first.  With one byte per
+    slot the ``bytes`` object already holds the counts; wider words are
+    compared with zero first, and only the nonzero ones are converted.
+    Raises TooLarge as ``_fold`` does.
     """
     packed, nbytes, slots, axes = _fold(p, gaps)
-    hexes = packed.to_bytes(slots * nbytes, "big").hex(" ", nbytes).split()
-    hexes.reverse()  # one hex string per slot, slot 0 first
-    nonzero = list(map(("00" * nbytes).__ne__, hexes))
+    counts = packed.to_bytes(slots * nbytes, "little")
+    if nbytes > 1:
+        words = [counts[i:i + nbytes] for i in range(0, len(counts), nbytes)]
+        nonzero = list(map(bytes(nbytes).__ne__, words))
+        counts = map(int.from_bytes, compress(words, nonzero), repeat("little"))
+    else:
+        nonzero = counts
+        counts = filter(None, counts)
     # product() runs its last axis fastest: keys come highest digit first
     keys = map(_REVERSED, compress(product(*reversed(axes)), nonzero))
-    return zip(keys, map(int, compress(hexes, nonzero), repeat(16)))
+    return zip(keys, counts)
 
 
 def _gap_counts(p: Poset, gaps: tuple) -> dict[tuple[int, ...], int]:

@@ -47,27 +47,11 @@ from functools import partial
 from math import prod
 from operator import itemgetter
 
-from .errors import (
-    BadParams, CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError,
-)
+from .errors import BadParams, CaseExhaustion, HypothesesNotMet, NoPivot, PosetLabError
 from .extensions import f_table, n_vector, word_classes
 from .posets import SCHEMA, MarkedTriple, Poset, _Record
 
 Word = tuple[int, ...]
-
-
-def tau(p: Poset, word, i: int) -> Word:
-    """Apply tau_i (1-based i in 1..n-1) to an extension word."""
-    if not 1 <= i <= len(word) - 1:
-        raise IndexOutOfRange(f"tau index {i} outside 1..{len(word) - 1}")
-    a, b = word[i - 1], word[i]
-    if p.up[a] >> b & 1:
-        return tuple(word)
-    if p.up[b] >> a & 1:
-        raise ValueError("word is not a linear extension")
-    w = list(word)
-    w[i - 1], w[i] = b, a
-    return tuple(w)
 
 
 def _move_right_past(comp, word, src: int, target: int) -> Word:

@@ -459,9 +459,3 @@ def thin_threshold(p: Poset, z: MarkedTriple) -> int:
         default=0,
     )
     return max(1, worst + 1)
-
-
-def flat_threshold(p: Poset, z: MarkedTriple) -> int:
-    """Smallest t for which the poset is t-flat w.r.t. the marked set."""
-    return max(1, max(p.b[u] + p.b_star[u] for u in z.as_tuple()) - 1)
-

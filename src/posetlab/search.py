@@ -36,11 +36,11 @@ import random
 from bisect import insort
 from contextlib import nullcontext
 
-from .errors import BadParams, MalformedInput, TooLarge
+from .errors import BadChain, BadParams, MalformedInput, TooLarge
 from .extensions import FTable, enumerate_extensions, f_table, f_table_signed, lattice
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, _FrozenRecord, _Record, build
-from .posets import _check_index, _check_size, _json_covers, _json_int, _json_marks, _json_object
+from .posets import _check_size, _json_covers, _json_int, _json_marks, _json_object, is_normalized
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 
@@ -119,21 +119,26 @@ class Certificate(_Record):
         """Inverse of ``to_json_obj`` (``index`` optional).  MalformedInput
         for a missing key, a non-integer field or a field of the wrong shape;
         ``lhs`` and ``rhs`` may be ints or, as written, ``str`` of one.  n,
-        the cover elements and the marks are checked as in ``load_poset``."""
+        the cover elements and the marks are checked as in ``load_poset``,
+        and the poset is built, so a cycle raises CycleDetected.  Marks that
+        are not a chain z1 < z2 < z3 raise BadChain, as ``f_table`` would,
+        except for ``gcpc``, whose marks are the swapped triple."""
         obj = _json_object(obj, "certificate")
         missing = [key for key in _CERTIFICATE_KEYS if key not in obj]
         if missing:
             raise MalformedInput(f"certificate lacks {', '.join(missing)}")
-        if not isinstance(obj["ineq"], str):
-            raise MalformedInput(f"certificate 'ineq' must be a string, got {obj['ineq']!r}")
+        ineq = obj["ineq"]
+        if not isinstance(ineq, str):
+            raise MalformedInput(f"certificate 'ineq' must be a string, got {ineq!r}")
         n = _json_int(obj["n"], "'n'")
         _check_size(n)
         covers, z = _json_covers(obj["covers"]), _json_marks(obj["z"], n)
-        for x in (x for pair in covers for x in pair):
-            _check_index(n, x)
+        p = build(n, covers)
+        if ineq != "gcpc" and not is_normalized(p, z):
+            raise BadChain(f"{ineq} certificate marks must form a chain z1 < z2 < z3")
         indices = _json_object(obj["indices"], "'indices'")
         return Certificate(
-            obj["ineq"], n, covers, z.as_tuple(),
+            ineq, n, covers, z.as_tuple(),
             {key: _json_int(v, f"index {key!r}") for key, v in indices.items()},
             _json_int(obj["lhs"], "'lhs'", text=True),
             _json_int(obj["rhs"], "'rhs'", text=True),
@@ -222,8 +227,15 @@ def random_instance(seed: int, index: int, n_min: int, n_max: int):
     rng.shuffle(order)
     prob = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
     rand = rng.random
-    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rand() < prob]
-    p = build(n, pairs)
+    bits = [1 << x for x in order]
+    rows = [0] * n
+    for i in range(n):  # each kept pair order[i] < order[j], i < j, into its row
+        row = 0
+        for j in range(i + 1, n):
+            if rand() < prob:
+                row |= bits[j]
+        rows[order[i]] = row
+    p = Poset(n, tuple(rows))
     chains = _chains(p)
     if not chains:
         return p, None

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from posetlab.errors import BadParams
+from posetlab.errors import BadParams, IndexOutOfRange
 from posetlab.extensions import enumerate_extensions
 from posetlab.posets import MarkedTriple, Poset, build
 from posetlab.search import enumerate_posets, random_instance
@@ -57,6 +57,25 @@ def is_extension(p: Poset, word) -> bool:
             return False
         seen |= 1 << x
     return True
+
+
+def tau(p: Poset, word, i: int) -> tuple[int, ...]:
+    """Apply tau_i (1-based i in 1..n-1) to an extension word."""
+    if not 1 <= i <= len(word) - 1:
+        raise IndexOutOfRange(f"tau index {i} outside 1..{len(word) - 1}")
+    a, b = word[i - 1], word[i]
+    if p.up[a] >> b & 1:
+        return tuple(word)
+    if p.up[b] >> a & 1:
+        raise ValueError("word is not a linear extension")
+    w = list(word)
+    w[i - 1], w[i] = b, a
+    return tuple(w)
+
+
+def flat_threshold(p: Poset, z: MarkedTriple) -> int:
+    """Smallest t for which the poset is t-flat w.r.t. the marked set."""
+    return max(1, max(p.b[u] + p.b_star[u] for u in z.as_tuple()) - 1)
 
 
 def width_bruteforce(p: Poset) -> int:

@@ -19,6 +19,8 @@ criterion is expected to pass; a FAIL line is a regression.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 from math import factorial
@@ -58,6 +60,11 @@ from posetlab.search import SearchJob, enumerate_posets, run, verify_certificate
 from posetlab.vanishing import support
 
 ACCEPTANCE_SEED = 2024
+
+# SHA-256 of criterion 8's output as the CLI streams it: one json.dumps line
+# per certificate, in order, then the summary line; any change to the
+# instances drawn, the cells counted or the bytes written changes it.
+CRITERION_8_SHA256 = "1230863258812e0e54cca949c25c5ae89eee095e4063d5082919703826ebc7d4"
 
 
 def _finish(num: int, budget: float, started: float, failures: list, detail: str = ""):
@@ -294,6 +301,10 @@ def test_criterion_8_gcpc_falsification():
     for cert in certs:
         if not verify_certificate(cert):
             failures.append(f"certificate at index {cert.index} does not re-verify")
+    lines = [json.dumps(c.to_json_obj()) + "\n" for c in certs]
+    lines.append(json.dumps(summary.to_json_obj()) + "\n")
+    if hashlib.sha256("".join(lines).encode()).hexdigest() != CRITERION_8_SHA256:
+        failures.append("certificate and summary lines differ from the pinned digest")
     _finish(
         8, 600.0, started, failures,
         f"{summary.instances} instances, {len(certs)} certificates, all re-verified",

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_triples, words_by_position
+from conftest import chain_triples, tau, words_by_position
 from posetlab import injections
 from posetlab.cli import main
 from posetlab.errors import (
@@ -34,7 +34,6 @@ from posetlab.injections import (
     phi_stanley_inverse,
     psi_shrink,
     shrink_intervals,
-    tau,
     transfer_intervals,
     verify_injections,
 )

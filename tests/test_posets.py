@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import width_bruteforce, width_five_poset
+from conftest import flat_threshold, width_bruteforce, width_five_poset
 from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
 from posetlab.extensions import FTable, IdealLattice, count_extensions, f_table, lattice, n_vector
 from posetlab.families import build_family, family_cpc2_witness
@@ -26,7 +26,6 @@ from posetlab.posets import (
     antichain,
     build,
     chain,
-    flat_threshold,
     is_flat,
     is_thin,
     load_poset,

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from posetlab import search
-from posetlab.errors import BadParams, IndexOutOfRange, MalformedInput, TooLarge
+from posetlab.errors import (
+    BadChain, BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge,
+)
 from posetlab.extensions import count_extensions, f_table
 from posetlab.inequalities import check_cpc, check_cpc1, check_cpc2
-from posetlab.posets import MarkedTriple
+from posetlab.posets import MarkedTriple, build
 from posetlab.search import (
     Certificate,
     POSET_CLASS_COUNTS,
@@ -59,6 +62,38 @@ def test_random_instance_is_deterministic():
     assert a[0].up == b[0].up and a[1] == b[1]
     c = random_instance(4, 17, 3, 8)
     assert a[0].up != c[0].up or a[1] != c[1]
+
+
+def _instance_from_pairs(seed, index, n_min, n_max):
+    """``random_instance`` as first written: the same RNG calls in the same
+    order, with the kept pairs listed and handed to ``build``, and the
+    3-chains listed by a plain loop in lexicographic order."""
+    rng = random.Random(seed * 1_000_003 + index)
+    n = rng.randint(n_min, n_max)
+    order = list(range(n))
+    rng.shuffle(order)
+    prob = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < prob]
+    p = build(n, pairs)
+    up = p.up
+    chains = [
+        (a, b, c)
+        for a in range(n)
+        for b in range(n) if up[a] >> b & 1
+        for c in range(n) if up[b] >> c & 1
+    ]
+    return p, MarkedTriple(*rng.choice(chains)) if chains else None
+
+
+def test_random_instance_keeps_its_stream():
+    # certificates carry their instance index, so the instances drawn for an
+    # index must never change
+    for seed in (7, 42):
+        for n_min, n_max in ((3, 8), (3, 10)):
+            for index in range(2000):
+                p, z = random_instance(seed, index, n_min, n_max)
+                q, y = _instance_from_pairs(seed, index, n_min, n_max)
+                assert (p.n, p.up) == (q.n, q.up) and z == y, (seed, index, n_min, n_max)
 
 
 def test_search_cpc2_finds_and_reverifies(tmp_path):
@@ -236,6 +271,13 @@ def test_certificate_json_round_trip_and_malformed_input():
         Certificate.from_json_obj(line)
     with pytest.raises(IndexOutOfRange, match=r"element 7 outside 0\.\.2"):
         Certificate.from_json_obj({**line, "n": 3, "covers": [[0, 7]]})
+    # the poset is built and the marks checked on load, so verify_certificate
+    # no longer meets a cycle or a non-chain (it raised on both before)
+    line = {**line, "n": 3, "covers": [[0, 1], [1, 0]]}
+    with pytest.raises(CycleDetected):
+        Certificate.from_json_obj(line)
+    with pytest.raises(BadChain, match=r"cpc2 certificate marks must form a chain"):
+        Certificate.from_json_obj({**line, "covers": []})
 
 
 def test_bad_target_rejected():
