@@ -26,7 +26,7 @@ from .families import FAMILY_IDS, build_family
 from .inequalities import CheckReport, TABLE_CHECKS
 from .posets import MarkedTriple, Poset, antichain, build, chain, normalize, params
 from .search import Certificate, SearchJob, enumerate_posets, run, verify_certificate
-from .vanishing import SupportRegion, exists_extension_at, hexagon_closure_check, support
+from .vanishing import SupportRegion, support
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "MarkedTriple", "Poset", "antichain", "build", "chain",
     "normalize", "params",
     "Certificate", "SearchJob", "enumerate_posets", "run", "verify_certificate",
-    "SupportRegion", "exists_extension_at", "hexagon_closure_check", "support",
+    "SupportRegion", "support",
     "__version__",
 ]

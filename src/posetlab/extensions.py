@@ -12,10 +12,13 @@ e(P) and the chain counts from the empty ideal and to the full one; every
 count is then one fold over it (``_fold``), with each ideal's counts
 Kronecker-packed into a single Python int, first coordinate in the lowest
 digits.  The fold does that work only between the first and the last
-mark: the chain counts carry every path before and after that band.
-``_cells`` reads the packed int back as little-endian ``nbytes``-byte
-words, one per slot, slot 0 first; it is the one decode behind every
-count below.
+mark: the chain counts carry every path before and after that band, and
+the lattice keeps each ideal's addable set, so an ideal before the first
+mark that cannot place one costs a single AND.  Below 2^64 every slot is
+a machine word of 1, 2, 4 or 8 bytes, so ``_cells`` reads all of them
+back, slot 0 first, with one cast of the packed int's little-endian bytes;
+wider slots, and every slot on a big-endian host, are split off one word
+at a time.  It is the one decode behind every count below.
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
@@ -49,8 +52,10 @@ Counts are exact big integers throughout; no floating point.
 
 from __future__ import annotations
 
+import sys
 from itertools import compress, product, repeat
 from operator import itemgetter
+from struct import calcsize
 from typing import NamedTuple
 
 from .errors import BadChain, MalformedInput, TooLarge
@@ -64,7 +69,19 @@ ENUMERATION_MAX = 14
 # injections) per word, so ~0.4 GiB and ~40 s at the budget
 WORD_BUDGET = 1 << 21
 STATE_BUDGET = 1 << 26  # widest lattice layer x folded slots, in one fold
-IDEAL_BUDGET = 1 << 21  # ideals one lattice may keep: ~380 bytes each at peak, ~750 MiB in all
+# ideals one lattice may keep: ~380 bytes each at the build's peak and ~340
+# kept (tracemalloc, CPython 3.11 on x86-64, lattices of 65 536-154 661
+# ideals), ~750 MiB in all
+IDEAL_BUDGET = 1 << 21
+# the struct code of each machine word width (1, 2, 4 and 8 bytes), keyed by
+# its size on this host.  A cast reads words in the host's byte order, and
+# the fold packs little-endian, so a big-endian host has none and reads
+# every slot by the word split.
+_WORD_CODES = {calcsize(code): code for code in "QIHB"} if sys.byteorder == "little" else {}
+# bytes a count needs -> bytes of the machine word that holds it
+_WORD_BYTES = {
+    n: min(w for w in _WORD_CODES if w >= n) for n in range(1, max(_WORD_CODES, default=0) + 1)
+}
 
 
 class IdealLattice(NamedTuple):
@@ -72,8 +89,10 @@ class IdealLattice(NamedTuple):
 
     ``ideals`` lists every ideal as a bitmask, layer by layer (all ideals of
     size i before those of size i + 1), so it starts with the empty ideal
-    and ends with the full one.  ``succ[t]`` lists the indices of the
-    ideals ``I | 1 << x`` covering ``I = ideals[t]``, in ascending x.
+    and ends with the full one.  ``addable[t]`` is the bitmask of the
+    elements x addable to ``I = ideals[t]``, the minimal elements of its
+    complement, and ``succ[t]`` lists the indices of the ideals
+    ``I | 1 << x`` covering I, in ascending x.
     ``widest`` is the size of the largest layer and ``count`` is e(P), the
     number of maximal chains from the empty ideal to the full one.
     ``ways[t]`` counts the chains from the empty ideal to ``ideals[t]`` and
@@ -82,6 +101,7 @@ class IdealLattice(NamedTuple):
     """
 
     ideals: list
+    addable: list
     succ: list
     widest: int
     count: int
@@ -93,13 +113,13 @@ def _build_lattice(p: Poset) -> IdealLattice:
     """One breadth-first pass over the ideals: x covers I by I | 1 << x when
     x is addable to I, that is, a minimal element of its complement.  Each
     ideal's addable set is found once, when the ideal is first reached from
-    I by x: the addable set of I without x, plus the upper covers y of x
-    whose down[y] now lies inside (De Loof, De Meyer & De Baets, Fundamenta
-    Informaticae 71, 2006).  The forward chain counts ride along; the
-    backward ones take one reverse pass over ``succ`` once every ideal is
-    kept.  ``IDEAL_BUDGET`` is checked before each new ideal is kept, so
-    TooLarge comes mid-layer, before the ideal that would go over it is
-    kept."""
+    I by x, and kept for the fold: the addable set of I without x, plus the
+    upper covers y of x whose down[y] now lies inside (De Loof, De Meyer &
+    De Baets, Fundamenta Informaticae 71, 2006).  The forward chain counts
+    ride along; the backward ones take one reverse pass over ``succ`` once
+    every ideal is kept.  ``IDEAL_BUDGET`` is checked before each new ideal
+    is kept, so TooLarge comes mid-layer, before the ideal that would go
+    over it is kept."""
     down, cover_up = p.down, p.cover_up
     ideals, succ, ways = [0], [], [1]
     addable = [sum(1 << x for x, below in enumerate(down) if not below)]
@@ -144,7 +164,7 @@ def _build_lattice(p: Poset) -> IdealLattice:
         for j in succ[t]:
             w += above[j]
         above[t] = w
-    return IdealLattice(ideals, succ, widest, ways[-1], ways, above)
+    return IdealLattice(ideals, addable, succ, widest, ways[-1], ways, above)
 
 
 def lattice(p: Poset) -> IdealLattice:
@@ -323,8 +343,10 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     lists the gap of digit d at each of its values, and the full ideal's
     int ``packed`` holds the count of slot c in bits W*c .. W*c + W - 1
     (Kronecker packing).  W = 8 * nbytes is e(P).bit_length() rounded up to
-    whole bytes; no slot overflows into the next, since a partial count at
-    an ideal J is at most e(J) <= e(P).  A mark not yet placed moves on with
+    a machine word of 1, 2, 4 or 8 bytes (``_WORD_BYTES``), so that
+    ``_cells`` reads every slot with one cast, and past 8 bytes to whole
+    bytes; no slot overflows into the next, since a partial count at an
+    ideal J is at most e(J) <= e(P).  A mark not yet placed moves on with
     the step, so all edges out of an ideal I shift by the same number of
     slots, the sum of the weights of the marks outside I.  Every digit stays
     on its ``_gap_axis``, which makes a negative (right) shift exact.
@@ -333,12 +355,14 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     but not all.  Before the first mark every step shifts by shift[0] >= 0
     (only u = None adds to it), so the value at an ideal t there is its
     chain count ``lat.ways[t]``, moved by W*origin plus shift[0] per step;
-    an edge out of t that places a mark seeds the successor with it.  After
-    the last mark nothing shifts, so an edge into an ideal j that holds
-    every mark adds its value times ``lat.above[j]``, the chains from j to
-    the full ideal, to ``packed``, and such ideals are skipped.  With one
-    mark (``n_vector``) the band is empty: each path is seeded and closed
-    at the edge that places the mark.
+    an edge out of t that places a mark seeds the successor with it, and
+    an ideal whose addable set ``lat.addable[t]`` holds no mark has no such
+    edge and is skipped with one AND.  After the last mark nothing shifts,
+    so an edge into an ideal j that holds every mark adds its value times
+    ``lat.above[j]``, the chains from j to the full ideal, to ``packed``,
+    and such ideals are skipped.  With one mark (``n_vector``) the band is
+    empty: each path is seeded and closed at the edge that places the mark,
+    and every other ideal costs one check.
 
     The latest result is kept in ``p.__dict__["_fold"]`` as a (coords,
     result) pair, next to the lattice, so a later request in the same
@@ -354,6 +378,7 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
         return kept[1]
     lat = lattice(p)
     nbytes = (lat.count.bit_length() + 7) // 8
+    nbytes = _WORD_BYTES.get(nbytes, nbytes)
     width = 8 * nbytes
     weight = {}  # bits a count moves per step of each mark
     origin, slots, axes = 0, 1, []
@@ -375,7 +400,7 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
         mark_mask |= bit
         for mask, bits in list(shift.items()):
             shift[mask | bit] = bits - w
-    ideals, ways, above = lat.ideals, lat.ways, lat.above
+    ideals, addable, ways, above = lat.ideals, lat.addable, lat.ways, lat.above
     start, s0 = width * origin, shift[0]  # s0 >= 0: only u = None adds to it
     held = [ideal & mark_mask for ideal in ideals]
     packed, vals = 0, [0] * len(ideals)
@@ -383,7 +408,11 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
         h = held[t]
         if h == mark_mask:  # after the last mark: closed on the way in
             continue
-        if h:  # in the band: some marks placed, not all
+        if not h:  # before the first mark: the chain count, shifted once per step
+            if not addable[t] & mark_mask:  # no edge places a mark
+                continue
+            c = None
+        else:  # in the band: some marks placed, not all
             c, s = vals[t], shift[h]
             vals[t] = 0  # release it
             c = c << s if s >= 0 else c >> -s
@@ -392,8 +421,6 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
                 for j in edges:
                     vals[j] += c
                 continue
-        else:  # before the first mark: the chain count, shifted once per step
-            c = None
         for j in edges:
             hj = held[j]
             if not hj:
@@ -412,6 +439,25 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
 _REVERSED = itemgetter(slice(None, None, -1))
 
 
+def _word_counts(packed: int, nbytes: int, slots: int):
+    """Every slot's count, slot 0 first, read with one cast of the packed
+    int's little-endian bytes to words of ``nbytes`` bytes, a key of
+    ``_WORD_CODES``; one-byte words are the ``bytes`` object itself."""
+    counts = packed.to_bytes(slots * nbytes, "little")
+    return memoryview(counts).cast(_WORD_CODES[nbytes]).tolist() if nbytes > 1 else counts
+
+
+def _split_counts(packed: int, nbytes: int, slots: int):
+    """(nonzero, counts) for slots of any width: a flag per slot, slot 0
+    first, and the nonzero counts in slot order.  The packed int is split
+    into little-endian ``nbytes``-byte words; each is compared with zero
+    first, and only the nonzero ones are converted."""
+    counts = packed.to_bytes(slots * nbytes, "little")
+    words = [counts[i:i + nbytes] for i in range(0, len(counts), nbytes)]
+    nonzero = list(map(bytes(nbytes).__ne__, words))
+    return nonzero, map(int.from_bytes, compress(words, nonzero), repeat("little"))
+
+
 def _cells(p: Poset, gaps: tuple):
     """(key, count) for each nonzero count of extensions by the gaps
     pos(v) - pos(u), one per (u, v) in ``gaps`` (u = None stands for
@@ -419,21 +465,17 @@ def _cells(p: Poset, gaps: tuple):
     ``posets.check_marks``; each key holds one gap per (u, v), in order.
 
     Decoded from ``_fold`` in the requested gaps as fresh ints, so no caller
-    can change what is kept: the packed int is read back as little-endian
-    ``nbytes``-byte words, one per slot, slot 0 first.  With one byte per
-    slot the ``bytes`` object already holds the counts; wider words are
-    compared with zero first, and only the nonzero ones are converted.
-    Raises TooLarge as ``_fold`` does.
+    can change what is kept.  A slot of a machine word's width, which
+    ``_fold`` gives every count below 2^64 on a little-endian host, is read
+    by ``_word_counts`` in one cast; any other by ``_split_counts``, one
+    word at a time.  Raises TooLarge as ``_fold`` does.
     """
     packed, nbytes, slots, axes = _fold(p, gaps)
-    counts = packed.to_bytes(slots * nbytes, "little")
-    if nbytes > 1:
-        words = [counts[i:i + nbytes] for i in range(0, len(counts), nbytes)]
-        nonzero = list(map(bytes(nbytes).__ne__, words))
-        counts = map(int.from_bytes, compress(words, nonzero), repeat("little"))
+    if nbytes in _WORD_CODES:
+        nonzero = _word_counts(packed, nbytes, slots)
+        counts = filter(None, nonzero)
     else:
-        nonzero = counts
-        counts = filter(None, counts)
+        nonzero, counts = _split_counts(packed, nbytes, slots)
     # product() runs its last axis fastest: keys come highest digit first
     keys = map(_REVERSED, compress(product(*reversed(axes)), nonzero))
     return zip(keys, counts)

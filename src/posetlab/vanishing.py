@@ -2,20 +2,23 @@
 
 F(k, l) > 0 is decided by six linear inequalities in (k, l) built from
 ideal and interval sizes; the support is therefore a (possibly degenerate)
-hexagon with sides parallel to the axes and to k + l = const.  The
-underlying primitive is the positional existence test: a linear extension
-with prescribed positions a_1 < ... < a_r for chain-ordered marks
+hexagon with sides parallel to the axes and to k + l = const.  The bounds
+come from the positional existence criterion: a linear extension with
+prescribed positions a_1 < ... < a_r for chain-ordered marks
 z_1 < ... < z_r exists iff
 
     b(z_i) <= a_i,   b*(z_i) <= n - a_i + 1,   a_j - a_i >= b(z_i, z_j) - 1.
+
+The tests check ``support`` against a direct implementation of that
+criterion, and it against enumeration.
 """
 
 from __future__ import annotations
 
-from .errors import BadChain, HypothesesNotMet, IndexOutOfRange
+from .errors import BadChain, HypothesesNotMet
 from .extensions import FTable, f_table
 from .inequalities import FAILS, HOLDS, CheckReport, ab_products
-from .posets import MarkedTriple, Poset, _FrozenRecord, check_marks, is_normalized
+from .posets import MarkedTriple, Poset, _FrozenRecord, is_normalized
 
 
 class SupportRegion(_FrozenRecord):
@@ -68,51 +71,6 @@ def support(p: Poset, z: MarkedTriple) -> SupportRegion:
         l_hi=n + 1 - p.b_star[z3] - p.b[z2],
         s_lo=p.interval(z1, z3) - 1,
         s_hi=n + 1 - p.b_star[z3] - p.b[z1],
-    )
-
-
-def exists_extension_at(p: Poset, zs, positions) -> bool:
-    """Is there an extension with the chain zs[i] at position positions[i]?
-
-    ``zs`` must be distinct elements (``check_marks``), strictly
-    chain-ordered, and ``positions`` strictly increasing within 1..n.
-    """
-    zs, positions = list(zs), list(positions)
-    if len(zs) != len(positions) or not zs:
-        raise BadChain("need one position per chain element")
-    check_marks(p.n, zs)
-    for x, y in zip(zs, zs[1:]):
-        if not p.less(x, y):
-            raise BadChain(f"marks not chain-ordered: {x} !< {y}")
-    for a in positions:
-        if not 1 <= a <= p.n:
-            raise IndexOutOfRange(f"position {a} outside 1..{p.n}")
-    if any(positions[i] >= positions[i + 1] for i in range(len(positions) - 1)):
-        raise BadChain("positions must be strictly increasing")
-    n = p.n
-    for z, a in zip(zs, positions):
-        if p.b[z] > a or p.b_star[z] > n - a + 1:
-            return False
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if positions[j] - positions[i] < p.interval(zs[i], zs[j]) - 1:
-                return False
-    return True
-
-
-def hexagon_closure_check(region_or_points) -> bool:
-    """Diagonal closure: (k,l) and (k+1,l+1) in S forces (k+1,l), (k,l+1) in S.
-
-    Accepts a SupportRegion or any iterable of integer points.
-    """
-    if isinstance(region_or_points, SupportRegion):
-        pts = region_or_points.points()
-    else:
-        pts = set(region_or_points)
-    return all(
-        (k + 1, l) in pts and (k, l + 1) in pts
-        for (k, l) in pts
-        if (k + 1, l + 1) in pts
     )
 
 

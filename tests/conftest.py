@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from posetlab.errors import BadParams, IndexOutOfRange
+from posetlab.errors import BadChain, BadParams, IndexOutOfRange
 from posetlab.extensions import enumerate_extensions
-from posetlab.posets import MarkedTriple, Poset, build
+from posetlab.posets import MarkedTriple, Poset, build, check_marks
 from posetlab.search import enumerate_posets, random_instance
+from posetlab.vanishing import SupportRegion
 
 
 def corpus(count: int, n_lo: int, n_hi: int, seed: int):
@@ -76,6 +77,51 @@ def tau(p: Poset, word, i: int) -> tuple[int, ...]:
 def flat_threshold(p: Poset, z: MarkedTriple) -> int:
     """Smallest t for which the poset is t-flat w.r.t. the marked set."""
     return max(1, max(p.b[u] + p.b_star[u] for u in z.as_tuple()) - 1)
+
+
+def exists_extension_at(p: Poset, zs, positions) -> bool:
+    """Is there an extension with the chain zs[i] at position positions[i]?
+
+    ``zs`` must be distinct elements (``check_marks``), strictly
+    chain-ordered, and ``positions`` strictly increasing within 1..n.
+    """
+    zs, positions = list(zs), list(positions)
+    if len(zs) != len(positions) or not zs:
+        raise BadChain("need one position per chain element")
+    check_marks(p.n, zs)
+    for x, y in zip(zs, zs[1:]):
+        if not p.less(x, y):
+            raise BadChain(f"marks not chain-ordered: {x} !< {y}")
+    for a in positions:
+        if not 1 <= a <= p.n:
+            raise IndexOutOfRange(f"position {a} outside 1..{p.n}")
+    if any(positions[i] >= positions[i + 1] for i in range(len(positions) - 1)):
+        raise BadChain("positions must be strictly increasing")
+    n = p.n
+    for z, a in zip(zs, positions):
+        if p.b[z] > a or p.b_star[z] > n - a + 1:
+            return False
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            if positions[j] - positions[i] < p.interval(zs[i], zs[j]) - 1:
+                return False
+    return True
+
+
+def hexagon_closure_check(region_or_points) -> bool:
+    """Diagonal closure: (k,l) and (k+1,l+1) in S forces (k+1,l), (k,l+1) in S.
+
+    Accepts a SupportRegion or any iterable of integer points.
+    """
+    if isinstance(region_or_points, SupportRegion):
+        pts = region_or_points.points()
+    else:
+        pts = set(region_or_points)
+    return all(
+        (k + 1, l) in pts and (k, l + 1) in pts
+        for (k, l) in pts
+        if (k + 1, l + 1) in pts
+    )
 
 
 def width_bruteforce(p: Poset) -> int:

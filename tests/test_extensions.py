@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter
-from itertools import permutations
+from itertools import combinations_with_replacement, compress, permutations
 from math import comb, factorial, prod
+from struct import calcsize
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,8 +24,12 @@ from posetlab.errors import (
 )
 from posetlab.extensions import (
     ENUMERATION_MAX,
+    _WORD_BYTES,
+    _WORD_CODES,
     _gap_axis,
     _gap_counts,
+    _split_counts,
+    _word_counts,
     count_extensions,
     enumerate_extensions,
     f_table,
@@ -554,8 +560,8 @@ def _marked_cases(seed: int, count: int):
 
 def _check_disjoint_union(p: Poset, z: MarkedTriple, marks: MarkedTriple, lengths, signed: bool):
     """F, N and (with ``signed``) the signed table of P + chains of the
-    given lengths against the shuffle transform; returns the bits of F's
-    largest cell."""
+    given lengths against the shuffle transform; returns the union and the
+    bits of F's largest cell."""
     size = p.n + sum(lengths)
     u = build(size, [*p.covers, *_chains_from(p.n, lengths)])
     e_q = _multinomial(lengths)
@@ -571,14 +577,14 @@ def _check_disjoint_union(p: Poset, z: MarkedTriple, marks: MarkedTriple, length
     if signed:
         oracle = _signed_oracle(p, marks.as_tuple(), size)
         assert f_table_signed(u, marks) == {ab: e_q * v for ab, v in oracle.items()}
-    return max(F.values()).bit_length()
+    return u, max(F.values()).bit_length()
 
 
 def _check_ordinal_sum(p: Poset, z: MarkedTriple, marks: MarkedTriple, below, above):
     """A + P + B with A and B disjoint unions of chains of the lengths
     ``below`` and ``above`` (a single chain has e = 1): F and the signed
     table are e(A) e(B) times P's, and N is too, moved by |A|.  Returns the
-    bits of F's largest cell."""
+    sum and the bits of F's largest cell."""
     a0, b0 = p.n, p.n + sum(below)  # A is a0..b0-1, B is b0..size-1
     size = b0 + sum(above)
     pairs = [*p.covers, *_chains_from(a0, below), *_chains_from(b0, above)]
@@ -592,14 +598,14 @@ def _check_ordinal_sum(p: Poset, z: MarkedTriple, marks: MarkedTriple, below, ab
     assert n_vector(u, z.z2).counts == {k + b0 - a0: e * v for k, v in n_p.items()}
     signed = _signed_oracle(p, marks.as_tuple(), p.n)  # p.n positions: P's own table
     assert f_table_signed(u, marks) == {ab: e * v for ab, v in signed.items()}
-    return max(F.values()).bit_length()
+    return u, max(F.values()).bit_length()
 
 
 def _union_bits(seed: int, count: int, signed: int) -> list[int]:
     """``_check_disjoint_union`` on ``count`` cases with three chains of
     6-16 elements each, the first ``signed`` of them with the signed table."""
     return [
-        _check_disjoint_union(p, z, marks, [rng.randint(6, 16) for _ in range(3)], i < signed)
+        _check_disjoint_union(p, z, marks, [rng.randint(6, 16) for _ in range(3)], i < signed)[1]
         for i, (p, z, marks, rng) in enumerate(_marked_cases(seed, count))
     ]
 
@@ -614,7 +620,7 @@ def _ordinal_bits(seed: int, count: int) -> list[int]:
             below, above = [rng.randint(6, 16)], [rng.randint(6, 16)]
         else:
             below, above = ([rng.randint(5, 9) for _ in range(3)] for _ in "AB")
-        out.append(_check_ordinal_sum(p, z, marks, below, above))
+        out.append(_check_ordinal_sum(p, z, marks, below, above)[1])
     return out
 
 
@@ -626,6 +632,100 @@ def test_disjoint_union_with_chains_matches_the_shuffle_transform():
 def test_ordinal_sum_with_chains_scales_the_table_of_p():
     bits = _ordinal_bits(UNION_SEED, 4)
     assert max(bits) > 64
+
+
+# bytes that e needs -> bytes each count is stored in: a machine word up to
+# 8 bytes, whole bytes past it
+SLOT_WIDTHS = {1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 6: 8, 7: 8, 8: 8, 9: 9, 10: 10, 11: 11, 12: 12}
+
+
+def _needs(e: int) -> int:
+    """Bytes that e needs."""
+    return (e.bit_length() + 7) // 8
+
+
+def _width_case(nbytes: int, ordinal: bool):
+    """(P, z, marks, lengths): a case of ``_marked_cases`` and the lengths of
+    the chains (at most four of 1-12 elements, fewest ideals first) whose
+    sum with P has an e of exactly ``nbytes`` bytes: put both below and
+    above P in an ordinal sum (e(P) times the square of their multinomial)
+    or beside P in a disjoint union (at most three chains)."""
+    p, z, marks, _ = _marked_cases(UNION_SEED + 2, 1)[0]
+    e_p = sum(1 for _ in enumerate_extensions(p))
+    shapes = [c for r in range(5) for c in combinations_with_replacement(range(1, 13), r)]
+    for c in sorted(shapes, key=lambda c: (prod(x + 1 for x in c), c)):
+        if ordinal:
+            fits, e = p.n + 2 * sum(c) <= 64, e_p * _multinomial(c) ** 2
+        else:
+            fits, e = len(c) <= 3, e_p * _multinomial([p.n, *c])
+        if fits and _needs(e) == nbytes:
+            return p, z, marks, list(c)
+    raise AssertionError(f"no sum of P and chains needs {nbytes} bytes")
+
+
+def _assert_slot_width(u: Poset, nbytes: int, cast: bool) -> None:
+    assert _needs(count_extensions(u)) == nbytes
+    stored = SLOT_WIDTHS[nbytes] if cast and sys.byteorder == "little" else nbytes
+    assert u.__dict__["_fold"][1][1] == stored
+
+
+@pytest.mark.parametrize("cast", [True, False], ids=["cast", "split"])
+@pytest.mark.parametrize("nbytes", sorted(SLOT_WIDTHS))
+def test_every_slot_width_in_an_ordinal_sum(nbytes, cast, monkeypatch):
+    # F, N and the signed table of P between chains, with e of every byte
+    # length up to 12, against the ordinal-sum oracle; without the cast (as
+    # on a big-endian host) no width is rounded and every slot is read by
+    # the word split
+    if not cast:
+        monkeypatch.setattr("posetlab.extensions._WORD_CODES", {})
+        monkeypatch.setattr("posetlab.extensions._WORD_BYTES", {})
+    p, z, marks, lengths = _width_case(nbytes, ordinal=True)
+    u, _ = _check_ordinal_sum(p, z, marks, lengths, lengths)
+    _assert_slot_width(u, nbytes, cast)
+
+
+@pytest.mark.parametrize("nbytes", range(1, 9))
+def test_every_word_width_in_a_disjoint_union(nbytes):
+    # the same beside P, where the chains' elements also fall between the
+    # marks, so the band is wide and its slots span the whole gap range
+    p, z, marks, lengths = _width_case(nbytes, ordinal=False)
+    u, _ = _check_disjoint_union(p, z, marks, lengths, signed=True)
+    _assert_slot_width(u, nbytes, True)
+
+
+def test_word_codes_stand_for_their_widths():
+    # a cast reads the host's byte order and the fold packs little-endian
+    little = sys.byteorder == "little"
+    assert sorted(_WORD_CODES) == ([1, 2, 4, 8] if little else [])
+    assert _WORD_BYTES == ({n: SLOT_WIDTHS[n] for n in range(1, 9)} if little else {})
+    for width, code in _WORD_CODES.items():
+        assert calcsize(code) == memoryview(bytes(width)).cast(code).itemsize == width
+
+
+@pytest.mark.parametrize("nbytes", range(1, 11))
+def test_word_cast_and_word_split_read_the_same_slots(nbytes):
+    # random counts of every bit length up to the width, the largest among
+    # them, and zero slots at the start, in the middle and at the end in
+    # every combination: the split, and for a machine word the cast, read
+    # back exactly the slots that were packed
+    rng = random.Random(nbytes)
+    bits = 8 * nbytes
+    for slots in (1, 2, 3, 8, 41):
+        for zeros in range(8):
+            counts = [rng.getrandbits(rng.randint(1, bits)) or 1 for _ in range(slots)]
+            counts[rng.randrange(slots)] = (1 << bits) - 1
+            for i, at in enumerate((0, slots // 2, slots - 1)):
+                if zeros >> i & 1:
+                    counts[at] = 0
+            packed = sum(c << bits * i for i, c in enumerate(counts))
+            nonzero, split = _split_counts(packed, nbytes, slots)
+            nonzero, split = list(nonzero), list(split)
+            assert list(compress(counts, nonzero)) == split == [c for c in counts if c]
+            assert nonzero == [c != 0 for c in counts]
+            if nbytes in _WORD_CODES:
+                cast = list(_word_counts(packed, nbytes, slots))
+                assert cast == counts
+                assert [c != 0 for c in cast] == nonzero and list(filter(None, cast)) == split
 
 
 @pytest.mark.slow

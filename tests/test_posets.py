@@ -219,7 +219,9 @@ def test_witness_family_interval():
 def _reference_lattice(p: Poset) -> IdealLattice:
     """The ideal lattice by the full-scan walk: every element outside an
     ideal I is tried in ascending order and kept when all of its lower
-    elements lie in I."""
+    elements lie in I.  Each ideal's addable set is found apart from that
+    walk, as the minimal elements of its complement: those with nothing of
+    the complement below them."""
     full = (1 << p.n) - 1
     below = [sum(1 << y for y in range(p.n) if p.less(y, x)) for x in range(p.n)]
     ideals, succ, ways, index = [0], [], [1], {0: 0}
@@ -246,7 +248,11 @@ def _reference_lattice(p: Poset) -> IdealLattice:
         for x in range(p.n):
             if ideal >> x & 1 and not any(ideal >> y & 1 and p.less(x, y) for y in range(p.n)):
                 above[index[ideal ^ 1 << x]] += above[index[ideal]]
-    return IdealLattice(ideals, succ, max(layers), ways[-1], ways, above)
+    addable = []
+    for ideal in ideals:
+        rest = [x for x in range(p.n) if not ideal >> x & 1]
+        addable.append(sum(1 << x for x in rest if not any(p.less(y, x) for y in rest)))
+    return IdealLattice(ideals, addable, succ, max(layers), ways[-1], ways, above)
 
 
 def _assert_rows_and_lattice(p: Poset) -> None:

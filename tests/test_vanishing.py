@@ -4,18 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import chain_triples, corpus
+from conftest import chain_triples, corpus, exists_extension_at, hexagon_closure_check
 from posetlab.errors import BadChain, BadParams, HypothesesNotMet, IndexOutOfRange
 from posetlab.extensions import enumerate_extensions, f_table
 from posetlab.families import family_antichain
 from posetlab.posets import MarkedTriple, build, chain, normalize, params
-from posetlab.vanishing import (
-    SupportRegion,
-    equality_case_check,
-    exists_extension_at,
-    hexagon_closure_check,
-    support,
-)
+from posetlab.vanishing import SupportRegion, equality_case_check, support
 
 
 def test_chain_support_is_single_point():
