@@ -15,17 +15,18 @@ digits.  The fold does that work only between the first and the last
 mark: the chain counts carry every path before and after that band, and
 the lattice keeps each ideal's addable set, so an ideal before the first
 mark that cannot place one costs a single AND.  Below 2^64 every slot is
-a machine word of 1, 2, 4 or 8 bytes, so ``_cells`` reads all of them
-back, slot 0 first, with one cast of the packed int's little-endian bytes;
-wider slots, and every slot on a big-endian host, are split off one word
-at a time.  It is the one decode behind every count below.
+a machine word of 1, 2, 4 or 8 bytes, so ``_slot_counts`` reads all of
+them back, slot 0 first, with one cast of the packed int's little-endian
+bytes; wider slots, and every slot on a big-endian host, are converted one
+word at a time.  ``_cells`` keeps the nonzero ones: it is the one decode
+behind every count below.
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
   placed, l while z1 and z2 are.
-* positional fold (``f_table_signed``, ``pair_gap_table``, ``n_vector``,
-  ``positional_gap_counts``) -- any marks, gaps of either sign, absolute
-  positions; a mark not yet placed moves on with each step.
+* positional fold (``f_table_signed``, ``pair_gap_table``, ``n_vector``)
+  -- any marks, gaps of either sign, absolute positions; a mark not yet
+  placed moves on with each step.
 
 Both are the same fold with different gap axes, each run in the gaps its
 caller asks for.  The signed table of a chain triple, in any order, is F
@@ -53,7 +54,7 @@ Counts are exact big integers throughout; no floating point.
 from __future__ import annotations
 
 import sys
-from itertools import compress, product, repeat
+from itertools import compress, product
 from operator import itemgetter
 from struct import calcsize
 from typing import NamedTuple
@@ -75,8 +76,8 @@ STATE_BUDGET = 1 << 26  # widest lattice layer x folded slots, in one fold
 IDEAL_BUDGET = 1 << 21
 # the struct code of each machine word width (1, 2, 4 and 8 bytes), keyed by
 # its size on this host.  A cast reads words in the host's byte order, and
-# the fold packs little-endian, so a big-endian host has none and reads
-# every slot by the word split.
+# the fold packs little-endian, so a big-endian host has none and converts
+# every slot on its own.
 _WORD_CODES = {calcsize(code): code for code in "QIHB"} if sys.byteorder == "little" else {}
 # bytes a count needs -> bytes of the machine word that holds it
 _WORD_BYTES = {
@@ -344,9 +345,9 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     int ``packed`` holds the count of slot c in bits W*c .. W*c + W - 1
     (Kronecker packing).  W = 8 * nbytes is e(P).bit_length() rounded up to
     a machine word of 1, 2, 4 or 8 bytes (``_WORD_BYTES``), so that
-    ``_cells`` reads every slot with one cast, and past 8 bytes to whole
-    bytes; no slot overflows into the next, since a partial count at an
-    ideal J is at most e(J) <= e(P).  A mark not yet placed moves on with
+    ``_slot_counts`` reads every slot with one cast, and past 8 bytes to
+    whole bytes; no slot overflows into the next, since a partial count at
+    an ideal J is at most e(J) <= e(P).  A mark not yet placed moves on with
     the step, so all edges out of an ideal I shift by the same number of
     slots, the sum of the weights of the marks outside I.  Every digit stays
     on its ``_gap_axis``, which makes a negative (right) shift exact.
@@ -439,23 +440,15 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
 _REVERSED = itemgetter(slice(None, None, -1))
 
 
-def _word_counts(packed: int, nbytes: int, slots: int):
-    """Every slot's count, slot 0 first, read with one cast of the packed
-    int's little-endian bytes to words of ``nbytes`` bytes, a key of
-    ``_WORD_CODES``; one-byte words are the ``bytes`` object itself."""
+def _slot_counts(packed: int, nbytes: int, slots: int):
+    """Every slot's count, slot 0 first, from the packed int's little-endian
+    bytes: one cast to words of ``nbytes`` bytes when that is a key of
+    ``_WORD_CODES`` (one-byte words are the ``bytes`` object itself), and
+    otherwise one ``int.from_bytes`` per word, zeros included."""
     counts = packed.to_bytes(slots * nbytes, "little")
-    return memoryview(counts).cast(_WORD_CODES[nbytes]).tolist() if nbytes > 1 else counts
-
-
-def _split_counts(packed: int, nbytes: int, slots: int):
-    """(nonzero, counts) for slots of any width: a flag per slot, slot 0
-    first, and the nonzero counts in slot order.  The packed int is split
-    into little-endian ``nbytes``-byte words; each is compared with zero
-    first, and only the nonzero ones are converted."""
-    counts = packed.to_bytes(slots * nbytes, "little")
-    words = [counts[i:i + nbytes] for i in range(0, len(counts), nbytes)]
-    nonzero = list(map(bytes(nbytes).__ne__, words))
-    return nonzero, map(int.from_bytes, compress(words, nonzero), repeat("little"))
+    if nbytes in _WORD_CODES:
+        return memoryview(counts).cast(_WORD_CODES[nbytes]).tolist() if nbytes > 1 else counts
+    return [int.from_bytes(counts[i:i + nbytes], "little") for i in range(0, len(counts), nbytes)]
 
 
 def _cells(p: Poset, gaps: tuple):
@@ -465,25 +458,16 @@ def _cells(p: Poset, gaps: tuple):
     ``posets.check_marks``; each key holds one gap per (u, v), in order.
 
     Decoded from ``_fold`` in the requested gaps as fresh ints, so no caller
-    can change what is kept.  A slot of a machine word's width, which
-    ``_fold`` gives every count below 2^64 on a little-endian host, is read
-    by ``_word_counts`` in one cast; any other by ``_split_counts``, one
-    word at a time.  Raises TooLarge as ``_fold`` does.
+    can change what is kept: ``_slot_counts`` reads every slot, in one cast
+    for the machine-word slots that ``_fold`` gives every count below 2^64
+    on a little-endian host, and the keys and counts of the nonzero ones are
+    zipped.  Raises TooLarge as ``_fold`` does.
     """
     packed, nbytes, slots, axes = _fold(p, gaps)
-    if nbytes in _WORD_CODES:
-        nonzero = _word_counts(packed, nbytes, slots)
-        counts = filter(None, nonzero)
-    else:
-        nonzero, counts = _split_counts(packed, nbytes, slots)
+    counts = _slot_counts(packed, nbytes, slots)
     # product() runs its last axis fastest: keys come highest digit first
-    keys = map(_REVERSED, compress(product(*reversed(axes)), nonzero))
-    return zip(keys, counts)
-
-
-def _gap_counts(p: Poset, gaps: tuple) -> dict[tuple[int, ...], int]:
-    """The cells of ``_cells`` as a fresh dict, key -> count."""
-    return dict(_cells(p, gaps))
+    keys = map(_REVERSED, compress(product(*reversed(axes)), counts))
+    return zip(keys, filter(None, counts))
 
 
 def f_table(p: Poset, z: MarkedTriple) -> FTable:
@@ -497,20 +481,7 @@ def f_table(p: Poset, z: MarkedTriple) -> FTable:
     if not is_normalized(p, z):
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
     z1, z2, z3 = z.as_tuple()
-    return FTable(p.n, z, _gap_counts(p, ((z1, z2), (z2, z3))))
-
-
-def positional_gap_counts(p: Poset, marks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Counts of extensions by the absolute positions (1-based) of ``marks``.
-
-    No order assumption on the marks.  Folded in the requested positions,
-    one digit per mark, chain marks included, so the slots that
-    ``STATE_BUDGET`` counts are the product of the marks' position ranges,
-    and TooLarge can come at a smaller poset than for ``f_table`` of the
-    same chain.
-    """
-    check_marks(p.n, marks)
-    return _gap_counts(p, tuple((None, m) for m in marks))
+    return FTable(p.n, z, dict(_cells(p, ((z1, z2), (z2, z3)))))
 
 
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
@@ -531,7 +502,7 @@ def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     down, up = p.down, p.up
     c1, c2, c3 = chain = sorted(marks, key=lambda m: down[m].bit_count())
     if not (up[c1] >> c2 & 1 and up[c2] >> c3 & 1):
-        return _gap_counts(p, gaps)
+        return dict(_cells(p, gaps))
     # pos(x) - pos(c1) as coefficients of (k, l); a gap is a difference of two
     at = {c1: (0, 0), c2: (1, 0), c3: (1, 1)}
     (a, b), (c, d) = [(at[v][0] - at[u][0], at[v][1] - at[u][1]) for u, v in gaps]

@@ -71,7 +71,9 @@ def _slice_system(p: Poset, z: MarkedTriple, s: Fraction, t: Fraction):
     Chart: all coordinates except v(z2), v(z3); those are replaced by
     v(z1) + s and v(z1) + s + t.  Returns (columns, constraints) where each
     constraint (i, j, c) means  x_i - x_j + c <= 0; j is None in the cube
-    bound x_i + c <= 0, and (None, None, 1.0) marks an infeasible system.
+    bound x_i + c <= 0.  The caller has run ``normalize``, so a cover
+    between two marks runs forward along z1, z2, z3, holds for every
+    s, t > 0 and gives no constraint.
 
     Only cover relations give constraints.  Each reads v(a) <= v(b), and
     in exact arithmetic the one of any a < b is the sum of those along a
@@ -97,9 +99,7 @@ def _slice_system(p: Poset, z: MarkedTriple, s: Fraction, t: Fraction):
     for a, b in p.covers:
         ia, ca = term(a)
         ib, cb = term(b)
-        if ia == ib:
-            if ca - cb > 0:
-                constraints.append((None, None, 1.0))  # infeasible
+        if ia == ib:  # both marks
             continue
         constraints.append((ia, ib, ca - cb))
     # z2, z3 must stay inside the cube; lower bounds are implied by s,t > 0.
@@ -145,10 +145,7 @@ def volume_mc(
     except CycleDetected:
         raise DegenerateSlice("no monotone vector realizes the two gaps") from None
     cols, constraints = _slice_system(p, z, s, t)
-    if any(ia is None and ib is None for ia, ib, _ in constraints):
-        hits = 0  # the order forces a gap past the cube: no point lies inside
-    else:
-        hits = _count_hits(constraints, len(cols), samples, seed)
+    hits = _count_hits(constraints, len(cols), samples, seed)
     mean = hits / samples
     stderr = sqrt(max(mean * (1.0 - mean), 0.0) / samples)
     return McEstimate(mean, stderr, hits, samples)
@@ -159,8 +156,7 @@ def _count_hits(constraints, dim: int, samples: int, seed: int) -> int:
     (``numpy.random.default_rng(seed)``) that satisfy every constraint,
     drawn and tested ``MC_BATCH`` rows at a time.  Each constraint (i, j, c)
     is evaluated as x_i - x_j + c <= 0 in that order, reading 0.0 for
-    j = None.  i is never None: ``volume_mc`` answers the infeasible marker
-    (None, None, 1.0) before it draws."""
+    j = None."""
     import numpy as np
 
     rng = np.random.default_rng(seed)

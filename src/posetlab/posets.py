@@ -20,7 +20,7 @@ else is computed on first read and kept in the instance dict (where
 * ``interval(x, y)`` = b(x,y) = |{z : x <= z <= y}|, 0 unless x <= y (no table)
 * ``t[x]`` = max u(x,y), ``t_star[x]`` = max u*(x,y) over y || x, 1 if none,
   where u(x,y) = |{z <= x : z || y}| and u*(x,y) = |{z >= x : z || y}|
-* ``width`` (largest antichain) and ``height`` (longest chain).
+* ``width`` (largest antichain).
 
 ``load_poset``, ``FTable.from_json_obj`` and ``Certificate.from_json_obj``
 read every field through the ``_json_*`` readers here, so all three check
@@ -163,9 +163,6 @@ class Poset(_FrozenRecord):
     def less(self, x: int, y: int) -> bool:
         return bool(self.up[x] >> y & 1)
 
-    def incomparable(self, x: int, y: int) -> bool:
-        return x != y and not self.less(x, y) and not self.less(y, x)
-
     @_cached
     def comparable(self) -> tuple[int, ...]:
         """comparable[x] = bitmask of elements comparable to x, x included,
@@ -209,15 +206,6 @@ class Poset(_FrozenRecord):
     def width(self) -> int:
         """Maximum antichain size, via minimum chain cover (Dilworth)."""
         return self.n - _max_matching(self.n, self.up)
-
-    @_cached
-    def height(self) -> int:
-        """Number of elements in a longest chain."""
-        depth = [0] * self.n
-        for x in sorted(range(self.n), key=lambda x: self.down[x].bit_count()):
-            below = self.down[x]
-            depth[x] = 1 + max((depth[y] for y in range(self.n) if below >> y & 1), default=0)
-        return max(depth)
 
     def relation_pairs(self) -> list[tuple[int, int]]:
         return [(x, y) for x in range(self.n) for y in range(self.n) if self.less(x, y)]
@@ -320,14 +308,15 @@ def load_poset(obj_or_text) -> tuple[Poset, "MarkedTriple | None", int | None]:
     """Parse poset JSON; returns (poset, marked triple or None, marked element or None).
 
     Accepts non-reduced cover lists and extra keys.  Raises MalformedInput
-    when the text is not JSON or a field has the wrong shape or type, and
+    when the text is not JSON that Python can read (nested too deep, or an
+    integer too long) or a field has the wrong shape or type, and
     IndexOutOfRange when a marked element is not an element id.
     """
     obj = obj_or_text
     if isinstance(obj, str):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             raise MalformedInput(f"poset input is not JSON: {exc}") from None
     obj = _json_object(obj, "poset JSON")
     p = build(_json_int(obj.get("n"), "'n'"), _json_covers(obj.get("covers", [])))
@@ -430,8 +419,8 @@ def width(p: Poset) -> int:
 
 def params(p: Poset) -> Poset:
     """The poset itself, whose cached attributes ``b``, ``b_star``, ``t``,
-    ``t_star``, ``width``, ``height`` and ``interval(x, y)`` are the order
-    parameters; kept so that ``params(p).b`` and the like still read them."""
+    ``t_star``, ``width`` and ``interval(x, y)`` are the order parameters;
+    kept so that ``params(p).b`` and the like still read them."""
     return p
 
 

@@ -9,10 +9,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from posetlab import injections
 from posetlab.cli import main
+from posetlab.extensions import FTable, f_table
 from posetlab.families import FAMILY_IDS, family_cpc2_witness, family_stanley_tight
-from posetlab.inequalities import ALL_CHECK_IDS
-from posetlab.posets import MAX_ELEMENTS, chain
+from posetlab.inequalities import ALL_CHECK_IDS, FAILS, check_gcpc
+from posetlab.posets import MAX_ELEMENTS, chain, load_poset, normalize
 from posetlab.search import SEARCH_TARGETS, Certificate, SearchJob, run, verify_certificate
 
 
@@ -128,6 +130,52 @@ def test_verify_injections_command():
     assert all(obj["map"] == "transfer" for obj in lines)
 
 
+def test_verify_injections_exits_one_on_a_colliding_map(monkeypatch):
+    # shrink with every word of a domain sent to the key of its first word:
+    # each image and payload stays valid, so only the collisions fail
+    fn, intervals_fn, dom_shift, img_shift = injections.MAPS["shrink"]
+    first = {}
+
+    def collide(p, z, k, l, word):
+        return first.setdefault((k, l), fn(p, z, k, l, word))
+
+    monkeypatch.setitem(injections.MAPS, "shrink", (collide, intervals_fn, dom_shift, img_shift))
+    text = json.dumps({"n": 5, "covers": [], "z": [0, 1, 2]})
+    code, out, err = run_cli(["verify-injections"], stdin_text=text)
+    certs = [json.loads(line) for line in out.splitlines()]
+    assert code == 1 and err == ""
+    bad = [c for c in certs if not c["ok"]]
+    assert bad and all(c["map"] == "shrink" and c["collisions"] and not c["errors"] for c in bad)
+    assert any(c["map"] != "shrink" for c in certs)
+
+
+@pytest.mark.parametrize("inflate", [False, True], ids=["as-counted", "one-cell-inflated"])
+@pytest.mark.parametrize(
+    "family",
+    [["cpc2-witness", "--k", "1", "--l", "2"], ["converse-tight", "--n", "8", "--k", "2", "--l", "2"]],
+)
+def test_gcpc_check_without_indices_reports_every_support_quad(family, inflate, monkeypatch):
+    # one report per pair of support cells (k, l), (p, q) with k <= p and
+    # l <= q, in sorted order, exit 1 exactly when one fails; no counted
+    # table is known to fail gcpc, so one cell is inflated to make it fail
+    _, text, _ = run_cli(["family", "--id", *family])
+    p, z = normalize(*load_poset(text)[:2])
+    F = f_table(p, z)
+    if inflate:
+        low = min(F.entries)
+        F = FTable(F.n, F.z, {**F.entries, low: F.entries[low] * 10**6})
+        monkeypatch.setattr("posetlab.cli.f_table", lambda p, z: F)
+    cells = sorted(F.support())
+    reports = [
+        check_gcpc(F, k, l, pp, qq) for k, l in cells for pp, qq in cells if k <= pp and l <= qq
+    ]
+    failed = any(rep.verdict == FAILS for rep in reports)
+    assert failed == inflate
+    code, out, _ = run_cli(["check", "--ineq", "gcpc"], stdin_text=text)
+    assert out.splitlines() == [json.dumps(rep.to_json_obj()) for rep in reports]
+    assert code == (1 if failed else 0)
+
+
 def test_search_command_with_out_file(tmp_path):
     out_path = tmp_path / "found.jsonl"
     code, out, _ = run_cli(
@@ -215,12 +263,17 @@ def test_missing_marked_triple_exits_two(argv):
         '{"n": 3, "covers": [], "z": [0, 1, "2"]}',  # z element not an integer
         '{"n": 3, "covers": [], "z": [0, 1, 7]}',  # z element outside 0..n-1
         '{"n": 3, "covers": [], "z": [0, 1, 2], "a": 1.5}',  # a not an integer
+        pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+        pytest.param('{"n": ' + "1" * 5000 + "}", id="integer-past-the-digit-limit"),
     ],
 )
-def test_malformed_poset_exits_two(text):
-    code, out, err = run_cli(["table"], stdin_text=text)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+def test_malformed_poset_exits_two(text, tmp_path):
+    path = tmp_path / "poset.json"
+    path.write_text(text)
+    for argv, stdin_text in ((["table"], text), (["table", "--poset", str(path)], "")):
+        code, out, err = run_cli(argv, stdin_text=stdin_text)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("shape", ["directory", "non-utf8", "search-out-directory"])

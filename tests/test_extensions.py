@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from collections import Counter
-from itertools import combinations_with_replacement, compress, permutations
+from itertools import combinations_with_replacement, permutations
 from math import comb, factorial, prod
 from struct import calcsize
 
@@ -13,7 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import is_extension, oracle_f_entries, oracle_n_counts, width_five_poset
+from conftest import (
+    is_extension, oracle_f_entries, oracle_n_counts, positional_gap_counts, width_five_poset,
+)
 from posetlab.errors import (
     BadChain,
     BadParams,
@@ -26,10 +28,9 @@ from posetlab.extensions import (
     ENUMERATION_MAX,
     _WORD_BYTES,
     _WORD_CODES,
+    _cells,
     _gap_axis,
-    _gap_counts,
-    _split_counts,
-    _word_counts,
+    _slot_counts,
     count_extensions,
     enumerate_extensions,
     f_table,
@@ -37,7 +38,6 @@ from posetlab.extensions import (
     lattice,
     n_vector,
     pair_gap_table,
-    positional_gap_counts,
     word_classes,
     FTable,
 )
@@ -87,6 +87,14 @@ def test_count_matches_oracle_on_random_sample():
 def test_f_table_requires_normalized_triple():
     with pytest.raises(BadChain):
         f_table(antichain(4), MarkedTriple(0, 1, 2))
+
+
+def test_word_classes_requires_normalized_triple():
+    # refused before any lattice is built or any word enumerated
+    for p, z in ((antichain(4), MarkedTriple(0, 1, 2)), (chain(4), MarkedTriple(2, 1, 0))):
+        with pytest.raises(BadChain):
+            word_classes(p, z)
+        assert "_lattice" not in p.__dict__
 
 
 def test_f_table_chain():
@@ -171,7 +179,7 @@ def test_translation_identity_via_signed_table(medium_corpus):
         fresh = Poset(p.n, p.up)
         for marks in permutations(z.as_tuple()):
             a, b, c = marks
-            folded = _gap_counts(fresh, ((a, b), (b, c)))
+            folded = dict(_cells(fresh, ((a, b), (b, c))))
             assert f_table_signed(p, MarkedTriple(*marks)) == folded, marks
 
 
@@ -703,13 +711,15 @@ def test_word_codes_stand_for_their_widths():
 
 
 @pytest.mark.parametrize("nbytes", range(1, 11))
-def test_word_cast_and_word_split_read_the_same_slots(nbytes):
+def test_word_cast_and_word_split_read_the_same_slots(nbytes, monkeypatch):
     # random counts of every bit length up to the width, the largest among
     # them, and zero slots at the start, in the middle and at the end in
-    # every combination: the split, and for a machine word the cast, read
-    # back exactly the slots that were packed
+    # every combination: for a machine word the cast, and without it (as on
+    # a big-endian host) the word split, read back exactly the slots that
+    # were packed, zeros included
     rng = random.Random(nbytes)
     bits = 8 * nbytes
+    cases = []
     for slots in (1, 2, 3, 8, 41):
         for zeros in range(8):
             counts = [rng.getrandbits(rng.randint(1, bits)) or 1 for _ in range(slots)]
@@ -718,14 +728,13 @@ def test_word_cast_and_word_split_read_the_same_slots(nbytes):
                 if zeros >> i & 1:
                     counts[at] = 0
             packed = sum(c << bits * i for i, c in enumerate(counts))
-            nonzero, split = _split_counts(packed, nbytes, slots)
-            nonzero, split = list(nonzero), list(split)
-            assert list(compress(counts, nonzero)) == split == [c for c in counts if c]
-            assert nonzero == [c != 0 for c in counts]
-            if nbytes in _WORD_CODES:
-                cast = list(_word_counts(packed, nbytes, slots))
-                assert cast == counts
-                assert [c != 0 for c in cast] == nonzero and list(filter(None, cast)) == split
+            cases.append((packed, slots, counts))
+    if nbytes in _WORD_CODES:
+        for packed, slots, counts in cases:
+            assert list(_slot_counts(packed, nbytes, slots)) == counts
+    monkeypatch.setattr("posetlab.extensions._WORD_CODES", {})
+    for packed, slots, counts in cases:
+        assert _slot_counts(packed, nbytes, slots) == counts
 
 
 @pytest.mark.slow

@@ -195,9 +195,9 @@ def test_width_two_routes_agree(p: Poset):
     assert width(p) == width_bruteforce(p)
 
 
-def test_width_height_examples():
-    assert width(chain(5)) == 1 and chain(5).height == 5
-    assert width(antichain(5)) == 5 and antichain(5).height == 1
+def test_width_examples():
+    assert width(chain(5)) == 1
+    assert width(antichain(5)) == 5
     inst = family_cpc2_witness(1, 2)
     assert width(inst.poset) == 3
     assert width(inst.poset) == width_bruteforce(inst.poset)
@@ -325,8 +325,8 @@ def test_lattice_ideal_budget(monkeypatch):
 
 
 def _reference_params(p: Poset):
-    """b, b*, t, t*, the interval table and the height, straight from their
-    definitions with one full n x n interval table."""
+    """b, b*, t, t* and the interval table, straight from their definitions
+    with one full n x n interval table."""
     n, pc = p.n, lambda m: bin(m).count("1")
     b = tuple(pc(p.down[x]) + 1 for x in range(n))
     b_star = tuple(pc(p.up[x]) + 1 for x in range(n))
@@ -341,10 +341,7 @@ def _reference_params(p: Poset):
     interval = [
         [pc((p.up[x] | (1 << x)) & (p.down[y] | (1 << y))) for y in range(n)] for x in range(n)
     ]
-    depth = {}
-    for x in sorted(range(n), key=lambda x: pc(p.down[x])):
-        depth[x] = 1 + max((depth[y] for y in range(n) if p.less(y, x)), default=0)
-    return b, b_star, tuple(t), tuple(t_star), interval, max(depth.values())
+    return b, b_star, tuple(t), tuple(t_star), interval
 
 
 def test_cached_params_match_reference(medium_corpus):
@@ -352,17 +349,17 @@ def test_cached_params_match_reference(medium_corpus):
     corpus += [p.dual() for p in corpus]
     corpus += [random_instance(31, i, 3, 10)[0] for i in range(200)]
     for p in corpus:
-        b, b_star, t, t_star, interval, height = _reference_params(p)
+        b, b_star, t, t_star, interval = _reference_params(p)
         assert (p.b, p.b_star, p.t, p.t_star) == (b, b_star, t, t_star)
         assert [[p.interval(x, y) for y in range(p.n)] for x in range(p.n)] == interval
-        assert p.width == width_bruteforce(p) and p.height == height
+        assert p.width == width_bruteforce(p)
         assert params(p) is p
     # support reads b, b* and three interval sizes, nothing else
     for p, z in medium_corpus:
         fresh = Poset(p.n, p.up)
         support(fresh, z)
         assert {"b", "b_star"} <= set(fresh.__dict__)
-        assert not {"t", "t_star", "width", "height"} & set(fresh.__dict__)
+        assert not {"t", "t_star", "width"} & set(fresh.__dict__)
 
 
 def test_marked_triple_validation_and_normalize():
@@ -460,7 +457,7 @@ def test_thin_threshold_matches_incomparability_count():
     p, z = inst.poset, inst.z
     marked = set(z.as_tuple())
     worst = max(
-        sum(1 for y in range(p.n) if p.incomparable(u, y))
+        sum(1 for y in range(p.n) if y != u and not p.less(u, y) and not p.less(y, u))
         for u in range(p.n)
         if u not in marked
     )

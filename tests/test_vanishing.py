@@ -17,6 +17,13 @@ def test_chain_support_is_single_point():
     assert region.points() == {(1, 1)}
 
 
+def test_support_requires_normalized_triple():
+    with pytest.raises(BadChain):
+        support(build(4, []), MarkedTriple(0, 1, 2))
+    with pytest.raises(BadChain):
+        support(chain(4), MarkedTriple(0, 2, 1))
+
+
 def test_antichain_family_support_matches_table():
     inst = family_antichain(2, 1)
     F = f_table(inst.poset, inst.z)
