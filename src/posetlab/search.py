@@ -4,15 +4,17 @@ The random model: draw a linear order uniformly, keep each order-compatible
 pair with probability p drawn per instance from {0.1, ..., 0.5}, close
 transitively, and pick the marked triple uniformly among chains
 z1 < z2 < z3.  ``run`` scans instance indices 0..budget-1 serially in one
-thread.  Each instance is seeded by its own index, so any disjoint split of
-the index range (for example one process per range) reproduces the same
-instances, and ``SearchSummary.absorb`` merges the parts into the same
-summary.  With ``job.out`` set, each certificate is appended and flushed
-as soon as it is found, so a killed run keeps everything found before it
-stopped.
+thread, with one generator of its own that it reseeds for every index, so
+any disjoint split of the index range (for example one process per range)
+reproduces the same instances, and ``SearchSummary.absorb`` merges the
+parts into the same summary.  With ``job.out`` set, each certificate is
+appended and flushed as soon as it is found, so a killed run keeps
+everything found before it stopped.
 
-The scan reads the cells of F once per (k, l) and compares the cpc, cpc1
-and cpc2 products as integers, and makes a Certificate only for a failure.
+The scan drops an instance with no 3-chain from its drawn rows, before any
+poset is built, and one wider than ``width_max`` before its triple is
+drawn.  It reads the cells of F once per (k, l), compares the cpc, cpc1 and
+cpc2 products as integers, and makes a Certificate only for a failure.
 
 Violations of the generalized product comparison (``gcpc``) are located
 through the signed-gap reduction: a ``cpc2`` violation at (k, l) yields,
@@ -68,6 +70,10 @@ class SearchJob(_FrozenRecord):
             raise BadParams(f"need 3 <= n_min <= n_max <= {MAX_ELEMENTS}, got {n_min}, {n_max}")
         if budget < 0:
             raise BadParams(f"budget must be >= 0, got {budget}")
+        if seed < 0:  # random.Random seeds with |a|, so -1 would alias another job
+            raise BadParams(f"seed must be >= 0, got {seed}")
+        if width_max is not None and width_max < 1:
+            raise BadParams(f"width_max must be >= 1, got {width_max}")
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "seed", seed)
@@ -221,7 +227,24 @@ class SearchSummary(_Record):
 def random_instance(seed: int, index: int, n_min: int, n_max: int):
     """Deterministic (poset, triple) for one instance index; triple is None
     when the sample has no 3-chain."""
-    rng = random.Random(seed * 1_000_003 + index)
+    rng = random.Random()
+    rows = _draw_rows(rng, seed, index, n_min, n_max)
+    p = Poset(len(rows), tuple(rows))
+    chains = _chains(p)
+    if not chains:
+        return p, None
+    return p, MarkedTriple(*rng.choice(chains))
+
+
+# Random.seed(int) hands the int to this C base seed and clears gauss_next,
+# which nothing here reads, so calling the base directly gives the same stream
+_reseed = random.Random.__base__.seed
+
+
+def _draw_rows(rng: random.Random, seed: int, index: int, n_min: int, n_max: int) -> list:
+    """Reseed ``rng`` for one instance index and draw its relation rows:
+    ``rows[x]`` holds the y drawn above x, not closed."""
+    _reseed(rng, seed * 1_000_003 + index)
     n = rng.randint(n_min, n_max)
     order = list(range(n))
     rng.shuffle(order)
@@ -235,11 +258,21 @@ def random_instance(seed: int, index: int, n_min: int, n_max: int):
             if rand() < prob:
                 row |= bits[j]
         rows[order[i]] = row
-    p = Poset(n, tuple(rows))
-    chains = _chains(p)
-    if not chains:
-        return p, None
-    return p, MarkedTriple(*rng.choice(chains))
+    return rows
+
+
+def _linked(rows: list) -> int:
+    """Nonzero exactly when the closure of ``rows`` has a 3-chain: that is
+    when the rows hold a path u -> v -> w, so when some element is the head
+    of a pair and has a nonempty row of its own."""
+    heads = tails = 0
+    bit = 1
+    for row in rows:
+        if row:
+            heads |= row
+            tails |= bit
+        bit <<= 1
+    return heads & tails
 
 
 def _chains(p: Poset) -> list:
@@ -299,15 +332,18 @@ def _dense_rows(F: FTable) -> list:
 _TRIO_SLOT = {"cpc": 0, "cpc1": 1, "cpc2": 2, "gcpc": 2}
 
 
-def _scan_instance(job: SearchJob, index: int, summary: SearchSummary) -> list:
-    """Scan one instance into ``summary``; returns its certificates."""
+def _scan_instance(job: SearchJob, index: int, summary: SearchSummary, rng: random.Random) -> list:
+    """Scan one instance into ``summary``; returns its certificates.  The
+    instance is ``random_instance``'s, drawn with ``rng``."""
     summary.instances += 1
     certs: list[Certificate] = []
-    p, z = random_instance(job.seed, index, job.n_min, job.n_max)
-    if z is None:
+    drawn = _draw_rows(rng, job.seed, index, job.n_min, job.n_max)
+    if not _linked(drawn):  # every index reseeds, so draws skipped here move no stream
         return certs
+    p = Poset(len(drawn), tuple(drawn))
     if job.width_max is not None and p.width > job.width_max:
         return certs
+    z = MarkedTriple(*rng.choice(_chains(p)))
     summary.usable += 1
     n = p.n
     rows = _dense_rows(f_table(p, z))
@@ -364,9 +400,10 @@ def run(job: SearchJob):
     certificate is appended and flushed there as soon as it is found."""
     summary = SearchSummary(job.target)
     certificates: list[Certificate] = []
+    rng = random.Random()  # this run's own; reseeded for every instance
     with open(job.out, "a", encoding="utf-8") if job.out else nullcontext() as fh:
         for i in range(job.budget):
-            for cert in _scan_instance(job, i, summary):
+            for cert in _scan_instance(job, i, summary, rng):
                 certificates.append(cert)
                 if fh is not None:
                     fh.write(json.dumps(cert.to_json_obj()) + "\n")

@@ -321,6 +321,15 @@ def test_bad_numeric_argument_exits_two(argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", "-5"], ["--width-max", "0"]])
+def test_search_rejects_negative_seeds_and_widths_below_one(flag):
+    # both exited 0 before: a negative seed drew another seed's instances and
+    # width 0 left every instance unusable
+    code, out, err = run_cli(["search", "--target", "gcpc", "--n-max", "6", "--budget", "10", *flag])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -14,7 +14,7 @@ from posetlab.errors import (
 )
 from posetlab.extensions import count_extensions, f_table
 from posetlab.inequalities import check_cpc, check_cpc1, check_cpc2
-from posetlab.posets import MarkedTriple, build
+from posetlab.posets import MarkedTriple, Poset, build
 from posetlab.search import (
     Certificate,
     POSET_CLASS_COUNTS,
@@ -96,6 +96,43 @@ def test_random_instance_keeps_its_stream():
                 assert (p.n, p.up) == (q.n, q.up) and z == y, (seed, index, n_min, n_max)
 
 
+def test_row_test_finds_exactly_the_instances_with_a_3_chain():
+    # the closure has a < b < c exactly when the rows hold u -> v -> w
+    rng = random.Random()
+    for n_max in (8, 12):
+        for index in range(10_000):
+            rows = search._draw_rows(rng, 5, index, 3, n_max)
+            p = Poset(len(rows), tuple(rows))
+            assert bool(search._linked(rows)) == bool(search._chains(p)), (n_max, index)
+    for n in range(1, 6):
+        for p in enumerate_posets(n):
+            has_chain = bool(search._chains(p))
+            assert bool(search._linked(p.cover_up)) == has_chain, p.covers
+            assert bool(search._linked(p.up)) == has_chain, p.covers
+
+
+# usable instances of SearchJob("gcpc", 8, 7, 4000, width_max=3)
+SEED_7_USABLE = 1446
+
+
+def test_search_keeps_the_usable_instances_of_random_instance():
+    job = SearchJob(target="gcpc", n_max=8, seed=7, budget=4000, width_max=3)
+    _, summary = run(job)
+    drawn = [random_instance(7, index, 3, 8) for index in range(4000)]
+    assert summary.usable == sum(z is not None and p.width <= 3 for p, z in drawn)
+    assert summary.usable == SEED_7_USABLE
+
+
+def test_search_job_rejects_negative_seeds_and_widths_below_one():
+    # random.Random seeds with |a|: seed -1 at index 3 drew the instance of
+    # seed 0 at index 1 000 000, and width_max 0 left no instance usable
+    for bad in ({"seed": -1}, {"seed": -5}, {"width_max": 0}, {"width_max": -2}):
+        params = {"target": "gcpc", "n_max": 6, "seed": 0, "budget": 10, **bad}
+        with pytest.raises(BadParams, match="seed must be >= 0|width_max must be >= 1"):
+            SearchJob(**params)
+    SearchJob(target="gcpc", n_max=6, seed=0, budget=10, width_max=1)
+
+
 def test_search_cpc2_finds_and_reverifies(tmp_path):
     out = tmp_path / "found.jsonl"
     job = SearchJob(target="cpc2", n_max=7, seed=42, budget=4000, out=str(out))
@@ -115,12 +152,14 @@ def test_search_out_survives_a_crash(tmp_path, monkeypatch):
     certs, _ = run(job)
     crash_at = certs[len(certs) // 2].index + 1
 
-    def crashing(seed, index, n_min, n_max):
+    draw_rows = search._draw_rows
+
+    def crashing(rng, seed, index, n_min, n_max):
         if index == crash_at:
             raise RuntimeError("killed")
-        return random_instance(seed, index, n_min, n_max)
+        return draw_rows(rng, seed, index, n_min, n_max)
 
-    monkeypatch.setattr(search, "random_instance", crashing)
+    monkeypatch.setattr(search, "_draw_rows", crashing)
     out = tmp_path / "found.jsonl"
     with pytest.raises(RuntimeError):
         run(SearchJob(target="cpc2", n_max=7, seed=42, budget=4000, out=str(out)))
@@ -137,7 +176,8 @@ def test_search_deterministic_across_index_chunks():
     chunk_certs = []
     for lo, hi in ((1000, 1500), (0, 400), (400, 1000)):
         part = SearchSummary(job.target)
-        chunk_certs += [c for i in range(lo, hi) for c in search._scan_instance(job, i, part)]
+        rng = random.Random()
+        chunk_certs += [c for i in range(lo, hi) for c in search._scan_instance(job, i, part, rng)]
         merged.absorb(part)
     assert sorted((c.to_json_obj() for c in chunk_certs), key=lambda c: c["index"]) == [
         c.to_json_obj() for c in certs
