@@ -24,17 +24,18 @@ behind every count below.
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
   placed, l while z1 and z2 are.
-* positional fold (``f_table_signed``, ``pair_gap_table``, ``n_vector``)
-  -- any marks, gaps of either sign, absolute positions; a mark not yet
-  placed moves on with each step.
+* signed fold (``f_table_signed``, ``pair_gap_table``) -- any marks, gaps
+  of either sign; a mark not yet placed moves on with each step.
 
-Both are the same fold with different gap axes, each run in the gaps its
-caller asks for.  The signed table of a chain triple, in any order, is F
-of the chain, relabelled: each cell moves by a linear map with
-coefficients in {-1, 0, 1}.  The latest fold is kept on the poset next to
-the lattice, with its coordinates, so F and the signed table of any order
-of the same chain triple are folded once and later calls only decode it
-into a fresh dict; a fold in other coordinates replaces it.
+Both are the same fold with different gap axes, each run in the gaps
+between marks that its caller asks for.  ``n_vector`` needs no fold: it
+sums chain counts over the edges that place its one mark.  The signed
+table of a chain triple, in any order, is F of the chain, relabelled:
+each cell moves by a linear map with coefficients in {-1, 0, 1}.  The
+latest fold is kept on the poset next to the lattice, with its
+coordinates, so F and the signed table of any order of the same chain
+triple are folded once and later calls only decode it into a fresh dict;
+a fold in other coordinates replaces it.
 ``STATE_BUDGET`` bounds the widest layer's ideals times the folded slots;
 it is checked once, before a fold, so a kept fold, which passed it, is
 returned at once.
@@ -312,9 +313,9 @@ class FTable(_Record):
         return FTable(n, z, entries)
 
 
-def _gap_axis(p: Poset, u: int | None, v: int) -> tuple[int, int, int]:
+def _gap_axis(p: Poset, u: int, v: int) -> tuple[int, int, int]:
     """(sign, offset, size) such that sign * (pos(v) - pos(u)) + offset stays
-    in 0..size-1 at every step of a fold; u = None stands for position 0.
+    in 0..size-1 at every step of a fold.
 
     Every x has all of down[x] before it and all of up[x] after it, so
     pos(v) - pos(u) lies in -lo..hi, with lo and hi as computed here.  A
@@ -323,8 +324,6 @@ def _gap_axis(p: Poset, u: int | None, v: int) -> tuple[int, int, int]:
     changes sign and is counted up from 0.
     """
     n, up, down = p.n, p.up, p.down
-    if u is None:
-        return 1, 0, n + 1 - up[v].bit_count()
     hi = n - 1 - up[v].bit_count() - down[u].bit_count()
     lo = n - 1 - up[u].bit_count() - down[v].bit_count()
     if up[u] >> v & 1:
@@ -336,8 +335,7 @@ def _gap_axis(p: Poset, u: int | None, v: int) -> tuple[int, int, int]:
 
 def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     """(packed, nbytes, slots, axes): extension counts by the gaps
-    pos(v) - pos(u), one digit per (u, v) in ``coords`` (u = None stands
-    for position 0).
+    pos(v) - pos(u), one digit per pair of marks (u, v) in ``coords``.
 
     One fold over the cached ideal lattice.  The coords are the mixed-radix
     digits of one slot number c (first one least significant), ``axes[d]``
@@ -353,17 +351,13 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     on its ``_gap_axis``, which makes a negative (right) shift exact.
 
     Big-int work is done only in the band: the ideals that hold some marks
-    but not all.  Before the first mark every step shifts by shift[0] >= 0
-    (only u = None adds to it), so the value at an ideal t there is its
-    chain count ``lat.ways[t]``, moved by W*origin plus shift[0] per step;
-    an edge out of t that places a mark seeds the successor with it, and
-    an ideal whose addable set ``lat.addable[t]`` holds no mark has no such
-    edge and is skipped with one AND.  After the last mark nothing shifts,
-    so an edge into an ideal j that holds every mark adds its value times
-    ``lat.above[j]``, the chains from j to the full ideal, to ``packed``,
-    and such ideals are skipped.  With one mark (``n_vector``) the band is
-    empty: each path is seeded and closed at the edge that places the mark,
-    and every other ideal costs one check.
+    but not all; every digit is a gap between two marks, so nothing shifts
+    outside it.  Before the first mark an ideal t holds its chain count
+    ``lat.ways[t]`` at W*origin, which seeds each edge that places a mark;
+    one whose addable set ``lat.addable[t]`` holds no mark has no such edge
+    and is skipped with one AND.  After the last mark an edge into an ideal
+    j adds its value times ``lat.above[j]``, the chains from j to the full
+    ideal, to ``packed``, and such ideals are skipped.
 
     The latest result is kept in ``p.__dict__["_fold"]`` as a (coords,
     result) pair, next to the lattice, so a later request in the same
@@ -371,8 +365,7 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     the same chain triple, which is F relabelled) only decodes it; a
     request in other coordinates folds anew and replaces it.  Before it
     folds, TooLarge when the widest layer's ideals times the slots exceed
-    ``STATE_BUDGET``; a kept fold passed that check, so it is returned as
-    it is.
+    ``STATE_BUDGET``, a check that a kept fold has passed.
     """
     kept = p.__dict__.get("_fold")
     if kept is not None and kept[0] == coords:
@@ -387,48 +380,44 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
         sign, offset, size = _gap_axis(p, u, v)
         step = width * slots * sign
         weight[v] = weight.get(v, 0) + step
-        if u is not None:
-            weight[u] = weight.get(u, 0) - step
+        weight[u] = weight.get(u, 0) - step
         origin += slots * offset
         slots *= size
         axes.append(range(-offset * sign, (size - offset) * sign, sign))  # gap of digit d
     if lat.widest * slots > STATE_BUDGET:
         raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {STATE_BUDGET}")
-    shift = {0: sum(weight.values())}  # marks inside the ideal, as a mask -> bits
-    mark_mask = 0
+    shift, mark_mask = {0: 0}, 0  # marks inside the ideal, as a mask -> bits
     for m, w in weight.items():
         bit = 1 << m
         mark_mask |= bit
         for mask, bits in list(shift.items()):
             shift[mask | bit] = bits - w
     ideals, addable, ways, above = lat.ideals, lat.addable, lat.ways, lat.above
-    start, s0 = width * origin, shift[0]  # s0 >= 0: only u = None adds to it
+    start = width * origin
     held = [ideal & mark_mask for ideal in ideals]
     packed, vals = 0, [0] * len(ideals)
     for t, edges in enumerate(lat.succ):
         h = held[t]
         if h == mark_mask:  # after the last mark: closed on the way in
             continue
-        if not h:  # before the first mark: the chain count, shifted once per step
-            if not addable[t] & mark_mask:  # no edge places a mark
-                continue
-            c = None
-        else:  # in the band: some marks placed, not all
-            c, s = vals[t], shift[h]
-            vals[t] = 0  # release it
-            c = c << s if s >= 0 else c >> -s
-            missing = mark_mask ^ h
-            if missing & missing - 1:  # more than one mark missing: no edge closes
+        if not h:  # before the first mark: the chain count at the origin
+            if addable[t] & mark_mask:  # some edge places a mark
+                c = ways[t] << start
                 for j in edges:
-                    vals[j] += c
-                continue
+                    if held[j]:
+                        vals[j] += c
+            continue
+        # in the band: some marks placed, not all
+        c, s = vals[t], shift[h]
+        vals[t] = 0  # release it
+        c = c << s if s >= 0 else c >> -s
+        missing = mark_mask ^ h
+        if missing & missing - 1:  # more than one mark missing: no edge closes
+            for j in edges:
+                vals[j] += c
+            continue
         for j in edges:
-            hj = held[j]
-            if not hj:
-                continue
-            if c is None:
-                c = ways[t] << start + s0 * (ideals[t].bit_count() + 1)
-            if hj == mark_mask:  # times every path on to the full ideal
+            if held[j] == mark_mask:  # times every path on to the full ideal
                 packed += c * above[j]
             else:
                 vals[j] += c
@@ -453,9 +442,8 @@ def _slot_counts(packed: int, nbytes: int, slots: int):
 
 def _cells(p: Poset, gaps: tuple):
     """(key, count) for each nonzero count of extensions by the gaps
-    pos(v) - pos(u), one per (u, v) in ``gaps`` (u = None stands for
-    position 0), whose marks the caller has checked with
-    ``posets.check_marks``; each key holds one gap per (u, v), in order.
+    pos(v) - pos(u), one per pair of marks (u, v) in ``gaps``, checked by
+    the caller with ``posets.check_marks``; each key holds one gap per pair.
 
     Decoded from ``_fold`` in the requested gaps as fresh ints, so no caller
     can change what is kept: ``_slot_counts`` reads every slot, in one cast
@@ -542,6 +530,17 @@ class NVector(_Record):
 
 
 def n_vector(p: Poset, a: int) -> NVector:
+    """N_k from the chain counts, with no fold: an extension puts a at
+    position k when its chain takes an edge t -> j = I | a with |I| = k - 1,
+    so N_k sums ways[t] * above[j] over the ideals t that a is addable to.
+    A kept fold survives; TooLarge comes from ``lattice`` alone."""
     check_marks(p.n, (a,))
-    return NVector(p.n, a, {k: v for (k,), v in _cells(p, ((None, a),))})
+    ideals, addable, succ, _, _, ways, above = lattice(p)
+    bit, counts = 1 << a, {}
+    for t, free in enumerate(addable):
+        if free & bit:
+            k = ideals[t].bit_count() + 1
+            j = succ[t][(free & bit - 1).bit_count()]  # succ[t] runs in ascending x
+            counts[k] = counts.get(k, 0) + ways[t] * above[j]
+    return NVector(p.n, a, counts)
 

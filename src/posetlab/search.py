@@ -49,6 +49,7 @@ SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 POSET_CLASS_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318}
 ENUMERATION_MAX_N = 6
 CANONICAL_EXACT_MAX = 9  # canonical_key walks every linear extension
+SEED_STRIDE = 1_000_003  # index i of seed s draws from s * SEED_STRIDE + i: the budget cap
 
 
 class SearchJob(_FrozenRecord):
@@ -68,8 +69,8 @@ class SearchJob(_FrozenRecord):
             raise BadParams(f"target must be one of {SEARCH_TARGETS}")
         if not 3 <= n_min <= n_max <= MAX_ELEMENTS:
             raise BadParams(f"need 3 <= n_min <= n_max <= {MAX_ELEMENTS}, got {n_min}, {n_max}")
-        if budget < 0:
-            raise BadParams(f"budget must be >= 0, got {budget}")
+        if not 0 <= budget <= SEED_STRIDE:  # a larger one repeats seed + 1's instances
+            raise BadParams(f"budget must be in 0..{SEED_STRIDE}, got {budget}")
         if seed < 0:  # random.Random seeds with |a|, so -1 would alias another job
             raise BadParams(f"seed must be >= 0, got {seed}")
         if width_max is not None and width_max < 1:
@@ -244,7 +245,7 @@ _reseed = random.Random.__base__.seed
 def _draw_rows(rng: random.Random, seed: int, index: int, n_min: int, n_max: int) -> list:
     """Reseed ``rng`` for one instance index and draw its relation rows:
     ``rows[x]`` holds the y drawn above x, not closed."""
-    _reseed(rng, seed * 1_000_003 + index)
+    _reseed(rng, seed * SEED_STRIDE + index)
     n = rng.randint(n_min, n_max)
     order = list(range(n))
     rng.shuffle(order)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from posetlab.errors import BadChain, BadParams, IndexOutOfRange
-from posetlab.extensions import _cells, enumerate_extensions
+from posetlab.extensions import enumerate_extensions
 from posetlab.posets import MarkedTriple, Poset, build, check_marks
 from posetlab.search import enumerate_posets, random_instance
 from posetlab.vanishing import SupportRegion
@@ -148,19 +148,6 @@ def words_by_position(p: Poset, a: int) -> dict[int, list[tuple[int, ...]]]:
     for w in enumerate_extensions(p):
         out.setdefault(w.index(a) + 1, []).append(w)
     return out
-
-
-def positional_gap_counts(p: Poset, marks: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Counts of extensions by the absolute positions (1-based) of ``marks``.
-
-    No order assumption on the marks.  Folded in the requested positions,
-    one digit per mark, chain marks included, so the slots that
-    ``STATE_BUDGET`` counts are the product of the marks' position ranges,
-    and TooLarge can come at a smaller poset than for ``f_table`` of the
-    same chain.
-    """
-    check_marks(p.n, marks)
-    return dict(_cells(p, tuple((None, m) for m in marks)))
 
 
 def oracle_n_counts(p: Poset, a: int) -> dict[int, int]:

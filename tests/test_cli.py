@@ -330,6 +330,16 @@ def test_search_rejects_negative_seeds_and_widths_below_one(flag):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_search_rejects_a_budget_that_reaches_the_next_seed():
+    # index 1 000 003 + i of seed s is index i of seed s + 1: this exited 0
+    # with those instances counted twice
+    code, out, err = run_cli(
+        ["search", "--target", "gcpc", "--n-max", "8", "--seed", "1", "--budget", "1000004"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: budget must be in 0..1000003, got 1000004\n", err
+
+
 @pytest.mark.parametrize(
     "flags",
     [

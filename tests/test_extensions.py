@@ -13,9 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    is_extension, oracle_f_entries, oracle_n_counts, positional_gap_counts, width_five_poset,
-)
+from conftest import is_extension, oracle_f_entries, oracle_n_counts, width_five_poset
 from posetlab.errors import (
     BadChain,
     BadParams,
@@ -42,6 +40,7 @@ from posetlab.extensions import (
     FTable,
 )
 from posetlab.families import family_cpc2_witness, family_stanley_tight
+from posetlab.injections import verify_injections
 from posetlab.posets import (
     MarkedTriple, Poset, antichain, build, chain, is_normalized, normalize,
 )
@@ -191,16 +190,18 @@ def test_signed_and_pair_tables_match_oracle_on_any_marks(medium_corpus):
         words = list(enumerate_extensions(p))
         triples = list(permutations(range(p.n), 3))[::17] + list(permutations(z.as_tuple()))
         for a, b, c in triples:
-            signed, pair, positions = Counter(), Counter(), Counter()
+            signed, pair, positions = Counter(), Counter(), {m: Counter() for m in (a, b, c)}
             for w in words:
                 pa, pb, pc = w.index(a), w.index(b), w.index(c)
                 signed[(pb - pa, pc - pb)] += 1
                 pair[pc - pa] += 1
-                positions[(pa + 1, pb + 1, pc + 1)] += 1
+                for m, pos in ((a, pa), (b, pb), (c, pc)):
+                    positions[m][pos + 1] += 1
             assert f_table_signed(p, MarkedTriple(a, b, c)) == signed
             assert pair_gap_table(p, a, c) == pair
             assert pair_gap_table(p, c, a) == {-g: v for g, v in pair.items()}
-            assert positional_gap_counts(p, (a, b, c)) == positions
+            for m in (a, b, c):
+                assert n_vector(p, m).counts == positions[m]
 
 
 def test_pair_gap_consistency(medium_corpus):
@@ -295,27 +296,63 @@ def test_ftable_from_json_obj_rejects_malformed_input(obj):
         FTable.from_json_obj(obj)
 
 
-def test_positional_engine_multi_mark(medium_corpus):
-    # several positions in one fold: every digit of every key checked
-    # against the absolute positions read off the words, for the
-    # chain-ordered triple, two orders of it that are not chain orders, the
-    # first three ids and, up to n = 6, every element, so that only the
-    # empty ideal comes before the first mark and only the full one after
-    # the last
-    for p, z in medium_corpus:
-        z1, z2, z3 = z.as_tuple()
-        mark_tuples = [(z1, z2, z3), (z3, z1, z2), (z2, z3, z1), (0, 1, 2)]
-        if p.n <= 6:
-            mark_tuples.append(tuple(range(p.n)))
-        expected = {marks: Counter() for marks in mark_tuples}
+def test_n_vector_of_every_element_matches_enumeration(medium_corpus):
+    # the position of every element, minimal, maximal or neither, read off
+    # the words; each N sums to e(P) and comes in ascending k
+    for p, _ in medium_corpus:
+        expected = [Counter() for _ in range(p.n)]
         for w in enumerate_extensions(p):
-            pos = {e: i + 1 for i, e in enumerate(w)}
-            for marks, counter in expected.items():
-                counter[tuple(pos[m] for m in marks)] += 1
-        for marks in mark_tuples:
-            counts = positional_gap_counts(p, marks)
-            assert counts == dict(expected[marks]), (p.covers, marks)
+            for i, x in enumerate(w):
+                expected[x][i + 1] += 1
+        for a in range(p.n):
+            counts = n_vector(p, a).counts
+            assert counts == expected[a], (p.covers, a)
+            assert list(counts) == sorted(counts)
             assert sum(counts.values()) == count_extensions(p)
+
+
+def test_n_vector_matches_the_oracle_on_every_small_class(small_poset_classes):
+    for reps in small_poset_classes.values():
+        for p in reps:
+            for a in range(p.n):
+                assert n_vector(p, a).counts == oracle_n_counts(p, a), (p.covers, a)
+
+
+def test_n_vector_answers_under_any_state_budget(monkeypatch):
+    # N folds nothing, so STATE_BUDGET never applies to it, while F of the
+    # same poset is refused; nor does N keep or replace a fold
+    inst = family_cpc2_witness(1, 2)
+    p, z = inst.poset, inst.z
+    expected = {a: oracle_n_counts(p, a) for a in range(p.n)}
+    monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", 1)
+    for a in range(p.n):
+        assert n_vector(p, a).counts == expected[a]
+    assert "_fold" not in p.__dict__
+    with pytest.raises(TooLarge, match="exceeds state budget 1"):
+        f_table(p, z)
+
+
+def test_n_vector_raises_too_large_from_the_lattice(monkeypatch):
+    q = width_five_poset()
+    monkeypatch.setattr("posetlab.extensions.IDEAL_BUDGET", 64)
+    p = Poset(q.n, q.up)
+    with pytest.raises(TooLarge, match="ideal lattice exceeds 64 ideals"):
+        n_vector(p, 0)
+    assert "_lattice" not in p.__dict__
+
+
+def test_certify_call_order_folds_f_once(medium_corpus):
+    # certify asks for F, then N, then verify_injections' own F and N: the
+    # fold F kept is the one every later call finds
+    for q, z in medium_corpus[:20]:
+        p = Poset(q.n, q.up)
+        f_table(p, z)
+        kept = p.__dict__["_fold"]
+        for a in range(p.n):
+            n_vector(p, a)
+            assert p.__dict__["_fold"] is kept
+        verify_injections(p, z)
+        assert p.__dict__["_fold"] is kept
 
 
 def test_bad_marks_are_rejected():
@@ -324,7 +361,6 @@ def test_bad_marks_are_rejected():
         lambda: n_vector(p, 7),
         lambda: n_vector(p, -1),
         lambda: pair_gap_table(p, 0, 3),
-        lambda: positional_gap_counts(p, (0, 5)),
         lambda: f_table(chain(6), MarkedTriple(9, 1, 2)),
         lambda: f_table(chain(6), MarkedTriple(0, 1, -1)),
         lambda: f_table_signed(chain(6), MarkedTriple(9, 1, 2)),
@@ -334,12 +370,8 @@ def test_bad_marks_are_rejected():
     ):
         with pytest.raises(IndexOutOfRange):
             call()
-    for call in (
-        lambda: pair_gap_table(p, 0, 0),
-        lambda: positional_gap_counts(p, (1, 2, 1)),
-    ):
-        with pytest.raises(BadParams):
-            call()
+    with pytest.raises(BadParams):
+        pair_gap_table(p, 0, 0)
 
 
 def _ordinal_sum(levels: int):
@@ -367,11 +399,17 @@ def test_packed_slot_holding_a_power_of_two(levels):
     assert n_vector(p, n - 2).counts == {n - 1: e}
 
 
+def _incomparable_pair(p: Poset) -> tuple[int, int]:
+    pairs = ((x, y) for x in range(p.n) for y in range(x + 1, p.n))
+    return next((x, y) for x, y in pairs if not p.comparable[x] >> y & 1)
+
+
 def test_positional_state_budget(medium_corpus, monkeypatch):
-    q, z = medium_corpus[0]
+    # an incomparable pair's gap takes either sign, so its axis is the widest
+    q = next(q for q, _ in medium_corpus if q.width > 1)
     monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", 3)
     with pytest.raises(TooLarge):
-        positional_gap_counts(Poset(q.n, q.up), z.as_tuple())
+        pair_gap_table(Poset(q.n, q.up), *_incomparable_pair(q))
 
 
 def test_signed_table_reuses_the_kept_fold(medium_corpus):
@@ -408,7 +446,7 @@ def test_over_budget_fold_leaves_the_kept_fold(monkeypatch):
     kept = p.__dict__["_fold"]
     monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", 3)
     with pytest.raises(TooLarge):
-        positional_gap_counts(p, z.as_tuple())
+        pair_gap_table(p, *_incomparable_pair(p))
     assert p.__dict__["_fold"] is kept
     assert f_table(p, z) == F
 
@@ -476,7 +514,6 @@ def test_kept_folds_match_fresh_posets_and_enumeration(instance, data):
     calls = [("f_table", z.as_tuple())]
     calls += [("f_table_signed", marks) for marks in permutations(z.as_tuple())]
     calls += [("n_vector", (a,)) for a in z.as_tuple()]
-    calls += [("positional_gap_counts", marks) for marks in [z.as_tuple()[::-1], (z.z3, z.z1)]]
     for name, marks in data.draw(st.permutations(calls)):
         results = []
         for q in (p, build(n, pairs)):
@@ -484,11 +521,9 @@ def test_kept_folds_match_fresh_posets_and_enumeration(instance, data):
                 results.append(f_table(q, MarkedTriple(*marks)).entries)
             elif name == "f_table_signed":
                 results.append(f_table_signed(q, MarkedTriple(*marks)))
-            elif name == "n_vector":
-                results.append({(k,): v for k, v in n_vector(q, marks[0]).counts.items()})
             else:
-                results.append(positional_gap_counts(q, marks))
-        gaps = positions if name in ("n_vector", "positional_gap_counts") else signed_gaps
+                results.append({(k,): v for k, v in n_vector(q, marks[0]).counts.items()})
+        gaps = positions if name == "n_vector" else signed_gaps
         assert results[0] == results[1] == oracle(marks, gaps), (name, marks)
 
 

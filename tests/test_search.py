@@ -18,6 +18,7 @@ from posetlab.posets import MarkedTriple, Poset, build
 from posetlab.search import (
     Certificate,
     POSET_CLASS_COUNTS,
+    SEED_STRIDE,
     SearchJob,
     SearchSummary,
     canonical_key,
@@ -318,6 +319,20 @@ def test_certificate_json_round_trip_and_malformed_input():
         Certificate.from_json_obj(line)
     with pytest.raises(BadChain, match=r"cpc2 certificate marks must form a chain"):
         Certificate.from_json_obj({**line, "covers": []})
+
+
+def test_search_job_caps_the_budget_below_the_next_seeds_instances():
+    # instance SEED_STRIDE + i of seed s draws the rows of instance i of
+    # seed s + 1, so a budget past SEED_STRIDE would count them twice
+    rng = random.Random()
+    for s, i in ((0, 0), (3, 1), (7, 49)):
+        assert search._draw_rows(rng, s, SEED_STRIDE + i, 3, 8) == search._draw_rows(
+            rng, s + 1, i, 3, 8
+        )
+    SearchJob(target="gcpc", n_max=8, seed=1, budget=SEED_STRIDE)
+    for bad in (SEED_STRIDE + 1, 10**9):
+        with pytest.raises(BadParams, match=f"budget must be in 0..{SEED_STRIDE}, got {bad}"):
+            SearchJob(target="gcpc", n_max=8, seed=1, budget=bad)
 
 
 def test_bad_target_rejected():
