@@ -1,16 +1,21 @@
 """Command-line entry point.
 
-Machine-readable JSON lines go to stdout, logs to stderr; ``--human``
-prints each of those lines as comma-separated key=value pairs instead,
-without ``schema``.  Exit codes: 0 success, 1 when a report that was
-asserted to hold came back failing, 2 on a usage error or a data error
-(input that is malformed, out of range or too large).
+Each subcommand returns its records, and ``main`` alone turns them into
+stdout and an exit code.  Machine-readable JSON lines go to stdout, logs
+to stderr; ``--human`` prints each of those lines as comma-separated
+key=value pairs instead, without ``schema``.  Every line is built before
+the first is written, so an error writes no stdout line.  Exit codes: 0
+success, 1 when some line has ``"verdict": "fails"`` or ``"ok": false``,
+2 on a usage error or a data error (input that is malformed, out of
+range or too large).  A reader that closes the pipe early gets the same
+exit code, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -29,23 +34,23 @@ from .inequalities import (
 from .posets import SCHEMA, load_poset, normalize, thin_threshold
 
 
-def _read_poset(path: str | None, stdin):
-    if path in (None, "-"):
-        return load_poset(stdin.read())
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedInput(f"cannot read poset file {path!r}: {exc}") from None
-    return load_poset(text)
-
-
-def _marked(p, z):
-    """The poset with its marked triple z1 < z2 < z3 added; a data error
-    when the input has no triple."""
-    if z is None:
-        raise PosetLabError("poset JSON lacks a marked triple 'z'")
-    return normalize(p, z)
+def _read_poset(args, stdin, marked: bool = True):
+    """(p, z, a) from ``--poset`` or stdin.  With ``marked``, z1 < z2 < z3
+    is added to p, and an input without the triple z is a data error."""
+    if args.poset in (None, "-"):
+        text = stdin.read()
+    else:
+        try:
+            with open(args.poset, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedInput(f"cannot read poset file {args.poset!r}: {exc}") from None
+    p, z, a = load_poset(text)
+    if marked:
+        if z is None:
+            raise PosetLabError("poset JSON lacks a marked triple 'z'")
+        p, z = normalize(p, z)
+    return p, z, a
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -53,14 +58,6 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise BadParams(f"not a fraction: {text!r}") from None
-
-
-def _emit(obj: dict, out, human: bool) -> None:
-    if human:
-        pairs = ", ".join(f"{k}={v}" for k, v in obj.items() if k != "schema")
-        print(pairs, file=out)
-    else:
-        print(json.dumps(obj), file=out)
 
 
 def _check_flags(args) -> None:
@@ -86,34 +83,27 @@ def _indices(args, names: tuple):
     return values
 
 
-def cmd_table(args, stdin, out) -> int:
-    p, z, _ = _read_poset(args.poset, stdin)
-    p, z = _marked(p, z)
-    _emit(f_table(p, z).to_json_obj(), out, args.human)
-    return 0
+def cmd_table(args, stdin) -> list:
+    p, z, _ = _read_poset(args, stdin)
+    return [f_table(p, z)]
 
 
-def cmd_vanish(args, stdin, out) -> int:
-    p, z, _ = _read_poset(args.poset, stdin)
-    p, z = _marked(p, z)
+def cmd_vanish(args, stdin) -> list:
+    p, z, _ = _read_poset(args, stdin)
     region = vanishing.support(p, z)
-    obj = {
+    return [{
         "schema": SCHEMA,
         "type": "vanish",
         "k": args.k,
         "l": args.l,
         "member": region.membership(args.k, args.l),
         "bounds": region.bounds_dict(),
-    }
-    _emit(obj, out, args.human)
-    return 0
+    }]
 
 
-def cmd_check(args, stdin, out) -> int:
+def cmd_check(args, stdin) -> list:
     _check_flags(args)
-    p, z, a = _read_poset(args.poset, stdin)
-    failed = False
-    reports = []
+    p, z, a = _read_poset(args, stdin, marked=args.ineq != "stanley")
     if args.ineq == "stanley":
         mark = args.a if args.a is not None else a
         if mark is None:
@@ -124,59 +114,38 @@ def cmd_check(args, stdin, out) -> int:
         ks = [args.k] if args.k is not None else sorted(
             set(nv.counts) | {k + 1 for k in nv.counts}
         )
-        reports = [check_stanley(nv, k) for k in ks]
-    else:
-        p, z = _marked(p, z)
-        given = _indices(args, ("k", "l", "p", "q") if args.ineq == "gcpc" else ("k", "l"))
-        F = f_table(p, z)
-        if args.ineq == "gcpc":
-            cells = sorted(F.support())
-            quads = [given] if given else [
-                (k, l, pp, qq)
-                for (k, l) in cells
-                for (pp, qq) in cells
-                if k <= pp and l <= qq
-            ]
-            reports = [check_gcpc(F, *quad) for quad in quads]
-        else:
-            kls = [given] if given else list(F.grid(margin=1))
-            if args.ineq == "thin":
-                t = args.t if args.t is not None else thin_threshold(p, z)
-                reports = [check_thin_flat(F, p, t, k, l) for k, l in kls]
-            else:
-                reports = [TABLE_CHECKS[args.ineq](F, k, l) for k, l in kls]
-    for rep in reports:
-        if rep.verdict == FAILS:
-            failed = True
-        _emit(rep.to_json_obj(), out, args.human)
-    return 1 if failed else 0
+        return [check_stanley(nv, k) for k in ks]
+    given = _indices(args, ("k", "l", "p", "q") if args.ineq == "gcpc" else ("k", "l"))
+    F = f_table(p, z)
+    if args.ineq == "gcpc":
+        cells = sorted(F.support())
+        quads = [given] if given else [
+            (k, l, pp, qq) for (k, l) in cells for (pp, qq) in cells if k <= pp and l <= qq
+        ]
+        return [check_gcpc(F, *quad) for quad in quads]
+    kls = [given] if given else list(F.grid(margin=1))
+    if args.ineq == "thin":
+        t = args.t if args.t is not None else thin_threshold(p, z)
+        return [check_thin_flat(F, p, t, k, l) for k, l in kls]
+    return [TABLE_CHECKS[args.ineq](F, k, l) for k, l in kls]
 
 
-def cmd_family(args, stdin, out) -> int:
+def cmd_family(args, stdin) -> list:
     params = {name: getattr(args, name) for name in "nkl" if getattr(args, name) is not None}
     inst = families.build_family(args.id, **params)
-    obj = inst.to_json_obj()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(obj) + "\n")
-    else:
-        _emit(obj, out, args.human)
-    return 0
+    if not args.out:
+        return [inst]
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(inst.to_json_obj()) + "\n")
+    return []
 
 
-def cmd_verify_injections(args, stdin, out) -> int:
-    p, z, _ = _read_poset(args.poset, stdin)
-    p, z = _marked(p, z)
-    maps = (args.map,) if args.map else injections.MAP_NAMES
-    bad = False
-    for cert in injections.verify_injections(p, z, maps):
-        if not cert.ok:
-            bad = True
-        _emit(cert.to_json_obj(), out, args.human)
-    return 1 if bad else 0
+def cmd_verify_injections(args, stdin) -> list:
+    p, z, _ = _read_poset(args, stdin)
+    return injections.verify_injections(p, z, (args.map,) if args.map else injections.MAP_NAMES)
 
 
-def cmd_search(args, stdin, out) -> int:
+def cmd_search(args, stdin) -> list:
     job = search.SearchJob(
         target=args.target,
         n_max=args.n_max,
@@ -187,20 +156,15 @@ def cmd_search(args, stdin, out) -> int:
         out=args.out,
     )
     certs, summary = search.run(job)
-    if not args.out:
-        for cert in certs:
-            _emit(cert.to_json_obj(), out, args.human)
-    _emit(summary.to_json_obj(), out, args.human)
-    return 0
+    return [summary] if args.out else [*certs, summary]
 
 
-def cmd_volume_mc(args, stdin, out) -> int:
-    p, z, _ = _read_poset(args.poset, stdin)
-    p, z = _marked(p, z)
+def cmd_volume_mc(args, stdin) -> list:
+    p, z, _ = _read_poset(args, stdin)
     s, t = _parse_fraction(args.s), _parse_fraction(args.t)
     exact = geometry.volume_formula(f_table(p, z), s, t)
     est = geometry.volume_mc(p, z, s, t, args.samples, args.seed)
-    obj = {
+    return [{
         "schema": SCHEMA,
         "type": "volume",
         "s": str(s),
@@ -211,9 +175,7 @@ def cmd_volume_mc(args, stdin, out) -> int:
         "mc_stderr": est.stderr,
         "samples": est.samples,
         "within_3se": est.within(exact),
-    }
-    _emit(obj, out, args.human)
-    return 0
+    }]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -276,6 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _line(obj: dict, human: bool) -> str:
+    if human:
+        return ", ".join(f"{k}={v}" for k, v in obj.items() if k != "schema") + "\n"
+    return json.dumps(obj) + "\n"
+
+
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -287,10 +255,21 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args, stdin, stdout)
+        objs = [r if isinstance(r, dict) else r.to_json_obj() for r in args.fn(args, stdin)]
     except (PosetLabError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
+    code = 1 if any(obj.get("verdict") == FAILS or obj.get("ok") is False for obj in objs) else 0
+    try:
+        stdout.writelines([_line(obj, args.human) for obj in objs])  # all built, then written
+        stdout.flush()
+    except BrokenPipeError:  # the reader left early: end quietly, as a Unix filter does
+        if stdout is sys.stdout:  # so that the interpreter's last flush cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
+    except OSError as exc:
+        print(f"error: {exc}", file=stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 
@@ -10,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from posetlab import injections
-from posetlab.cli import main
+from posetlab.cli import build_parser, main
 from posetlab.extensions import FTable, f_table
 from posetlab.families import FAMILY_IDS, family_cpc2_witness, family_stanley_tight
 from posetlab.inequalities import ALL_CHECK_IDS, FAILS, check_gcpc
@@ -81,6 +82,51 @@ def test_shell_pipeline_bytes_match_in_process():
     _, family_out, _ = run_cli(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"])
     _, in_process, _ = run_cli(["check", "--ineq", "cpc2", "--all"], stdin_text=family_out)
     assert proc.stdout == in_process
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, expected", [(["check", "--ineq", "cpc2", "--all"], 1), (["table"], 0)])
+def test_a_closed_pipe_keeps_the_exit_code_and_writes_no_error(argv, expected):
+    _, family_out, _ = run_cli(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"])
+    err = io.StringIO()
+    code = main(argv, stdin=io.StringIO(family_out), stdout=_ClosedPipe(), stderr=err)
+    assert code == expected and err.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [
+        (["search", "--target", "gcpc", "--n-max", "8", "--seed", "42",
+          "--budget", "20000", "--width-max", "3"], 1),
+        (["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"], 0),
+    ],
+    ids=["mid-stream", "before-the-first-line"],
+)
+def test_a_reader_that_closes_the_pipe_early_leaves_the_writer_quiet(argv, lines_read):
+    # the search writes ~117 KB, more than a pipe buffer holds, so it is
+    # still writing when the reader goes (this exited 2 with a stderr line);
+    # the family's one line stays in stdout's buffer, whose last flush at
+    # exit must not fail again.  Default buffering, as a shell gives it.
+    import subprocess
+    import sys
+
+    env = {key: v for key, v in child_env().items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "posetlab", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines_read):
+        assert json.loads(proc.stdout.readline())["schema"] == "posetlab/1"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 0 and err == b""
 
 
 def test_only_volume_mc_loads_numpy():
@@ -505,6 +551,7 @@ def _invocation(draw):
 @example((["family", "--id", "converse-tight", "--k", "2"], ""))
 @example((["volume-mc", "--s", "1/5", "--t", "1/5", "--seed", "-1"], chain3_json()))
 @example((["check", "--ineq", "cpc", "--k", "x"], chain3_json()))
+@example((["check", "--ineq", "cpc2", "--all"], json.dumps(_DOCS[1])))  # exits 1
 def test_exit_code_contract_holds_for_mutated_input(invocation):
     argv, stdin_text = invocation
     code, out, err = run_cli(argv, stdin_text)
@@ -515,3 +562,12 @@ def test_exit_code_contract_holds_for_mutated_input(invocation):
     for line in out.splitlines():
         obj = json.loads(line)
         assert isinstance(obj, dict) and obj["schema"] == "posetlab/1"
+    if code in (0, 1):
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert code == any(obj.get("verdict") == "fails" or obj.get("ok") is False for obj in objs)
+
+
+def test_the_property_test_draws_every_subcommand():
+    # a subcommand missing from _SUBCOMMANDS would escape the exit-code contract
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(_SUBCOMMANDS) == set(subparsers.choices)

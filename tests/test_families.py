@@ -99,6 +99,11 @@ def test_experimental_edges_flagged():
     assert not family_stanley_tight(6, 3).experimental
 
 
+def test_experimental_flag_reaches_the_json_line():
+    assert family_stanley_tight(5, 2).to_json_obj()["experimental"] is True
+    assert "experimental" not in family_stanley_tight(5, 3).to_json_obj()
+
+
 def test_element_layout_is_stable():
     # serialized fixtures must not move between versions
     inst = family_cpc2_witness(1, 2)

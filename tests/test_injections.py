@@ -23,7 +23,7 @@ from posetlab.errors import (
 from posetlab.extensions import (
     WORD_BUDGET, FTable, enumerate_extensions, f_table, lattice, n_vector, word_classes,
 )
-from posetlab.families import family_stanley_tight
+from posetlab.families import family_cpc2_witness, family_stanley_tight
 from posetlab.injections import (
     MAPS,
     certify_map,
@@ -33,6 +33,7 @@ from posetlab.injections import (
     phi_stanley,
     phi_stanley_inverse,
     psi_shrink,
+    psi_transfer,
     shrink_intervals,
     transfer_intervals,
     verify_injections,
@@ -188,6 +189,22 @@ def test_refuses_to_run_without_hypotheses():
         certify_map(p, z, 2, 1, "grow", classes)  # F(4,1) = 0
     with pytest.raises(HypothesesNotMet):
         certify_stanley(p, 0, 1, words_by_position(p, 0))  # N_0 is empty
+
+
+def test_phi_stanley_inverse_returns_none_without_a_preimage():
+    p = build(3, [(0, 1)])
+    assert phi_stanley_inverse(p, 2, (0, 1, 2), 1) is None  # nothing follows the mark
+    assert phi_stanley_inverse(p, 0, (0, 1, 2), 2) is None  # r reaches past the word's start
+    # the element after the mark is comparable to the mark it would pass
+    assert phi_stanley_inverse(build(3, [(0, 1), (2, 1)]), 0, (2, 0, 1), 1) is None
+
+
+def test_transfer_refuses_a_word_from_another_gap_class():
+    inst = family_cpc2_witness(1, 2)
+    p, z = normalize(inst.poset, inst.z)
+    word = word_classes(p, z)[0][(1, 2)][0]  # the domain of transfer at (1, 1) is F(2, 2)
+    with pytest.raises(HypothesesNotMet, match="gaps 1,2, expected 2,2"):
+        psi_transfer(p, z, 1, 1, word)
 
 
 def test_shrink_handles_conditional_final_swap():

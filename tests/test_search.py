@@ -13,7 +13,7 @@ from posetlab.errors import (
     BadChain, BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge,
 )
 from posetlab.extensions import count_extensions, f_table
-from posetlab.inequalities import check_cpc, check_cpc1, check_cpc2
+from posetlab.inequalities import FAILS, HOLDS, check_cpc, check_cpc1, check_cpc2
 from posetlab.posets import MarkedTriple, Poset, build
 from posetlab.search import (
     Certificate,
@@ -220,6 +220,21 @@ def test_fast_path_matches_check_reports():
                 for check, fast in zip(checkers, trio):
                     rep = check(F, k, l)
                     assert (rep.verdict, rep.lhs, rep.rhs) == fast, (p.covers, z, k, l)
+
+
+def test_a_double_failure_is_logged_as_critical(monkeypatch):
+    # no table is known to fail two of cpc, cpc1 and cpc2 at one cell, so
+    # every cell is made to report two failures; the cpc failure of each
+    # cell also makes a certificate that names the same instance and cell
+    fails, holds = (FAILS, 2, 1), (HOLDS, 1, 2)
+    monkeypatch.setattr(search, "_cpc_trio", lambda rows, k, l: (fails, fails, holds))
+    certs, summary = run(SearchJob("cpc", n_max=5, seed=42, budget=3))
+    assert certs and len(summary.critical) == len(certs) == summary.fails
+    assert summary.to_json_obj()["critical"] == [
+        {"covers": [list(c) for c in cert.covers], "z": list(cert.z),
+         "k": cert.indices["k"], "l": cert.indices["l"], "index": cert.index}
+        for cert in certs
+    ]
 
 
 def test_gcpc_on_width_two_reverifies():
