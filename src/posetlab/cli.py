@@ -249,19 +249,22 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
+    lines = []
     try:  # argparse prints usage errors and --help to sys.stderr and sys.stdout
         with redirect_stderr(stderr), redirect_stdout(stdout):
             args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    except SystemExit as exc:  # its text is flushed below, as records are
+        code = 2 if exc.code not in (0, None) else 0
+    else:
+        try:
+            objs = [r if isinstance(r, dict) else r.to_json_obj() for r in args.fn(args, stdin)]
+        except (PosetLabError, OSError) as exc:
+            print(f"error: {exc}", file=stderr)
+            return 2
+        code = 1 if any(obj.get("verdict") == FAILS or obj.get("ok") is False for obj in objs) else 0
+        lines = [_line(obj, args.human) for obj in objs]
     try:
-        objs = [r if isinstance(r, dict) else r.to_json_obj() for r in args.fn(args, stdin)]
-    except (PosetLabError, OSError) as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    code = 1 if any(obj.get("verdict") == FAILS or obj.get("ok") is False for obj in objs) else 0
-    try:
-        stdout.writelines([_line(obj, args.human) for obj in objs])  # all built, then written
+        stdout.writelines(lines)  # all built, then written
         stdout.flush()
     except BrokenPipeError:  # the reader left early: end quietly, as a Unix filter does
         if stdout is sys.stdout:  # so that the interpreter's last flush cannot fail again

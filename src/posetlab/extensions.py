@@ -19,7 +19,7 @@ a machine word of 1, 2, 4 or 8 bytes, so ``_slot_counts`` reads all of
 them back, slot 0 first, with one cast of the packed int's little-endian
 bytes; wider slots, and every slot on a big-endian host, are converted one
 word at a time.  ``_cells`` keeps the nonzero ones: it is the one decode
-behind every count below.
+behind every count below; ``_f_rows`` hands the search F's slots as rows.
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
@@ -470,6 +470,24 @@ def f_table(p: Poset, z: MarkedTriple) -> FTable:
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
     z1, z2, z3 = z.as_tuple()
     return FTable(p.n, z, dict(_cells(p, ((z1, z2), (z2, z3)))))
+
+
+def _f_rows(p: Poset, z: MarkedTriple) -> list:
+    """F as rows zero-padded to (n + 2) x (n + 2), ``rows[k][l]`` = F(k, l),
+    read off the slots of ``f_table``'s fold with no dict: both gaps count
+    up from 0 and k is the first digit, so row k is every S1-th slot from
+    slot k, S1 the size of the first axis.  The rows past the last gap k
+    are one shared zero row, for readers only.  BadChain as ``f_table``."""
+    if not is_normalized(p, z):
+        raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
+    z1, z2, z3 = z.as_tuple()
+    packed, nbytes, slots, axes = _fold(p, ((z1, z2), (z2, z3)))
+    counts = _slot_counts(packed, nbytes, slots)
+    size, s1 = p.n + 2, len(axes[0])
+    pad = [0] * (size - slots // s1)
+    rows = [[*counts[k::s1], *pad] for k in range(s1)]
+    rows += [[0] * size] * (size - s1)
+    return rows
 
 
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:

@@ -3,7 +3,12 @@
 The random model: draw a linear order uniformly, keep each order-compatible
 pair with probability p drawn per instance from {0.1, ..., 0.5}, close
 transitively, and pick the marked triple uniformly among chains
-z1 < z2 < z3.  ``run`` scans instance indices 0..budget-1 serially in one
+z1 < z2 < z3.  The stream depends only on ``Random.seed``, ``getrandbits``
+and ``random``: n, the order, p and the triple are read from
+``getrandbits`` by CPython's rejection rule for ``Random._randbelow``
+(``_below``), so they are the values ``randint``, ``shuffle`` and
+``choice`` would draw, and each pair is kept when ``random()`` < p.
+``run`` scans instance indices 0..budget-1 serially in one
 thread, with one generator of its own that it reseeds for every index, so
 any disjoint split of the index range (for example one process per range)
 reproduces the same instances, and ``SearchSummary.absorb`` merges the
@@ -13,8 +18,10 @@ everything found before it stopped.
 
 The scan drops an instance with no 3-chain from its drawn rows, before any
 poset is built, and one wider than ``width_max`` before its triple is
-drawn.  It reads the cells of F once per (k, l), compares the cpc, cpc1 and
-cpc2 products as integers, and makes a Certificate only for a failure.
+drawn.  It takes F as dense rows straight off the slots of its fold
+(``extensions._f_rows``), reads the cells once per (k, l), compares the
+cpc, cpc1 and cpc2 products as integers, and makes a Certificate only for
+a failure.
 
 Violations of the generalized product comparison (``gcpc``) are located
 through the signed-gap reduction: a ``cpc2`` violation at (k, l) yields,
@@ -39,7 +46,7 @@ from bisect import insort
 from contextlib import nullcontext
 
 from .errors import BadChain, BadParams, MalformedInput, TooLarge
-from .extensions import FTable, enumerate_extensions, f_table, f_table_signed, lattice
+from .extensions import _f_rows, enumerate_extensions, f_table, f_table_signed, lattice
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, _FrozenRecord, _Record, build
 from .posets import _check_size, _json_covers, _json_int, _json_marks, _json_object, is_normalized
@@ -234,7 +241,7 @@ def random_instance(seed: int, index: int, n_min: int, n_max: int):
     chains = _chains(p)
     if not chains:
         return p, None
-    return p, MarkedTriple(*rng.choice(chains))
+    return p, MarkedTriple(*chains[_below(rng.getrandbits, len(chains))])
 
 
 # Random.seed(int) hands the int to this C base seed and clears gauss_next,
@@ -242,14 +249,28 @@ def random_instance(seed: int, index: int, n_min: int, n_max: int):
 _reseed = random.Random.__base__.seed
 
 
+def _below(getrandbits, m: int) -> int:
+    """A draw from range(m) by CPython's ``Random._randbelow`` rule: m's
+    bit length in bits, drawn again while the value is m or more (so m = 1
+    still spends a draw)."""
+    k = m.bit_length()
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
+
+
 def _draw_rows(rng: random.Random, seed: int, index: int, n_min: int, n_max: int) -> list:
     """Reseed ``rng`` for one instance index and draw its relation rows:
     ``rows[x]`` holds the y drawn above x, not closed."""
     _reseed(rng, seed * SEED_STRIDE + index)
-    n = rng.randint(n_min, n_max)
+    getrandbits = rng.getrandbits
+    n = n_min + _below(getrandbits, n_max - n_min + 1)  # randint(n_min, n_max)
     order = list(range(n))
-    rng.shuffle(order)
-    prob = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5])
+    for i in range(n - 1, 0, -1):  # shuffle(order)
+        j = _below(getrandbits, i + 1)
+        order[i], order[j] = order[j], order[i]
+    prob = (0.1, 0.2, 0.3, 0.4, 0.5)[_below(getrandbits, 5)]  # choice([0.1, ..., 0.5])
     rand = rng.random
     bits = [1 << x for x in order]
     rows = [0] * n
@@ -321,15 +342,6 @@ def _cpc_trio(rows: list, k: int, l: int) -> tuple:
     return cpc, cpc1, cpc2
 
 
-def _dense_rows(F: FTable) -> list:
-    """F as a list of rows, zero-padded to (n + 2) x (n + 2)."""
-    size = F.n + 2
-    rows = [[0] * size for _ in range(size)]
-    for (k, l), v in F.entries.items():
-        rows[k][l] = v
-    return rows
-
-
 _TRIO_SLOT = {"cpc": 0, "cpc1": 1, "cpc2": 2, "gcpc": 2}
 
 
@@ -344,10 +356,11 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary, rng: rand
     p = Poset(len(drawn), tuple(drawn))
     if job.width_max is not None and p.width > job.width_max:
         return certs
-    z = MarkedTriple(*rng.choice(_chains(p)))
+    chains = _chains(p)
+    z = MarkedTriple(*chains[_below(rng.getrandbits, len(chains))])
     summary.usable += 1
     n = p.n
-    rows = _dense_rows(f_table(p, z))
+    rows = _f_rows(p, z)
     slot = _TRIO_SLOT[job.target]
     min_slack = summary.min_slack
     cutoff = min_slack[4] if len(min_slack) == 5 else None

@@ -47,6 +47,28 @@ def oracle_f_entries(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     return out
 
 
+def dense_rows(F) -> list:
+    """F as a list of rows, zero-padded to (n + 2) x (n + 2), cell by cell
+    from ``F.entries``: the dict oracle for ``extensions._f_rows``."""
+    size = F.n + 2
+    rows = [[0] * size for _ in range(size)]
+    for (k, l), v in F.entries.items():
+        rows[k][l] = v
+    return rows
+
+
+def marked_sample():
+    """Every marked poset on n <= 5 elements, then a seeded random sample."""
+    for n in range(3, 6):
+        for p in enumerate_posets(n):
+            for z in chain_triples(p):
+                yield p, z
+    for index in range(300):
+        p, z = random_instance(9, index, 3, 8)
+        if z is not None:
+            yield p, z
+
+
 def is_extension(p: Poset, word) -> bool:
     """Whether ``word`` lists every element once with no element after one
     above it."""

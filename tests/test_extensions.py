@@ -13,7 +13,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import is_extension, oracle_f_entries, oracle_n_counts, width_five_poset
+from conftest import (
+    dense_rows, is_extension, marked_sample, oracle_f_entries, oracle_n_counts, width_five_poset,
+)
 from posetlab.errors import (
     BadChain,
     BadParams,
@@ -27,6 +29,7 @@ from posetlab.extensions import (
     _WORD_BYTES,
     _WORD_CODES,
     _cells,
+    _f_rows,
     _gap_axis,
     _slot_counts,
     count_extensions,
@@ -770,6 +773,25 @@ def test_word_cast_and_word_split_read_the_same_slots(nbytes, monkeypatch):
     monkeypatch.setattr("posetlab.extensions._WORD_CODES", {})
     for packed, slots, counts in cases:
         assert _slot_counts(packed, nbytes, slots) == counts
+
+
+@pytest.mark.parametrize("cast", [True, False], ids=["cast", "split"])
+def test_f_rows_match_the_dict_oracle(cast, monkeypatch):
+    # the search's rows, read off the fold's slots, against F's dict written
+    # cell by cell: every marked poset of the sample, and an ordinal sum
+    # whose e(P) needs 9 bytes, so no slot is a machine word; without the
+    # cast (as on a big-endian host) every slot is read by the word split
+    if not cast:
+        monkeypatch.setattr("posetlab.extensions._WORD_CODES", {})
+        monkeypatch.setattr("posetlab.extensions._WORD_BYTES", {})
+    for p, z in marked_sample():
+        assert _f_rows(p, z) == dense_rows(f_table(p, z)), (p.covers, z)
+    p, z, marks, lengths = _width_case(9, ordinal=True)
+    u, _ = _check_ordinal_sum(p, z, marks, lengths, lengths)
+    assert count_extensions(u) >= 2**64
+    assert _f_rows(u, z) == dense_rows(f_table(u, z))
+    with pytest.raises(BadChain):
+        _f_rows(u, MarkedTriple(z.z2, z.z1, z.z3))
 
 
 @pytest.mark.slow

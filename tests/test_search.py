@@ -8,11 +8,12 @@ import random
 
 import pytest
 
+from conftest import marked_sample
 from posetlab import search
 from posetlab.errors import (
     BadChain, BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge,
 )
-from posetlab.extensions import count_extensions, f_table
+from posetlab.extensions import _f_rows, count_extensions, f_table
 from posetlab.inequalities import FAILS, HOLDS, check_cpc, check_cpc1, check_cpc2
 from posetlab.posets import MarkedTriple, Poset, build
 from posetlab.search import (
@@ -95,6 +96,41 @@ def test_random_instance_keeps_its_stream():
                 p, z = random_instance(seed, index, n_min, n_max)
                 q, y = _instance_from_pairs(seed, index, n_min, n_max)
                 assert (p.n, p.up) == (q.n, q.up) and z == y, (seed, index, n_min, n_max)
+
+
+@pytest.mark.parametrize("seed", [0, 10**9])
+@pytest.mark.parametrize(
+    "n_min, n_max, count", [(3, 3, 300), (8, 8, 300), (3, 12, 600), (20, 40, 40)]
+)
+def test_the_stream_holds_at_every_rejection_width(seed, n_min, n_max, count):
+    # the draw reads getrandbits by CPython's rejection rule, as randint,
+    # shuffle and choice do: one n (which still spends a draw when
+    # n_min == n_max), shuffles over 3-40 elements and chain draws over up
+    # to thousands of 3-chains give every bit width from 1 up
+    rng = random.Random()
+    for index in range(count):
+        p, z = random_instance(seed, index, n_min, n_max)
+        q, y = _instance_from_pairs(seed, index, n_min, n_max)
+        rows = search._draw_rows(rng, seed, index, n_min, n_max)
+        assert (p.n, p.up) == (q.n, q.up) == (len(rows), Poset(len(rows), tuple(rows)).up)
+        assert z == y, (seed, index, n_min, n_max)
+
+
+def test_the_draw_calls_no_stdlib_wrapper(monkeypatch):
+    job = SearchJob(target="gcpc", n_max=8, seed=42, budget=500, width_max=3)
+    certs, summary = run(job)
+    drawn = [random_instance(42, index, 3, 8) for index in range(50)]
+    assert certs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the draw reads getrandbits and random only")
+
+    for name in ("randint", "shuffle", "choice"):
+        monkeypatch.setattr(random.Random, name, refuse)
+    again, again_summary = run(job)
+    assert [c.to_json_obj() for c in again] == [c.to_json_obj() for c in certs]
+    assert again_summary.to_json_obj() == summary.to_json_obj()
+    assert [random_instance(42, index, 3, 8) for index in range(50)] == drawn
 
 
 def test_row_test_finds_exactly_the_instances_with_a_3_chain():
@@ -186,22 +222,10 @@ def test_search_deterministic_across_index_chunks():
     assert merged.to_json_obj() == summary.to_json_obj()
 
 
-def _marked_sample():
-    """Every marked poset on n <= 5 elements, then a seeded random sample."""
-    for n in range(3, 6):
-        for p in enumerate_posets(n):
-            for chain in search._chains(p):
-                yield p, MarkedTriple(*chain)
-    for index in range(300):
-        p, z = random_instance(9, index, 3, 8)
-        if z is not None:
-            yield p, z
-
-
 def test_fast_path_matches_check_reports():
     checkers = (check_cpc, check_cpc1, check_cpc2)
     seen = set()
-    for p, z in _marked_sample():
+    for p, z in marked_sample():
         if p.up not in seen:
             seen.add(p.up)
             loop = [
@@ -213,7 +237,7 @@ def test_fast_path_matches_check_reports():
             ]
             assert search._chains(p) == loop
         F = f_table(p, z)
-        rows = search._dense_rows(F)
+        rows = _f_rows(p, z)
         for k in range(1, p.n):
             for l in range(1, p.n - k + 1):
                 trio = search._cpc_trio(rows, k, l)
