@@ -19,7 +19,11 @@ a machine word of 1, 2, 4 or 8 bytes, so ``_slot_counts`` reads all of
 them back, slot 0 first, with one cast of the packed int's little-endian
 bytes; wider slots, and every slot on a big-endian host, are converted one
 word at a time.  ``_cells`` keeps the nonzero ones: it is the one decode
-behind every count below; ``_f_rows`` hands the search F's slots as rows.
+behind every count below.  The search, which needs F once per poset and
+nothing else, takes it from ``_f_rows`` instead: one forward pass over the
+ideals, layer by layer, that builds no lattice, keeps nothing on the poset
+and hands F's slots over as rows.  It and ``_fold`` share their layout and
+shift rule (``_plan``).
 
 * gap-phase fold (``f_table``) -- a normalized triple enters every
   extension in order, so the gaps k and l only grow: k while z1 alone is
@@ -38,7 +42,8 @@ triple are folded once and later calls only decode it into a fresh dict;
 a fold in other coordinates replaces it.
 ``STATE_BUDGET`` bounds the widest layer's ideals times the folded slots;
 it is checked once, before a fold, so a kept fold, which passed it, is
-returned at once.
+returned at once.  ``_f_rows`` checks it and ``IDEAL_BUDGET`` as each of
+its layers grows, so it refuses the posets that ``f_table`` refuses.
 
 ``enumerate_extensions`` stays lattice-free; with ``word_classes`` it is
 the brute-force oracle the tests check both folds against.
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import sys
 from itertools import compress, product
+from math import factorial
 from operator import itemgetter
 from struct import calcsize
 from typing import NamedTuple
@@ -333,29 +339,61 @@ def _gap_axis(p: Poset, u: int, v: int) -> tuple[int, int, int]:
     return 1, lo, lo + hi + 1
 
 
+def _plan(p: Poset, coords: tuple, count: int) -> tuple:
+    """(nbytes, slots, axes, start, shift, mark_mask): the layout of a fold
+    by the gaps pos(v) - pos(u), one digit per pair of marks (u, v) in
+    ``coords``, whose counts are at most ``count``.
+
+    The coords are the mixed-radix digits of one slot number c (first one
+    least significant), and ``axes[d]`` lists the gap of digit d at each of
+    its values, each on its ``_gap_axis``.  A slot is W = 8 * nbytes bits:
+    ``count.bit_length()`` rounded up to a machine word of 1, 2, 4 or 8
+    bytes (``_WORD_BYTES``), so that ``_slot_counts`` reads every slot with
+    one cast, and past 8 bytes to whole bytes.  An ideal holding no mark
+    holds its count at bit ``start``, the slot of gap 0 in every digit.  A
+    mark not yet placed moves on with the step, so all edges out of an
+    ideal I shift by the same number of bits, ``shift[I & mark_mask]``: the
+    sum of the weights of the marks outside I, negative for a right shift.
+    """
+    nbytes = (count.bit_length() + 7) // 8
+    nbytes = _WORD_BYTES.get(nbytes, nbytes)
+    width = 8 * nbytes
+    weight = {}  # bits a count moves per step of each mark
+    origin, slots, axes = 0, 1, []
+    for u, v in coords:
+        sign, offset, size = _gap_axis(p, u, v)
+        step = width * slots * sign
+        weight[v] = weight.get(v, 0) + step
+        weight[u] = weight.get(u, 0) - step
+        origin += slots * offset
+        slots *= size
+        axes.append(range(-offset * sign, (size - offset) * sign, sign))  # gap of digit d
+    shift, mark_mask = {0: 0}, 0  # marks inside the ideal, as a mask -> bits
+    for m, w in weight.items():
+        bit = 1 << m
+        mark_mask |= bit
+        for mask, bits in list(shift.items()):
+            shift[mask | bit] = bits - w
+    return nbytes, slots, axes, width * origin, shift, mark_mask
+
+
 def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     """(packed, nbytes, slots, axes): extension counts by the gaps
     pos(v) - pos(u), one digit per pair of marks (u, v) in ``coords``.
 
-    One fold over the cached ideal lattice.  The coords are the mixed-radix
-    digits of one slot number c (first one least significant), ``axes[d]``
-    lists the gap of digit d at each of its values, and the full ideal's
-    int ``packed`` holds the count of slot c in bits W*c .. W*c + W - 1
-    (Kronecker packing).  W = 8 * nbytes is e(P).bit_length() rounded up to
-    a machine word of 1, 2, 4 or 8 bytes (``_WORD_BYTES``), so that
-    ``_slot_counts`` reads every slot with one cast, and past 8 bytes to
-    whole bytes; no slot overflows into the next, since a partial count at
-    an ideal J is at most e(J) <= e(P).  A mark not yet placed moves on with
-    the step, so all edges out of an ideal I shift by the same number of
-    slots, the sum of the weights of the marks outside I.  Every digit stays
-    on its ``_gap_axis``, which makes a negative (right) shift exact.
+    One fold over the cached ideal lattice, laid out by ``_plan`` for counts
+    up to e(P): the full ideal's int ``packed`` holds the count of slot c in
+    bits W*c .. W*c + W - 1 (Kronecker packing), and no slot overflows into
+    the next, since a partial count at an ideal J is at most e(J) <= e(P).
+    Every digit stays on its ``_gap_axis``, which makes a negative (right)
+    shift exact.
 
     Big-int work is done only in the band: the ideals that hold some marks
     but not all; every digit is a gap between two marks, so nothing shifts
     outside it.  Before the first mark an ideal t holds its chain count
-    ``lat.ways[t]`` at W*origin, which seeds each edge that places a mark;
-    one whose addable set ``lat.addable[t]`` holds no mark has no such edge
-    and is skipped with one AND.  After the last mark an edge into an ideal
+    ``lat.ways[t]`` at bit ``start``, which seeds each edge that places a
+    mark; one whose addable set ``lat.addable[t]`` holds no mark has no such
+    edge and is skipped with one AND.  After the last mark an edge into an ideal
     j adds its value times ``lat.above[j]``, the chains from j to the full
     ideal, to ``packed``, and such ideals are skipped.
 
@@ -371,29 +409,10 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
     if kept is not None and kept[0] == coords:
         return kept[1]
     lat = lattice(p)
-    nbytes = (lat.count.bit_length() + 7) // 8
-    nbytes = _WORD_BYTES.get(nbytes, nbytes)
-    width = 8 * nbytes
-    weight = {}  # bits a count moves per step of each mark
-    origin, slots, axes = 0, 1, []
-    for u, v in coords:
-        sign, offset, size = _gap_axis(p, u, v)
-        step = width * slots * sign
-        weight[v] = weight.get(v, 0) + step
-        weight[u] = weight.get(u, 0) - step
-        origin += slots * offset
-        slots *= size
-        axes.append(range(-offset * sign, (size - offset) * sign, sign))  # gap of digit d
+    nbytes, slots, axes, start, shift, mark_mask = _plan(p, coords, lat.count)
     if lat.widest * slots > STATE_BUDGET:
         raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {STATE_BUDGET}")
-    shift, mark_mask = {0: 0}, 0  # marks inside the ideal, as a mask -> bits
-    for m, w in weight.items():
-        bit = 1 << m
-        mark_mask |= bit
-        for mask, bits in list(shift.items()):
-            shift[mask | bit] = bits - w
     ideals, addable, ways, above = lat.ideals, lat.addable, lat.ways, lat.above
-    start = width * origin
     held = [ideal & mark_mask for ideal in ideals]
     packed, vals = 0, [0] * len(ideals)
     for t, edges in enumerate(lat.succ):
@@ -474,16 +493,76 @@ def f_table(p: Poset, z: MarkedTriple) -> FTable:
 
 def _f_rows(p: Poset, z: MarkedTriple) -> list:
     """F as rows zero-padded to (n + 2) x (n + 2), ``rows[k][l]`` = F(k, l),
-    read off the slots of ``f_table``'s fold with no dict: both gaps count
-    up from 0 and k is the first digit, so row k is every S1-th slot from
-    slot k, S1 the size of the first axis.  The rows past the last gap k
-    are one shared zero row, for readers only.  BadChain as ``f_table``."""
+    counted by one forward pass over the order ideals, layer by layer, that
+    keeps nothing on the poset: no lattice, no fold.  BadChain as
+    ``f_table``.
+
+    Each layer is a dict from ideal to its packed counts, laid out by
+    ``_plan`` in ``f_table``'s gaps and shifted as ``_fold`` shifts them:
+    every edge out of an ideal I moves I's value by
+    ``shift[I & mark_mask]``, one slot of the gap k while z1 alone is
+    placed, one slot of the gap l while z1 and z2 are.  A new ideal's addable set is found as
+    ``_build_lattice`` finds it, and the values ride on to the full ideal.
+    The slot width is fixed before the pass, so it comes from a bound on
+    e(P) instead of e(P) itself: each step of an extension places a minimal
+    element of what is left, and those form an antichain of at most
+    min(width, r) elements when r are left, so e(P) <= the product of
+    min(width, r) over r = 2..n, that is width! * width ** (n - width); a
+    partial count at an ideal J is at most e(J), under the same bound.
+    The budgets are checked as each layer grows, before a new ideal is
+    kept: TooLarge past ``IDEAL_BUDGET`` ideals in all or past
+    ``STATE_BUDGET`` for a layer's ideals times the slots, so on exactly
+    the inputs where ``f_table`` raises it.
+
+    Both gaps count up from 0 and k is the first digit, so row k is every
+    S1-th slot from slot k, S1 the size of the first axis.  The rows past
+    the last gap k are one shared zero row, for readers only.
+    """
     if not is_normalized(p, z):
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
     z1, z2, z3 = z.as_tuple()
-    packed, nbytes, slots, axes = _fold(p, ((z1, z2), (z2, z3)))
+    n, down, cover_up, width = p.n, p.down, p.cover_up, p.width
+    bound = factorial(width) * width ** (n - width)
+    nbytes, slots, axes, start, shift, mark_mask = _plan(p, ((z1, z2), (z2, z3)), bound)
+    cap = STATE_BUDGET // slots  # ideals one layer may hold
+    vals = {0: 1 << start}
+    adds = {0: sum(1 << x for x, below in enumerate(down) if not below)}
+    seen = 1  # ideals in every layer so far
+    for _ in range(n):
+        limit = min(cap, IDEAL_BUDGET - seen)
+        new_vals, new_adds = {}, {}
+        for ideal, c in vals.items():
+            c <<= shift[ideal & mark_mask]
+            free = here = adds[ideal]
+            while free:
+                low = free & -free
+                free ^= low
+                nxt = ideal | low
+                if nxt in new_vals:
+                    new_vals[nxt] += c
+                    continue
+                if len(new_vals) >= limit:
+                    if seen + len(new_vals) >= IDEAL_BUDGET:
+                        raise TooLarge(f"ideal lattice exceeds {IDEAL_BUDGET} ideals")
+                    raise TooLarge(
+                        f"a layer of over {cap} ideals x {slots} slots exceeds state budget "
+                        f"{STATE_BUDGET}"
+                    )
+                new_vals[nxt] = c
+                more = here ^ low
+                covers = cover_up[low.bit_length() - 1]
+                while covers:
+                    y = covers & -covers
+                    covers ^= y
+                    below = down[y.bit_length() - 1]
+                    if below & nxt == below:
+                        more |= y
+                new_adds[nxt] = more
+        seen += len(new_vals)
+        vals, adds = new_vals, new_adds
+    (packed,) = vals.values()  # the full ideal's
     counts = _slot_counts(packed, nbytes, slots)
-    size, s1 = p.n + 2, len(axes[0])
+    size, s1 = n + 2, len(axes[0])
     pad = [0] * (size - slots // s1)
     rows = [[*counts[k::s1], *pad] for k in range(s1)]
     rows += [[0] * size] * (size - s1)

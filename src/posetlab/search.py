@@ -18,10 +18,11 @@ everything found before it stopped.
 
 The scan drops an instance with no 3-chain from its drawn rows, before any
 poset is built, and one wider than ``width_max`` before its triple is
-drawn.  It takes F as dense rows straight off the slots of its fold
-(``extensions._f_rows``), reads the cells once per (k, l), compares the
-cpc, cpc1 and cpc2 products as integers, and makes a Certificate only for
-a failure.
+drawn.  It takes F as dense rows from ``extensions._f_rows``, one forward
+pass over the order ideals that builds no lattice and keeps nothing on the
+poset, since the scan needs F once per poset and nothing else.  It reads
+the cells once per (k, l), compares the cpc, cpc1 and cpc2 products as
+integers, and makes a Certificate only for a failure.
 
 Violations of the generalized product comparison (``gcpc``) are located
 through the signed-gap reduction: a ``cpc2`` violation at (k, l) yields,

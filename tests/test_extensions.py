@@ -14,7 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    dense_rows, is_extension, marked_sample, oracle_f_entries, oracle_n_counts, width_five_poset,
+    chain_triples, dense_rows, is_extension, marked_sample, oracle_f_entries, oracle_n_counts,
+    width_five_poset,
 )
 from posetlab.errors import (
     BadChain,
@@ -140,6 +141,36 @@ def test_f_table_state_budget(monkeypatch):
     with pytest.raises(TooLarge, match=f"exceeds state budget {budget - 1}"):
         f_table(p, z)
     assert "_fold" not in p.__dict__
+
+
+def test_f_rows_raise_where_f_table_does_and_keep_nothing(monkeypatch):
+    # the search's lattice-free pass meets both budgets on exactly the
+    # posets where f_table does, and keeps neither a lattice nor a fold
+    inst, wide = family_cpc2_witness(1, 2), width_five_poset()
+    for q, z in ((inst.poset, inst.z), (wide, chain_triples(wide)[0])):
+        lat = lattice(q)
+        slots = prod(_gap_axis(q, u, v)[2] for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
+        for name, fits in (("STATE_BUDGET", lat.widest * slots), ("IDEAL_BUDGET", len(lat.ideals))):
+            with monkeypatch.context() as m:
+                m.setattr(f"posetlab.extensions.{name}", fits)
+                p = Poset(q.n, q.up)
+                assert _f_rows(p, z) == dense_rows(f_table(Poset(q.n, q.up), z))
+                assert "_lattice" not in p.__dict__ and "_fold" not in p.__dict__
+                m.setattr(f"posetlab.extensions.{name}", fits - 1)
+                with pytest.raises(TooLarge, match=f"exceeds .*{fits - 1}"):
+                    f_table(Poset(q.n, q.up), z)
+                p = Poset(q.n, q.up)
+                with pytest.raises(TooLarge, match=f"exceeds .*{fits - 1}"):
+                    _f_rows(p, z)
+                assert "_lattice" not in p.__dict__ and "_fold" not in p.__dict__
+
+
+def test_f_rows_match_enumeration_on_every_small_class(small_poset_classes):
+    for reps in small_poset_classes.values():
+        for p in reps:
+            for z in chain_triples(p):
+                expected = dense_rows(FTable(p.n, z, oracle_f_entries(p, z)))
+                assert _f_rows(p, z) == expected, (p.covers, z)
 
 
 def test_support_inside_valid_window(medium_corpus):
@@ -514,7 +545,7 @@ def test_kept_folds_match_fresh_posets_and_enumeration(instance, data):
     def positions(m):
         return tuple((None, x) for x in m)
 
-    calls = [("f_table", z.as_tuple())]
+    calls = [("f_table", z.as_tuple()), ("_f_rows", z.as_tuple())]
     calls += [("f_table_signed", marks) for marks in permutations(z.as_tuple())]
     calls += [("n_vector", (a,)) for a in z.as_tuple()]
     for name, marks in data.draw(st.permutations(calls)):
@@ -522,6 +553,10 @@ def test_kept_folds_match_fresh_posets_and_enumeration(instance, data):
         for q in (p, build(n, pairs)):
             if name == "f_table":
                 results.append(f_table(q, MarkedTriple(*marks)).entries)
+            elif name == "_f_rows":
+                rows = _f_rows(q, MarkedTriple(*marks))
+                cells = {(k, l): v for k, row in enumerate(rows) for l, v in enumerate(row) if v}
+                results.append(cells)
             elif name == "f_table_signed":
                 results.append(f_table_signed(q, MarkedTriple(*marks)))
             else:
@@ -777,10 +812,11 @@ def test_word_cast_and_word_split_read_the_same_slots(nbytes, monkeypatch):
 
 @pytest.mark.parametrize("cast", [True, False], ids=["cast", "split"])
 def test_f_rows_match_the_dict_oracle(cast, monkeypatch):
-    # the search's rows, read off the fold's slots, against F's dict written
-    # cell by cell: every marked poset of the sample, and an ordinal sum
-    # whose e(P) needs 9 bytes, so no slot is a machine word; without the
-    # cast (as on a big-endian host) every slot is read by the word split
+    # the search's rows, counted by the lattice-free pass, against F's dict
+    # from the lattice fold, written cell by cell: every marked poset of the
+    # sample, and an ordinal sum whose e(P) needs 9 bytes, so no slot is a
+    # machine word; without the cast (as on a big-endian host) every slot
+    # is read by the word split
     if not cast:
         monkeypatch.setattr("posetlab.extensions._WORD_CODES", {})
         monkeypatch.setattr("posetlab.extensions._WORD_BYTES", {})

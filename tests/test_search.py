@@ -133,6 +133,23 @@ def test_the_draw_calls_no_stdlib_wrapper(monkeypatch):
     assert [random_instance(42, index, 3, 8) for index in range(50)] == drawn
 
 
+def test_the_scan_builds_no_lattice_and_folds_nothing(monkeypatch):
+    # the scan counts F by its own forward pass, so a search with the
+    # lattice build and the fold refused finds the same certificates
+    job = SearchJob(target="gcpc", n_max=8, seed=42, budget=500, width_max=3)
+    certs, summary = run(job)
+    assert certs
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan builds no lattice and folds nothing")
+
+    for name in ("_build_lattice", "_fold"):
+        monkeypatch.setattr(f"posetlab.extensions.{name}", refuse)
+    again, again_summary = run(job)
+    assert [c.to_json_obj() for c in again] == [c.to_json_obj() for c in certs]
+    assert again_summary.to_json_obj() == summary.to_json_obj()
+
+
 def test_row_test_finds_exactly_the_instances_with_a_3_chain():
     # the closure has a < b < c exactly when the rows hold u -> v -> w
     rng = random.Random()
