@@ -430,11 +430,6 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
         c, s = vals[t], shift[h]
         vals[t] = 0  # release it
         c = c << s if s >= 0 else c >> -s
-        missing = mark_mask ^ h
-        if missing & missing - 1:  # more than one mark missing: no edge closes
-            for j in edges:
-                vals[j] += c
-            continue
         for j in edges:
             if held[j] == mark_mask:  # times every path on to the full ideal
                 packed += c * above[j]

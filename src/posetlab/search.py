@@ -31,8 +31,8 @@ F'(a, b) = F(-a, a+b), and the four cells at a = -k-1, b = k+l+1 violate
 F'(a,b) F'(a+1,b+1) <= F'(a+1,b) F'(a,b+1).  Those four cells are cpc2's
 own cells, so the certificate takes cpc2's products; ``verify_certificate``
 recounts them on the signed table, which for a chain triple is F of the
-chain, relabelled.  Certificates embed the poset and re-verify from
-scratch on reload.
+chain, relabelled.  The certificates of one instance hold its poset, so
+they are recounted on one lattice; a reloaded line builds its poset once.
 
 ``enumerate_posets`` lists one poset per isomorphism class for n <= 6,
 de-duplicated by ``canonical_key``: the least relation code over the ranks
@@ -47,10 +47,10 @@ from bisect import insort
 from contextlib import nullcontext
 
 from .errors import BadChain, BadParams, MalformedInput, TooLarge
-from .extensions import _f_rows, enumerate_extensions, f_table, f_table_signed, lattice
+from .extensions import _build_lattice, _f_rows, enumerate_extensions, f_table, f_table_signed
 from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, _FrozenRecord, _Record, build
-from .posets import _check_size, _json_covers, _json_int, _json_marks, _json_object, is_normalized
+from .posets import _json_int, _json_object, is_normalized, load_poset
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 
@@ -75,6 +75,10 @@ class SearchJob(_FrozenRecord):
     ) -> None:
         if target not in SEARCH_TARGETS:
             raise BadParams(f"target must be one of {SEARCH_TARGETS}")
+        fields = dict(n_max=n_max, seed=seed, budget=budget, n_min=n_min, width_max=width_max)
+        for name, value in fields.items():  # a bool is refused too
+            if type(value) is not int and (value is not None or name != "width_max"):
+                raise BadParams(f"{name} must be an integer, got {value!r}")
         if not 3 <= n_min <= n_max <= MAX_ELEMENTS:
             raise BadParams(f"need 3 <= n_min <= n_max <= {MAX_ELEMENTS}, got {n_min}, {n_max}")
         if not 0 <= budget <= SEED_STRIDE:  # a larger one repeats seed + 1's instances
@@ -93,22 +97,23 @@ class SearchJob(_FrozenRecord):
 
 
 class Certificate(_Record):
-    __slots__ = ("ineq", "n", "covers", "z", "indices", "lhs", "rhs", "index")
+    """A violation, on the ``Poset`` and ``MarkedTriple`` it was counted on
+    (for ``gcpc`` the swapped triple), with the check's indices and products."""
+
+    __slots__ = ("ineq", "poset", "z", "indices", "lhs", "rhs", "index")
 
     def __init__(
         self,
         ineq: str,
-        n: int,
-        covers: list,
-        z: tuple[int, int, int],
+        poset: Poset,
+        z: MarkedTriple,
         indices: dict,
         lhs: int,
         rhs: int,
         index: int,  # instance index that produced it
     ) -> None:
         self.ineq = ineq
-        self.n = n
-        self.covers = covers
+        self.poset = poset
         self.z = z
         self.indices = indices
         self.lhs = lhs
@@ -120,9 +125,9 @@ class Certificate(_Record):
             "schema": SCHEMA,
             "type": "certificate",
             "ineq": self.ineq,
-            "n": self.n,
-            "covers": [list(c) for c in self.covers],
-            "z": list(self.z),
+            "n": self.poset.n,
+            "covers": [list(c) for c in self.poset.covers],
+            "z": list(self.z.as_tuple()),
             "indices": self.indices,
             "lhs": str(self.lhs),
             "rhs": str(self.rhs),
@@ -133,11 +138,12 @@ class Certificate(_Record):
     def from_json_obj(obj: dict) -> "Certificate":
         """Inverse of ``to_json_obj`` (``index`` optional).  MalformedInput
         for a missing key, a non-integer field or a field of the wrong shape;
-        ``lhs`` and ``rhs`` may be ints or, as written, ``str`` of one.  n,
-        the cover elements and the marks are checked as in ``load_poset``,
-        and the poset is built, so a cycle raises CycleDetected.  Marks that
-        are not a chain z1 < z2 < z3 raise BadChain, as ``f_table`` would,
-        except for ``gcpc``, whose marks are the swapped triple."""
+        ``lhs`` and ``rhs`` may be ints or, as written, ``str`` of one.  The
+        marked poset is read by ``load_poset`` and kept, so a cycle raises
+        CycleDetected and redundant cover pairs are written back reduced.
+        Marks that are not a chain z1 < z2 < z3 raise BadChain, as
+        ``f_table`` would, except for ``gcpc``, whose marks are the swapped
+        triple."""
         obj = _json_object(obj, "certificate")
         missing = [key for key in _CERTIFICATE_KEYS if key not in obj]
         if missing:
@@ -145,15 +151,14 @@ class Certificate(_Record):
         ineq = obj["ineq"]
         if not isinstance(ineq, str):
             raise MalformedInput(f"certificate 'ineq' must be a string, got {ineq!r}")
-        n = _json_int(obj["n"], "'n'")
-        _check_size(n)
-        covers, z = _json_covers(obj["covers"]), _json_marks(obj["z"], n)
-        p = build(n, covers)
+        p, z, _ = load_poset(obj)
+        if z is None:
+            raise MalformedInput("certificate 'z' must be a list of 3, got None")
         if ineq != "gcpc" and not is_normalized(p, z):
             raise BadChain(f"{ineq} certificate marks must form a chain z1 < z2 < z3")
         indices = _json_object(obj["indices"], "'indices'")
         return Certificate(
-            ineq, n, covers, z.as_tuple(),
+            ineq, p, z,
             {key: _json_int(v, f"index {key!r}") for key, v in indices.items()},
             _json_int(obj["lhs"], "'lhs'", text=True),
             _json_int(obj["rhs"], "'rhs'", text=True),
@@ -165,21 +170,22 @@ _CERTIFICATE_KEYS = ("ineq", "n", "covers", "z", "indices", "lhs", "rhs")
 
 
 def verify_certificate(cert: Certificate) -> bool:
-    """Recompute the embedded instance and confirm the recorded violation.
-    BadParams when ``ineq`` is not gcpc or a table check, or ``indices``
-    lacks a key that check reads; indices and marks are read as on reload."""
+    """Recount the table on the certificate's own poset and marks and
+    confirm the recorded violation.  BadParams when ``ineq`` is not gcpc or
+    a table check, or ``indices`` lacks a key that check reads; indices are
+    read as on reload, and marks outside the poset raise IndexOutOfRange.
+    The count goes through the lattice fold, kept on the poset, so the
+    certificates of one instance share one lattice."""
     if cert.ineq != "gcpc" and cert.ineq not in TABLE_CHECKS:
         raise BadParams(f"certificate names an unknown check {cert.ineq!r}")
     missing = [key for key in ("klpq" if cert.ineq == "gcpc" else "kl") if key not in cert.indices]
     if missing:
         raise BadParams(f"{cert.ineq} certificate indices lack {', '.join(missing)}")
     idx = {key: _json_int(v, f"index {key!r}") for key, v in cert.indices.items()}
-    p = build(cert.n, cert.covers)
-    z = _json_marks(cert.z, p.n)
     if cert.ineq == "gcpc":
-        rep = check_gcpc(f_table_signed(p, z), idx["k"], idx["l"], idx["p"], idx["q"])
+        rep = check_gcpc(f_table_signed(cert.poset, cert.z), idx["k"], idx["l"], idx["p"], idx["q"])
     else:
-        rep = TABLE_CHECKS[cert.ineq](f_table(p, z), idx["k"], idx["l"])
+        rep = TABLE_CHECKS[cert.ineq](f_table(cert.poset, cert.z), idx["k"], idx["l"])
     return rep.lhs == cert.lhs and rep.rhs == cert.rhs and rep.verdict == FAILS
 
 
@@ -360,14 +366,13 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary, rng: rand
     chains = _chains(p)
     z = MarkedTriple(*chains[_below(rng.getrandbits, len(chains))])
     summary.usable += 1
-    n = p.n
     rows = _f_rows(p, z)
     slot = _TRIO_SLOT[job.target]
     min_slack = summary.min_slack
     cutoff = min_slack[4] if len(min_slack) == 5 else None
     holds = vacuous = 0
-    for k in range(1, n):
-        for l in range(1, n - k + 1):
+    for k in range(1, p.n):
+        for l in range(1, p.n - k + 1):
             trio = _cpc_trio(rows, k, l)
             if trio is _ALL_VACUOUS:
                 vacuous += 1
@@ -397,12 +402,11 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary, rng: rand
                 # signed-gap reduction: swap z1, z2 and translate indices; the
                 # signed cells there are cpc2's cells, so lhs and rhs carry over
                 a, b = -k - 1, k + l + 1
-                marks = z.swapped12().as_tuple()
+                marks = z.swapped12()
                 indices = {"k": a, "l": b, "p": a + 1, "q": b + 1}
             else:
-                marks, indices = z.as_tuple(), {"k": k, "l": l}
-            cert = Certificate(job.target, n, list(p.covers), marks, indices, lhs, rhs, index)
-            certs.append(cert)
+                marks, indices = z, {"k": k, "l": l}
+            certs.append(Certificate(job.target, p, marks, indices, lhs, rhs, index))
             summary.certificates += 1
     summary.holds += holds
     summary.vacuous += vacuous
@@ -463,7 +467,7 @@ def enumerate_posets(n: int):
     for size in range(2, n + 1):
         seen = {}
         for p in reps:
-            for ideal in lattice(p).ideals:
+            for ideal in _build_lattice(p).ideals:
                 # the new element's row in the dual is the ideal, its strict down-set
                 q = Poset(size, (*p.down, ideal)).dual()
                 seen.setdefault(canonical_key(q), q)

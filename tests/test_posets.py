@@ -386,7 +386,7 @@ def _one_of_each_record():
     return [
         p, z, job, support(p, z),
         table, n_vector(p, z.z2), check_cpc2(table, 1, 2), verify_injections(p, z)[0],
-        Certificate("cpc", 3, [(0, 1), (1, 2)], (0, 1, 2), {"k": 1, "l": 1}, 2, 1, 0),
+        Certificate("cpc", chain(3), MarkedTriple(0, 1, 2), {"k": 1, "l": 1}, 2, 1, 0),
         summary, McEstimate(0.25, 0.05, 25, 100), fam,
     ]
 
@@ -545,7 +545,7 @@ def _json_formats():
     written as a decimal string (F-table counts, certificate lhs/rhs) set to
     a given value."""
     p, z = build(6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (3, 5)]), MarkedTriple(0, 2, 5)
-    cert = Certificate("cpc2", p.n, list(p.covers), z.as_tuple(), {"k": 1, "l": 2}, 10**30, 7, 3)
+    cert = Certificate("cpc2", p, z, {"k": 1, "l": 2}, 10**30, 7, 3)
     table, line = f_table(p, z).to_json_obj(), cert.to_json_obj()
     (k, l, _), *cells = table["F"]
     return {

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from conftest import marked_sample
-from posetlab import search
+from posetlab import extensions, search
 from posetlab.errors import (
     BadChain, BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge,
 )
@@ -177,6 +177,19 @@ def test_search_keeps_the_usable_instances_of_random_instance():
     assert summary.usable == SEED_7_USABLE
 
 
+def test_enumerate_posets_keeps_no_lattice(monkeypatch):
+    # the representatives it grows from are read off a lattice built for
+    # them alone, never the one kept on the poset
+    def refuse(p):
+        raise AssertionError("enumerate_posets keeps no lattice")
+
+    monkeypatch.setattr(extensions, "lattice", refuse)
+    monkeypatch.setattr(search, "lattice", refuse, raising=False)
+    reps = enumerate_posets(5)
+    assert len(reps) == POSET_CLASS_COUNTS[5]
+    assert all("_lattice" not in p.__dict__ for p in reps)
+
+
 def test_search_job_rejects_negative_seeds_and_widths_below_one():
     # random.Random seeds with |a|: seed -1 at index 3 drew the instance of
     # seed 0 at index 1 000 000, and width_max 0 left no instance usable
@@ -185,6 +198,19 @@ def test_search_job_rejects_negative_seeds_and_widths_below_one():
         with pytest.raises(BadParams, match="seed must be >= 0|width_max must be >= 1"):
             SearchJob(**params)
     SearchJob(target="gcpc", n_max=6, seed=0, budget=10, width_max=1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"budget": 10.0}, {"n_max": 8.0}, {"seed": 1.5}, {"seed": True}, {"n_min": "3"},
+     {"width_max": 3.0}, {"width_max": False}, {"budget": None}],
+)
+def test_search_job_refuses_non_integer_fields(bad):
+    # 10.0 raised a TypeError in run, n_max=8.0 an AttributeError in _below,
+    # seed=1.5 ran a stream no CLI command draws and seed=True repeated seed 1
+    ((name, value),) = bad.items()
+    with pytest.raises(BadParams, match=f"{name} must be an integer, got {value!r}"):
+        SearchJob(**{"target": "gcpc", "n_max": 8, "seed": 1, "budget": 10, **bad})
 
 
 def test_search_cpc2_finds_and_reverifies(tmp_path):
@@ -272,7 +298,7 @@ def test_a_double_failure_is_logged_as_critical(monkeypatch):
     certs, summary = run(SearchJob("cpc", n_max=5, seed=42, budget=3))
     assert certs and len(summary.critical) == len(certs) == summary.fails
     assert summary.to_json_obj()["critical"] == [
-        {"covers": [list(c) for c in cert.covers], "z": list(cert.z),
+        {"covers": [list(c) for c in cert.poset.covers], "z": list(cert.z.as_tuple()),
          "k": cert.indices["k"], "l": cert.indices["l"], "index": cert.index}
         for cert in certs
     ]
@@ -307,30 +333,31 @@ def test_gcpc_certificates_via_signed_reduction():
         assert cert.indices["k"] < 0 < cert.indices["l"]
         assert verify_certificate(cert)
         tampered = Certificate(
-            cert.ineq, cert.n, cert.covers, cert.z, cert.indices, cert.lhs + 1, cert.rhs, cert.index
+            cert.ineq, cert.poset, cert.z, cert.indices, cert.lhs + 1, cert.rhs, cert.index
         )
         assert not verify_certificate(tampered)
 
 
 def test_verify_certificate_rejects_malformed_certificates():
-    covers = [(0, 1), (1, 2)]
+    p, z = build(3, [(0, 1), (1, 2)]), MarkedTriple(0, 1, 2)
     with pytest.raises(BadParams, match="'stanley'"):
-        verify_certificate(Certificate("stanley", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
+        verify_certificate(Certificate("stanley", p, z, {"k": 1, "l": 1}, 1, 0, 0))
     with pytest.raises(BadParams, match="lack l"):
-        verify_certificate(Certificate("cpc2", 3, covers, (0, 1, 2), {"k": 1}, 1, 0, 0))
+        verify_certificate(Certificate("cpc2", p, z, {"k": 1}, 1, 0, 0))
     with pytest.raises(BadParams, match="lack p, q"):
-        verify_certificate(Certificate("gcpc", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
+        verify_certificate(Certificate("gcpc", p, z, {"k": 1, "l": 1}, 1, 0, 0))
     # indices are read as on reload, so a string index is malformed input
     with pytest.raises(MalformedInput, match="index 'k' must be an integer"):
-        verify_certificate(Certificate("cpc", 3, covers, (0, 1, 2), {"k": "1", "l": 1}, 0, 0, 0))
+        verify_certificate(Certificate("cpc", p, z, {"k": "1", "l": 1}, 0, 0, 0))
     # well formed but not a violation on the chain
-    assert not verify_certificate(Certificate("cpc2", 3, covers, (0, 1, 2), {"k": 1, "l": 1}, 1, 0, 0))
+    assert not verify_certificate(Certificate("cpc2", p, z, {"k": 1, "l": 1}, 1, 0, 0))
 
 
 def test_verify_certificate_rejects_marks_outside_the_poset():
     # a bare IndexError and a ValueError (negative shift count) before
     for z, bad in (((9, 1, 2), 9), ((0, 1, -1), -1)):
-        cert = Certificate("cpc2", 6, [(0, 1), (1, 2)], z, {"k": 1, "l": 1}, 1, 0, 0)
+        p = build(6, [(0, 1), (1, 2)])
+        cert = Certificate("cpc2", p, MarkedTriple(*z), {"k": 1, "l": 1}, 1, 0, 0)
         with pytest.raises(IndexOutOfRange, match=f"element {bad} outside 0..5"):
             verify_certificate(cert)
 
@@ -356,7 +383,7 @@ def test_certificate_json_round_trip_and_malformed_input():
     for value in (5, "0 1", None, [[0, 1, 2]], [3]):
         with pytest.raises(MalformedInput, match="'covers' must be a list of pairs"):
             Certificate.from_json_obj({**good, "covers": value})
-    for field, value in (("z", 7), ("z", [0, 1]), ("indices", [1, 2]), ("ineq", 3)):
+    for field, value in (("z", 7), ("z", [0, 1]), ("z", None), ("indices", [1, 2]), ("ineq", 3)):
         with pytest.raises(MalformedInput, match=f"'{field}' must be"):
             Certificate.from_json_obj({**good, field: value})
     with pytest.raises(MalformedInput, match="must be an object"):
@@ -375,6 +402,52 @@ def test_certificate_json_round_trip_and_malformed_input():
         Certificate.from_json_obj(line)
     with pytest.raises(BadChain, match=r"cpc2 certificate marks must form a chain"):
         Certificate.from_json_obj({**line, "covers": []})
+
+
+def test_a_reloaded_certificate_builds_its_poset_once(monkeypatch):
+    certs, _ = run(SearchJob("gcpc", 8, 1, 4000, width_max=3))
+    line = json.loads(json.dumps(certs[0].to_json_obj()))
+    built = []
+    init = Poset.__init__
+
+    def counting(self, n, up):
+        built.append(n)
+        init(self, n, up)
+
+    monkeypatch.setattr(Poset, "__init__", counting)
+    assert verify_certificate(Certificate.from_json_obj(line))
+    assert len(built) == 1
+
+
+def test_certificates_of_one_instance_share_their_poset_and_lattice(monkeypatch):
+    certs, _ = run(SearchJob("gcpc", 8, 1, 4000, width_max=3))
+    by_index = {}
+    for cert in certs:
+        by_index.setdefault(cert.index, set()).add(id(cert.poset))
+    assert all(len(ids) == 1 for ids in by_index.values())
+    assert (len(certs), len(by_index)) == (95, 52)
+    builds = []
+    build_lattice = extensions._build_lattice
+
+    def counting(p):
+        builds.append(p)
+        return build_lattice(p)
+
+    monkeypatch.setattr(extensions, "_build_lattice", counting)
+    assert all(verify_certificate(c) for c in certs)
+    assert len(builds) == len(by_index)
+
+
+def test_a_redundant_cover_pair_reloads_reduced():
+    certs, _ = run(SearchJob("cpc2", n_max=7, seed=42, budget=4000))
+    line = certs[0].to_json_obj()
+    (a, b), (_, c) = next(
+        (x, y) for x in line["covers"] for y in line["covers"] if x[1] == y[0]
+    )
+    padded = {**line, "covers": [*line["covers"], [a, c]]}  # a < b < c, so a < c is implied
+    back = Certificate.from_json_obj(padded)
+    assert back == Certificate.from_json_obj(line) == certs[0]
+    assert back.to_json_obj() == line and verify_certificate(back)
 
 
 def test_search_job_caps_the_budget_below_the_next_seeds_instances():
