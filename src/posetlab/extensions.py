@@ -25,34 +25,27 @@ ideals, layer by layer, that builds no lattice, keeps nothing on the poset
 and hands F's slots over as rows.  It and ``_fold`` share their layout and
 shift rule (``_plan``).
 
-* gap-phase fold (``f_table``) -- a normalized triple enters every
-  extension in order, so the gaps k and l only grow: k while z1 alone is
-  placed, l while z1 and z2 are.
-* signed fold (``f_table_signed``, ``pair_gap_table``) -- any marks, gaps
-  of either sign; a mark not yet placed moves on with each step.
-
-Both are the same fold with different gap axes, each run in the gaps
-between marks that its caller asks for.  ``n_vector`` needs no fold: it
-sums chain counts over the edges that place its one mark.  The signed
-table of a chain triple, in any order, is F of the chain, relabelled:
-each cell moves by a linear map with coefficients in {-1, 0, 1}.  The
-latest fold is kept on the poset next to the lattice, with its
-coordinates, so F and the signed table of any order of the same chain
-triple are folded once and later calls only decode it into a fresh dict;
-a fold in other coordinates replaces it.
+Every fold is a gap-phase fold over a chain of marks, which enter every
+extension in order, so each gap only grows: the first while only the
+first mark is placed, the next while the first two are.  The signed
+tables (``f_table_signed``, ``pair_gap_table``) take marks in any order:
+each is the union, over the orders of the marks that P allows, of the
+fold of P with that chain added, relabelled (``_orders``).  ``n_vector``
+needs no fold: it sums chain counts over the edges that place its mark.
+The latest fold is kept on the poset, next to the lattice (``_fold``).
 ``STATE_BUDGET`` bounds the widest layer's ideals times the folded slots;
 it is checked once, before a fold, so a kept fold, which passed it, is
 returned at once.  ``_f_rows`` checks it and ``IDEAL_BUDGET`` as each of
 its layers grows, so it refuses the posets that ``f_table`` refuses.
 
 ``enumerate_extensions`` stays lattice-free; with ``word_classes`` it is
-the brute-force oracle the tests check both folds against.
+the brute-force oracle the tests check the folds against.
 ``word_classes`` is the one caller that keeps every word (for the word
 injections): it first compares e(P), read off the lattice, with
 ``WORD_BUDGET``.  The enumerator is an iterative depth-first walk over
-bitmasks; it also supplies the words that ``injections`` certifies.  It and
-the gap axes read the rows ``down`` and ``cover_up``, which the poset fills
-in while it validates its relation.
+bitmasks; it also supplies the words that ``injections`` certifies.  It
+reads the rows ``down`` and ``cover_up``, which the poset fills in while
+it validates its relation.
 
 Counts are exact big integers throughout; no floating point.
 """
@@ -60,7 +53,7 @@ Counts are exact big integers throughout; no floating point.
 from __future__ import annotations
 
 import sys
-from itertools import compress, product
+from itertools import compress, permutations, product
 from math import factorial
 from operator import itemgetter
 from struct import calcsize
@@ -319,97 +312,74 @@ class FTable(_Record):
         return FTable(n, z, entries)
 
 
-def _gap_axis(p: Poset, u: int, v: int) -> tuple[int, int, int]:
-    """(sign, offset, size) such that sign * (pos(v) - pos(u)) + offset stays
-    in 0..size-1 at every step of a fold.
-
-    Every x has all of down[x] before it and all of up[x] after it, so
-    pos(v) - pos(u) lies in -lo..hi, with lo and hi as computed here.  A
-    mark not yet placed sits at the current step, so a gap starts at 0 and
-    stays inside those bounds on the way; when u and v are ordered it never
-    changes sign and is counted up from 0.
-    """
-    n, up, down = p.n, p.up, p.down
-    hi = n - 1 - up[v].bit_count() - down[u].bit_count()
-    lo = n - 1 - up[u].bit_count() - down[v].bit_count()
-    if up[u] >> v & 1:
-        return 1, 0, hi + 1
-    if up[v] >> u & 1:
-        return -1, 0, lo + 1
-    return 1, lo, lo + hi + 1
+def _gap_axis(p: Poset, u: int, v: int) -> int:
+    """The values pos(v) - pos(u), u < v in p, takes in a fold: it starts
+    at 0, only grows, and, as all of down[u] comes before u and all of
+    up[v] after v, ends at most n - 1 - |up[v]| - |down[u]|."""
+    return p.n - p.up[v].bit_count() - p.down[u].bit_count()
 
 
-def _plan(p: Poset, coords: tuple, count: int) -> tuple:
-    """(nbytes, slots, axes, start, shift, mark_mask): the layout of a fold
-    by the gaps pos(v) - pos(u), one digit per pair of marks (u, v) in
-    ``coords``, whose counts are at most ``count``.
+def _plan(p: Poset, links: tuple, count: int) -> tuple:
+    """(nbytes, slots, sizes, shift, mark_mask): the layout of a fold by
+    the gaps between consecutive marks of a chain of p, one digit per link
+    (u, v) in ``links``, whose counts are at most ``count``.
 
-    The coords are the mixed-radix digits of one slot number c (first one
-    least significant), and ``axes[d]`` lists the gap of digit d at each of
-    its values, each on its ``_gap_axis``.  A slot is W = 8 * nbytes bits:
+    The links are the mixed-radix digits of one slot number c (first one
+    least significant), and ``sizes[d]`` is the ``_gap_axis`` of digit d,
+    so slot 0 is every gap at 0.  A slot is W = 8 * nbytes bits:
     ``count.bit_length()`` rounded up to a machine word of 1, 2, 4 or 8
     bytes (``_WORD_BYTES``), so that ``_slot_counts`` reads every slot with
-    one cast, and past 8 bytes to whole bytes.  An ideal holding no mark
-    holds its count at bit ``start``, the slot of gap 0 in every digit.  A
-    mark not yet placed moves on with the step, so all edges out of an
-    ideal I shift by the same number of bits, ``shift[I & mark_mask]``: the
-    sum of the weights of the marks outside I, negative for a right shift.
+    one cast, and past 8 bytes to whole bytes.  The marks of a chain enter
+    every ideal in order, so an ideal I holds a prefix of them, and all
+    edges out of I move its counts by ``shift[I & mark_mask]`` bits: one
+    step of the digit of the gap that is open, none when no gap is.
     """
     nbytes = (count.bit_length() + 7) // 8
     nbytes = _WORD_BYTES.get(nbytes, nbytes)
-    width = 8 * nbytes
-    weight = {}  # bits a count moves per step of each mark
-    origin, slots, axes = 0, 1, []
-    for u, v in coords:
-        sign, offset, size = _gap_axis(p, u, v)
-        step = width * slots * sign
-        weight[v] = weight.get(v, 0) + step
-        weight[u] = weight.get(u, 0) - step
-        origin += slots * offset
-        slots *= size
-        axes.append(range(-offset * sign, (size - offset) * sign, sign))  # gap of digit d
-    shift, mark_mask = {0: 0}, 0  # marks inside the ideal, as a mask -> bits
-    for m, w in weight.items():
-        bit = 1 << m
-        mark_mask |= bit
-        for mask, bits in list(shift.items()):
-            shift[mask | bit] = bits - w
-    return nbytes, slots, axes, width * origin, shift, mark_mask
+    width, slots, sizes = 8 * nbytes, 1, []
+    shift, held = {0: 0}, 0  # the marks placed, as a mask -> bits
+    for u, v in links:
+        held |= 1 << u
+        shift[held] = width * slots  # one step of this link's digit
+        sizes.append(_gap_axis(p, u, v))
+        slots *= sizes[-1]
+    held |= 1 << v
+    shift[held] = 0
+    return nbytes, slots, sizes, shift, held
 
 
-def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
-    """(packed, nbytes, slots, axes): extension counts by the gaps
-    pos(v) - pos(u), one digit per pair of marks (u, v) in ``coords``.
+def _fold(p: Poset, links: tuple) -> tuple[int, int, int, list[int]]:
+    """(packed, nbytes, slots, sizes): extension counts by the gaps
+    pos(v) - pos(u) between consecutive marks of a chain of p, one digit
+    per link (u, v) in ``links``.
 
     One fold over the cached ideal lattice, laid out by ``_plan`` for counts
     up to e(P): the full ideal's int ``packed`` holds the count of slot c in
     bits W*c .. W*c + W - 1 (Kronecker packing), and no slot overflows into
     the next, since a partial count at an ideal J is at most e(J) <= e(P).
-    Every digit stays on its ``_gap_axis``, which makes a negative (right)
-    shift exact.
 
     Big-int work is done only in the band: the ideals that hold some marks
     but not all; every digit is a gap between two marks, so nothing shifts
     outside it.  Before the first mark an ideal t holds its chain count
-    ``lat.ways[t]`` at bit ``start``, which seeds each edge that places a
-    mark; one whose addable set ``lat.addable[t]`` holds no mark has no such
-    edge and is skipped with one AND.  After the last mark an edge into an ideal
+    ``lat.ways[t]`` in slot 0, which seeds each edge that places a mark;
+    one whose addable set ``lat.addable[t]`` holds no mark has no such edge
+    and is skipped with one AND.  After the last mark an edge into an ideal
     j adds its value times ``lat.above[j]``, the chains from j to the full
     ideal, to ``packed``, and such ideals are skipped.
 
-    The latest result is kept in ``p.__dict__["_fold"]`` as a (coords,
-    result) pair, next to the lattice, so a later request in the same
-    coordinates (a second ``f_table``, or the signed table of any order of
-    the same chain triple, which is F relabelled) only decodes it; a
-    request in other coordinates folds anew and replaces it.  Before it
-    folds, TooLarge when the widest layer's ideals times the slots exceed
-    ``STATE_BUDGET``, a check that a kept fold has passed.
+    The latest result is kept in ``p.__dict__["_fold"]`` as a (links,
+    result) pair, next to the lattice, so a later request for the same
+    links (a second ``f_table``, or the signed table of any order of the
+    same chain triple, which is F relabelled) only decodes it into a fresh
+    dict; other links fold anew and replace it.  Before it folds, TooLarge
+    when the widest layer's ideals times the slots exceed ``STATE_BUDGET``,
+    a check that a kept fold has passed.
     """
     kept = p.__dict__.get("_fold")
-    if kept is not None and kept[0] == coords:
+    if kept is not None and kept[0] == links:
         return kept[1]
     lat = lattice(p)
-    nbytes, slots, axes, start, shift, mark_mask = _plan(p, coords, lat.count)
+    nbytes, slots, sizes, shift, mark_mask = _plan(p, links, lat.count)
     if lat.widest * slots > STATE_BUDGET:
         raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {STATE_BUDGET}")
     ideals, addable, ways, above = lat.ideals, lat.addable, lat.ways, lat.above
@@ -419,24 +389,23 @@ def _fold(p: Poset, coords: tuple) -> tuple[int, int, int, list[range]]:
         h = held[t]
         if h == mark_mask:  # after the last mark: closed on the way in
             continue
-        if not h:  # before the first mark: the chain count at the origin
+        if not h:  # before the first mark: the chain count in slot 0
             if addable[t] & mark_mask:  # some edge places a mark
-                c = ways[t] << start
+                c = ways[t]
                 for j in edges:
                     if held[j]:
                         vals[j] += c
             continue
         # in the band: some marks placed, not all
-        c, s = vals[t], shift[h]
+        c = vals[t] << shift[h]
         vals[t] = 0  # release it
-        c = c << s if s >= 0 else c >> -s
         for j in edges:
             if held[j] == mark_mask:  # times every path on to the full ideal
                 packed += c * above[j]
             else:
                 vals[j] += c
-    folded = packed, nbytes, slots, axes
-    p.__dict__["_fold"] = coords, folded
+    folded = packed, nbytes, slots, sizes
+    p.__dict__["_fold"] = links, folded
     return folded
 
 
@@ -454,32 +423,29 @@ def _slot_counts(packed: int, nbytes: int, slots: int):
     return [int.from_bytes(counts[i:i + nbytes], "little") for i in range(0, len(counts), nbytes)]
 
 
-def _cells(p: Poset, gaps: tuple):
+def _cells(p: Poset, links: tuple):
     """(key, count) for each nonzero count of extensions by the gaps
-    pos(v) - pos(u), one per pair of marks (u, v) in ``gaps``, checked by
-    the caller with ``posets.check_marks``; each key holds one gap per pair.
+    pos(v) - pos(u), one per link (u, v) of a chain of marks of p, checked
+    by the caller with ``posets.check_marks``; each key holds one gap per
+    link.
 
-    Decoded from ``_fold`` in the requested gaps as fresh ints, so no caller
+    Decoded from ``_fold`` for those links as fresh ints, so no caller
     can change what is kept: ``_slot_counts`` reads every slot, in one cast
     for the machine-word slots that ``_fold`` gives every count below 2^64
     on a little-endian host, and the keys and counts of the nonzero ones are
     zipped.  Raises TooLarge as ``_fold`` does.
     """
-    packed, nbytes, slots, axes = _fold(p, gaps)
+    packed, nbytes, slots, sizes = _fold(p, links)
     counts = _slot_counts(packed, nbytes, slots)
     # product() runs its last axis fastest: keys come highest digit first
-    keys = map(_REVERSED, compress(product(*reversed(axes)), counts))
+    keys = map(_REVERSED, compress(product(*map(range, reversed(sizes))), counts))
     return zip(keys, filter(None, counts))
 
 
 def f_table(p: Poset, z: MarkedTriple) -> FTable:
-    """Exact F(k, l) by the gap-phase fold.
-
-    Requires a normalized triple (z1 < z2 < z3), so the marks always enter
-    any extension in order.  The phase rules (g1 grows with each step while
-    only z1 is placed, g2 while z1 and z2 are) are the fold's shifts for
-    the gaps (z1, z2) and (z2, z3), both counted up from 0.
-    """
+    """Exact F(k, l) by the gap-phase fold of the links (z1, z2) and
+    (z2, z3).  Requires a normalized triple (z1 < z2 < z3), so the marks
+    always enter any extension in order."""
     if not is_normalized(p, z):
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
     z1, z2, z3 = z.as_tuple()
@@ -518,9 +484,9 @@ def _f_rows(p: Poset, z: MarkedTriple) -> list:
     z1, z2, z3 = z.as_tuple()
     n, down, cover_up, width = p.n, p.down, p.cover_up, p.width
     bound = factorial(width) * width ** (n - width)
-    nbytes, slots, axes, start, shift, mark_mask = _plan(p, ((z1, z2), (z2, z3)), bound)
+    nbytes, slots, sizes, shift, mark_mask = _plan(p, ((z1, z2), (z2, z3)), bound)
     cap = STATE_BUDGET // slots  # ideals one layer may hold
-    vals = {0: 1 << start}
+    vals = {0: 1}
     adds = {0: sum(1 << x for x, below in enumerate(down) if not below)}
     seen = 1  # ideals in every layer so far
     for _ in range(n):
@@ -557,43 +523,75 @@ def _f_rows(p: Poset, z: MarkedTriple) -> list:
         vals, adds = new_vals, new_adds
     (packed,) = vals.values()  # the full ideal's
     counts = _slot_counts(packed, nbytes, slots)
-    size, s1 = n + 2, len(axes[0])
+    size, s1 = n + 2, sizes[0]
     pad = [0] * (size - slots // s1)
     rows = [[*counts[k::s1], *pad] for k in range(s1)]
     rows += [[0] * size] * (size - s1)
     return rows
 
 
+def _orders(p: Poset, marks: tuple):
+    """(q, links, coefs) for each order c_1, ..., c_r of ``marks`` that p
+    allows, after ``posets.check_marks``.
+
+    An extension puts the marks in exactly one order that p allows, and
+    those with the order c_1, ..., c_r are the extensions of q, p with the
+    chain c_1 < ... < c_r added: a table by the gaps between the marks is
+    the union over the orders of q's fold of the ``links`` (c_i, c_{i+1}).
+    With pos(c_1) = 0, the gap pos(v) - pos(u) of two consecutive
+    ``marks`` (u, v) is a sum of the chain's gaps with the signs in
+    ``coefs``.  The order fixes the sign of every difference of two
+    positions, so no two orders share a cell.  An order that p forbids is
+    skipped with bit tests before any poset is built.  Marks that form a
+    chain of p fold p itself, the one order p allows; any other order folds
+    a new q and leaves p's kept fold alone.
+    """
+    check_marks(p.n, marks)
+    up = p.up
+    for chain in permutations(marks):
+        placed = 0
+        for m in chain:
+            if up[m] & placed:  # p puts m below a mark before it
+                break
+            placed |= 1 << m
+        else:
+            links = tuple(zip(chain, chain[1:]))
+            q = p
+            if not all(up[u] >> v & 1 for u, v in links):
+                rows = list(up)
+                for u, v in links:
+                    rows[u] |= 1 << v
+                q = Poset(p.n, tuple(rows))
+            # pos(v) - pos(u) holds the chain's gaps j with at[u] <= j < at[v]
+            at = {m: i for i, m in enumerate(chain)}
+            span = range(len(links))
+            coefs = [[(j < at[v]) - (j < at[u]) for j in span] for u, v in zip(marks, marks[1:])]
+            yield q, links, coefs
+
+
 def f_table_signed(p: Poset, z: MarkedTriple) -> dict[tuple[int, int], int]:
     """Signed gap table F'(a, b) with a = pos(z2) - pos(z1), b = pos(z3) - pos(z2).
 
-    The triple need not be chain-ordered, so a and b may be negative.  When
-    the marks form a chain c1 < c2 < c3 in P, in any order, the table is F
-    of the chain, relabelled: with pos(c1) = 0, pos(c2) = k and pos(c3) =
-    k + l, the cell (k, l) of ``f_table(p, MarkedTriple(c1, c2, c3))``
-    moves to the requested gaps, each a difference of two of those
-    positions, so every coefficient is in {-1, 0, 1}.  For the swapped
-    triple (c2, c1, c3) that is F'(a, b) = F(-a, a + b).  Other marks are
-    folded in the requested gaps.
+    The triple need not be chain-ordered, so a and b may be negative.  The
+    table is the union, over the orders c1 < c2 < c3 of the marks that p
+    allows (``_orders``), of F of that chain, relabelled: with pos(c1) = 0,
+    pos(c2) = k and pos(c3) = k + l, the cell (k, l) moves to the requested
+    gaps, each a difference of two of those positions.  For the swapped
+    chain triple (c2, c1, c3) that is F'(a, b) = F(-a, a + b), read off the
+    fold that ``f_table(p, MarkedTriple(c1, c2, c3))`` keeps.
     """
-    z1, z2, z3 = marks = z.as_tuple()
-    gaps = ((z1, z2), (z2, z3))
-    check_marks(p.n, marks)
-    down, up = p.down, p.up
-    c1, c2, c3 = chain = sorted(marks, key=lambda m: down[m].bit_count())
-    if not (up[c1] >> c2 & 1 and up[c2] >> c3 & 1):
-        return dict(_cells(p, gaps))
-    # pos(x) - pos(c1) as coefficients of (k, l); a gap is a difference of two
-    at = {c1: (0, 0), c2: (1, 0), c3: (1, 1)}
-    (a, b), (c, d) = [(at[v][0] - at[u][0], at[v][1] - at[u][1]) for u, v in gaps]
-    F = _cells(p, ((c1, c2), (c2, c3)))  # the cells of f_table
-    return {(a * k + b * l, c * k + d * l): v for (k, l), v in F}
+    return {
+        (a * k + b * l, c * k + d * l): v
+        for q, links, ((a, b), (c, d)) in _orders(p, z.as_tuple())
+        for (k, l), v in _cells(q, links)
+    }
 
 
 def pair_gap_table(p: Poset, x: int, y: int) -> dict[int, int]:
-    """Counts of extensions by the signed gap pos(y) - pos(x)."""
-    check_marks(p.n, (x, y))
-    return {g: v for (g,), v in _cells(p, ((x, y),))}
+    """Counts of extensions by the signed gap pos(y) - pos(x): the union,
+    over the one or two orders of x and y that p allows (``_orders``), of
+    that chain's one-gap fold, negated where y comes first."""
+    return {a * g: v for q, links, ((a,),) in _orders(p, (x, y)) for (g,), v in _cells(q, links)}
 
 
 class NVector(_Record):

@@ -8,9 +8,11 @@ coordinate chart that drops v(z2) and v(z3), is the polynomial
     V(s, t) = sum_{k,l} F(k,l) s^{k-1}/(k-1)! * t^{l-1}/(l-1)!
                           * (1-s-t)^{n-k-l}/(n-k-l)!
 
-Three independent routes at work here: the exact rational evaluation of
-V, hit-or-miss Monte Carlo over the same chart, and exact polynomial
-interpolation that recovers every F(k,l) back from evaluations of V.
+Two routes at work here: the exact rational evaluation of V, and
+hit-or-miss Monte Carlo over the same chart.  The tests also recover
+every F(k,l) from exact evaluations of V by polynomial interpolation;
+since those evaluations come from F, that checks only that the
+formula's basis is unisolvent on the interpolation nodes, not F itself.
 
 ``volume_formula`` sums V in integers: with s, t, 1-s-t = a/q, b/q, c/q
 over one common denominator q, V(s, t) q^(n-2) (n-2)! is the integer
@@ -181,58 +183,3 @@ def _count_hits(constraints, dim: int, samples: int, seed: int) -> int:
             np.logical_and(ok_m, t_m, out=ok_m)
         hits += int(np.count_nonzero(ok_m))
     return hits
-
-
-def interpolation_nodes(n: int) -> list[tuple[Fraction, Fraction]]:
-    """Shifted principal lattice: (n-1)n/2 interior rational nodes,
-    unisolvent for polynomials of total degree n-2."""
-    m = n - 2
-    den = m + 3
-    return [
-        (Fraction(a + 1, den), Fraction(b + 1, den))
-        for a in range(m + 1)
-        for b in range(m - a + 1)
-    ]
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over the rationals; raises on singularity."""
-    size = len(matrix)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("interpolation system is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
-
-
-def recover_f_from_volume(volume_at, n: int) -> dict[tuple[int, int], Fraction]:
-    """Recover every F(k, l) exactly from evaluations of the slice volume.
-
-    ``volume_at(s, t)`` must return exact rationals.  The coefficients in
-    the simplex basis s^{k-1} t^{l-1} (1-s-t)^{n-k-l} scaled by the inverse
-    factorials are solved from the shifted-lattice evaluations.
-    """
-    cells = [(k, l) for k in range(1, n) for l in range(1, n - k + 1) if n - k - l >= 0]
-    nodes = interpolation_nodes(n)
-    assert len(nodes) == len(cells)
-    matrix = []
-    for s, t in nodes:
-        u = 1 - s - t
-        row = [
-            s ** (k - 1) / factorial(k - 1)
-            * t ** (l - 1) / factorial(l - 1)
-            * u ** (n - k - l) / factorial(n - k - l)
-            for (k, l) in cells
-        ]
-        matrix.append(row)
-    values = [Fraction(volume_at(s, t)) for s, t in nodes]
-    coeffs = _solve_exact(matrix, values)
-    return {cell: c for cell, c in zip(cells, coeffs)}

@@ -33,7 +33,10 @@ from operator import attrgetter
 
 from .errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput
 
-MAX_ELEMENTS = 64  # down-sets must fit one machine word
+# the largest n of a poset, a table, a family parameter or a search: an input
+# guard, not a limit of the bitmask rows, which are Python ints of any size;
+# the counts are bounded by extensions.IDEAL_BUDGET and STATE_BUDGET
+MAX_ELEMENTS = 64
 
 SCHEMA = "posetlab/1"
 

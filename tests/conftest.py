@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -195,6 +197,64 @@ def width_five_poset(n: int = 28, seed: int = 2006) -> Poset:
         if a + 1 < len(hi):
             pairs.append((lo[a], hi[rng.randrange(a + 1, len(hi))]))
     return build(n, pairs)
+
+
+def interpolation_nodes(n: int) -> list[tuple[Fraction, Fraction]]:
+    """Shifted principal lattice: (n-1)n/2 interior rational nodes,
+    unisolvent for polynomials of total degree n-2."""
+    m = n - 2
+    den = m + 3
+    return [
+        (Fraction(a + 1, den), Fraction(b + 1, den))
+        for a in range(m + 1)
+        for b in range(m - a + 1)
+    ]
+
+
+def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Gaussian elimination over the rationals; raises on singularity."""
+    size = len(matrix)
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ArithmeticError("interpolation system is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][size] for r in range(size)]
+
+
+def recover_f_from_volume(volume_at, n: int) -> dict[tuple[int, int], Fraction]:
+    """Recover every F(k, l) exactly from evaluations of the slice volume.
+
+    ``volume_at(s, t)`` must return exact rationals.  Fed
+    ``geometry.volume_formula(F, s, t)``, it gets F back exactly when the
+    formula's basis is unisolvent on ``interpolation_nodes(n)``: a check of
+    the formula, not a second count of F.  The coefficients in
+    the simplex basis s^{k-1} t^{l-1} (1-s-t)^{n-k-l} scaled by the inverse
+    factorials are solved from the shifted-lattice evaluations.
+    """
+    cells = [(k, l) for k in range(1, n) for l in range(1, n - k + 1) if n - k - l >= 0]
+    nodes = interpolation_nodes(n)
+    assert len(nodes) == len(cells)
+    matrix = []
+    for s, t in nodes:
+        u = 1 - s - t
+        row = [
+            s ** (k - 1) / factorial(k - 1)
+            * t ** (l - 1) / factorial(l - 1)
+            * u ** (n - k - l) / factorial(n - k - l)
+            for (k, l) in cells
+        ]
+        matrix.append(row)
+    values = [Fraction(volume_at(s, t)) for s, t in nodes]
+    coeffs = _solve_exact(matrix, values)
+    return {cell: c for cell, c in zip(cells, coeffs)}
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 from math import factorial
 
-from conftest import chain_triples, corpus
+from conftest import chain_triples, corpus, recover_f_from_volume
 from posetlab.extensions import FTable, f_table, n_vector, word_classes
 from posetlab.families import (
     family_antichain,
@@ -33,7 +33,7 @@ from posetlab.families import (
     family_cpc2_witness,
     family_stanley_tight,
 )
-from posetlab.geometry import recover_f_from_volume, volume_formula, volume_mc
+from posetlab.geometry import volume_formula, volume_mc
 from posetlab.inequalities import (
     FAILS,
     check_converse,

@@ -29,7 +29,6 @@ from posetlab.extensions import (
     ENUMERATION_MAX,
     _WORD_BYTES,
     _WORD_CODES,
-    _cells,
     _f_rows,
     _gap_axis,
     _slot_counts,
@@ -132,7 +131,7 @@ def test_f_table_state_budget(monkeypatch):
     # poset, so no kept fold answers
     inst = family_cpc2_witness(1, 2)
     q, z = inst.poset, inst.z
-    slots = prod(_gap_axis(q, u, v)[2] for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
+    slots = prod(_gap_axis(q, u, v) for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
     budget = lattice(q).widest * slots
     monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget)
     assert f_table(Poset(q.n, q.up), z).entries == f_table(q, z).entries
@@ -149,7 +148,7 @@ def test_f_rows_raise_where_f_table_does_and_keep_nothing(monkeypatch):
     inst, wide = family_cpc2_witness(1, 2), width_five_poset()
     for q, z in ((inst.poset, inst.z), (wide, chain_triples(wide)[0])):
         lat = lattice(q)
-        slots = prod(_gap_axis(q, u, v)[2] for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
+        slots = prod(_gap_axis(q, u, v) for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
         for name, fits in (("STATE_BUDGET", lat.widest * slots), ("IDEAL_BUDGET", len(lat.ideals))):
             with monkeypatch.context() as m:
                 m.setattr(f"posetlab.extensions.{name}", fits)
@@ -207,13 +206,18 @@ def test_translation_identity_via_signed_table(medium_corpus):
         assert {(-a, a + b): v for (a, b), v in signed.items()} == F.entries
         assert F.total() == sum(signed.values()) == count_extensions(p)
     # so the relabelling is checked by more than itself: every order of each
-    # big chain triple against a fold in the requested gaps on a fresh poset
+    # big chain triple against F from the lattice-free pass on a fresh
+    # poset, moved cell by cell to the positions of the marks
     for p, z in _width_five_instances():
-        fresh = Poset(p.n, p.up)
-        for marks in permutations(z.as_tuple()):
-            a, b, c = marks
-            folded = dict(_cells(fresh, ((a, b), (b, c))))
-            assert f_table_signed(p, MarkedTriple(*marks)) == folded, marks
+        rows = _f_rows(Poset(p.n, p.up), z)
+        for a, b, c in permutations(z.as_tuple()):
+            expected = {}
+            for k, row in enumerate(rows):
+                for l, v in enumerate(row):
+                    if v:
+                        at = {z.z1: 0, z.z2: k, z.z3: k + l}
+                        expected[at[b] - at[a], at[c] - at[b]] = v
+            assert f_table_signed(p, MarkedTriple(a, b, c)) == expected, (a, b, c)
 
 
 def test_signed_and_pair_tables_match_oracle_on_any_marks(medium_corpus):
@@ -439,7 +443,8 @@ def _incomparable_pair(p: Poset) -> tuple[int, int]:
 
 
 def test_positional_state_budget(medium_corpus, monkeypatch):
-    # an incomparable pair's gap takes either sign, so its axis is the widest
+    # an incomparable pair's table folds p with each order of the pair added;
+    # the first such fold is already over a budget of three states
     q = next(q for q, _ in medium_corpus if q.width > 1)
     monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", 3)
     with pytest.raises(TooLarge):
@@ -485,11 +490,33 @@ def test_over_budget_fold_leaves_the_kept_fold(monkeypatch):
     assert f_table(p, z) == F
 
 
+def test_tables_of_marks_off_a_chain_leave_the_kept_fold(medium_corpus):
+    # marks that form no chain of p are counted on p with each order they
+    # can take added, never on p itself, so F's kept fold stays
+    checked = 0
+    for q, z in medium_corpus[:20]:
+        if q.width == 1:
+            continue
+        p, fresh = Poset(q.n, q.up), Poset(q.n, q.up)
+        f_table(p, z)
+        kept = p.__dict__["_fold"]
+        x, y = _incomparable_pair(p)
+        third = next(m for m in z.as_tuple() if m not in (x, y))
+        assert f_table_signed(p, MarkedTriple(x, third, y)) == f_table_signed(
+            fresh, MarkedTriple(x, third, y)
+        )
+        assert pair_gap_table(p, x, y) == pair_gap_table(fresh, x, y)
+        assert p.__dict__["_fold"] is kept
+        checked += 1
+    assert checked
+
+
 def test_only_the_latest_fold_is_kept():
     # one kept fold per poset, replaced on a miss: folding many mark tuples
-    # on a large poset keeps the last one only, and asking for it again is a hit
+    # on a large poset keeps the last one only, and asking for it again is a
+    # hit; the pairs are comparable, so each is folded on p itself
     p = width_five_poset()
-    pairs = [(a, b) for a in range(10) for b in range(a + 1, 10)][:40]
+    pairs = [(a, b) for a in range(p.n) for b in range(p.n) if p.less(a, b) or p.less(b, a)][:40]
     for a, b in pairs:
         counts = pair_gap_table(p, a, b)
         ((u, v),), _ = kept = p.__dict__["_fold"]
@@ -625,6 +652,15 @@ def _signed_oracle(p: Poset, marks, size: int) -> dict[tuple[int, int], int]:
     return out
 
 
+def _pair_oracle(signed: dict, factor: int) -> dict[int, int]:
+    """The pair table of the first and last marks, factor times the signed
+    table summed over a + b."""
+    out = Counter()
+    for (a, b), v in signed.items():
+        out[a + b] += factor * v
+    return dict(out)
+
+
 def _marked_cases(seed: int, count: int):
     """``count`` (P, z, other marks, rng): a ``random_instance`` with 5-8
     elements and a chain triple, three distinct elements of P in random
@@ -658,6 +694,7 @@ def _check_disjoint_union(p: Poset, z: MarkedTriple, marks: MarkedTriple, length
     if signed:
         oracle = _signed_oracle(p, marks.as_tuple(), size)
         assert f_table_signed(u, marks) == {ab: e_q * v for ab, v in oracle.items()}
+        assert pair_gap_table(u, marks.z1, marks.z3) == _pair_oracle(oracle, e_q)
     return u, max(F.values()).bit_length()
 
 
@@ -679,6 +716,7 @@ def _check_ordinal_sum(p: Poset, z: MarkedTriple, marks: MarkedTriple, below, ab
     assert n_vector(u, z.z2).counts == {k + b0 - a0: e * v for k, v in n_p.items()}
     signed = _signed_oracle(p, marks.as_tuple(), p.n)  # p.n positions: P's own table
     assert f_table_signed(u, marks) == {ab: e * v for ab, v in signed.items()}
+    assert pair_gap_table(u, marks.z1, marks.z3) == _pair_oracle(signed, e)
     return u, max(F.values()).bit_length()
 
 

@@ -9,16 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import interpolation_nodes, recover_f_from_volume
 from posetlab import geometry
 from posetlab.errors import BadParams, DegenerateSlice
 from posetlab.extensions import FTable, f_table
 from posetlab.families import family_cpc2_witness
-from posetlab.geometry import (
-    interpolation_nodes,
-    recover_f_from_volume,
-    volume_formula,
-    volume_mc,
-)
+from posetlab.geometry import volume_formula, volume_mc
 from posetlab.posets import MarkedTriple, antichain, build, chain, normalize
 from posetlab.search import random_instance
 
