@@ -37,14 +37,16 @@ from .posets import SCHEMA, load_poset, normalize, thin_threshold
 def _read_poset(args, stdin, marked: bool = True):
     """(p, z, a) from ``--poset`` or stdin.  With ``marked``, z1 < z2 < z3
     is added to p, and an input without the triple z is a data error."""
-    if args.poset in (None, "-"):
-        text = stdin.read()
-    else:
-        try:
+    from_stdin = args.poset in (None, "-")
+    try:
+        if from_stdin:
+            text = stdin.read()
+        else:
             with open(args.poset, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise MalformedInput(f"cannot read poset file {args.poset!r}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        source = "stdin" if from_stdin else f"poset file {args.poset!r}"
+        raise MalformedInput(f"cannot read {source}: {exc}") from None
     p, z, a = load_poset(text)
     if marked:
         if z is None:

@@ -259,13 +259,7 @@ class FTable(_Record):
     """
 
     __slots__ = ("n", "z", "entries")
-
-    def __init__(
-        self, n: int, z: MarkedTriple, entries: dict[tuple[int, int], int] | None = None
-    ) -> None:
-        self.n = n
-        self.z = z
-        self.entries = {} if entries is None else entries
+    _defaults = {"entries": dict}
 
     def get(self, k: int, l: int) -> int:
         return self.entries.get((k, l), 0)
@@ -598,11 +592,7 @@ class NVector(_Record):
     """Counts N_k of extensions placing one marked element at position k."""
 
     __slots__ = ("n", "a", "counts")
-
-    def __init__(self, n: int, a: int, counts: dict[int, int] | None = None) -> None:
-        self.n = n
-        self.a = a
-        self.counts = {} if counts is None else counts
+    _defaults = {"counts": dict}
 
     def get(self, k: int) -> int:
         return self.counts.get(k, 0)

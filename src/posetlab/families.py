@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import BadParams
-from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, _Record, build
+from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, _Record, build
 
 
 class FamilyInstance(_Record):
@@ -34,28 +34,10 @@ class FamilyInstance(_Record):
         "family", "params", "poset", "z", "a",
         "expected_cells", "expected_positions", "extras", "experimental",
     )
-
-    def __init__(
-        self,
-        family: str,
-        params: dict,
-        poset: Poset,
-        z: MarkedTriple | None = None,
-        a: int | None = None,
-        expected_cells: dict[tuple[int, int], int] | None = None,
-        expected_positions: dict[int, int] | None = None,
-        extras: dict | None = None,
-        experimental: bool = False,
-    ) -> None:
-        self.family = family
-        self.params = params
-        self.poset = poset
-        self.z = z
-        self.a = a
-        self.expected_cells = {} if expected_cells is None else expected_cells
-        self.expected_positions = {} if expected_positions is None else expected_positions
-        self.extras = {} if extras is None else extras
-        self.experimental = experimental
+    _defaults = {
+        "z": None, "a": None, "expected_cells": dict, "expected_positions": dict,
+        "extras": dict, "experimental": False,
+    }
 
     def to_json_obj(self) -> dict:
         out = {

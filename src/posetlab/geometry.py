@@ -112,12 +112,6 @@ def _slice_system(p: Poset, z: MarkedTriple, s: Fraction, t: Fraction):
 class McEstimate(_Record):
     __slots__ = ("mean", "stderr", "hits", "samples")
 
-    def __init__(self, mean: float, stderr: float, hits: int, samples: int) -> None:
-        self.mean = mean
-        self.stderr = stderr
-        self.hits = hits
-        self.samples = samples
-
     def within(self, exact: Fraction, sigmas: float = 3.0) -> bool:
         return abs(self.mean - float(exact)) <= sigmas * self.stderr
 

@@ -41,6 +41,7 @@ HOLDS, FAILS, VACUOUS = "holds", "fails", "vacuous"
 class CheckReport(_Record):
     __slots__ = ("ineq", "k", "l", "lhs", "rhs", "verdict", "cells", "extra", "note")
 
+    # its own: ~600 per certify operation, where _Record's would add ~1.6 ms (8%)
     def __init__(
         self,
         ineq: str,

@@ -293,28 +293,7 @@ class InjectionCertificate(_Record):
         "name", "k", "l", "domain_size", "image_size", "interval_total", "codomain_cells",
         "collisions", "errors",
     )
-
-    def __init__(
-        self,
-        name: str,
-        k: int | None,
-        l: int | None,
-        domain_size: int,
-        image_size: int,
-        interval_total: int,
-        codomain_cells: int,
-        collisions: list | None = None,
-        errors: list | None = None,
-    ) -> None:
-        self.name = name
-        self.k = k
-        self.l = l
-        self.domain_size = domain_size
-        self.image_size = image_size
-        self.interval_total = interval_total
-        self.codomain_cells = codomain_cells
-        self.collisions = [] if collisions is None else collisions
-        self.errors = [] if errors is None else errors
+    _defaults = {"collisions": list, "errors": list}
 
     @property
     def codomain_bound(self) -> int:

@@ -87,38 +87,15 @@ class SearchJob(_FrozenRecord):
             raise BadParams(f"seed must be >= 0, got {seed}")
         if width_max is not None and width_max < 1:
             raise BadParams(f"width_max must be >= 1, got {width_max}")
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "budget", budget)
-        object.__setattr__(self, "n_min", n_min)
-        object.__setattr__(self, "width_max", width_max)
-        object.__setattr__(self, "out", out)
+        super().__init__(target, n_max, seed, budget, n_min, width_max, out)
 
 
 class Certificate(_Record):
     """A violation, on the ``Poset`` and ``MarkedTriple`` it was counted on
-    (for ``gcpc`` the swapped triple), with the check's indices and products."""
+    (for ``gcpc`` the swapped triple), with the check's indices and products
+    and the index of the instance that produced it."""
 
     __slots__ = ("ineq", "poset", "z", "indices", "lhs", "rhs", "index")
-
-    def __init__(
-        self,
-        ineq: str,
-        poset: Poset,
-        z: MarkedTriple,
-        indices: dict,
-        lhs: int,
-        rhs: int,
-        index: int,  # instance index that produced it
-    ) -> None:
-        self.ineq = ineq
-        self.poset = poset
-        self.z = z
-        self.indices = indices
-        self.lhs = lhs
-        self.rhs = rhs
-        self.index = index
 
     def to_json_obj(self) -> dict:
         return {
@@ -194,28 +171,11 @@ class SearchSummary(_Record):
         "target", "instances", "usable", "holds", "fails", "vacuous", "certificates",
         "min_slack", "critical",
     )
-
-    def __init__(
-        self,
-        target: str,
-        instances: int = 0,
-        usable: int = 0,
-        holds: int = 0,
-        fails: int = 0,
-        vacuous: int = 0,
-        certificates: int = 0,
-        min_slack: list | None = None,  # up to 5 smallest positive slacks
-        critical: list | None = None,  # two-of-three violations (never expected)
-    ) -> None:
-        self.target = target
-        self.instances = instances
-        self.usable = usable
-        self.holds = holds
-        self.fails = fails
-        self.vacuous = vacuous
-        self.certificates = certificates
-        self.min_slack = [] if min_slack is None else min_slack
-        self.critical = [] if critical is None else critical
+    _defaults = {
+        "instances": 0, "usable": 0, "holds": 0, "fails": 0, "vacuous": 0, "certificates": 0,
+        "min_slack": list,  # up to 5 smallest positive slacks
+        "critical": list,  # two-of-three violations (never expected)
+    }
 
     def absorb(self, other: "SearchSummary") -> None:
         for name in ("instances", "usable", "holds", "fails", "vacuous", "certificates"):

@@ -26,14 +26,6 @@ class SupportRegion(_FrozenRecord):
 
     __slots__ = ("k_lo", "k_hi", "l_lo", "l_hi", "s_lo", "s_hi")
 
-    def __init__(self, k_lo: int, k_hi: int, l_lo: int, l_hi: int, s_lo: int, s_hi: int) -> None:
-        object.__setattr__(self, "k_lo", k_lo)
-        object.__setattr__(self, "k_hi", k_hi)
-        object.__setattr__(self, "l_lo", l_lo)
-        object.__setattr__(self, "l_hi", l_hi)
-        object.__setattr__(self, "s_lo", s_lo)
-        object.__setattr__(self, "s_hi", s_hi)
-
     def membership(self, k: int, l: int) -> bool:
         return (
             self.k_lo <= k <= self.k_hi
@@ -51,11 +43,7 @@ class SupportRegion(_FrozenRecord):
         return {kl for kl in self.box() if self.membership(*kl)}
 
     def bounds_dict(self) -> dict[str, int]:
-        return {
-            "k_lo": self.k_lo, "k_hi": self.k_hi,
-            "l_lo": self.l_lo, "l_hi": self.l_hi,
-            "s_lo": self.s_lo, "s_hi": self.s_hi,
-        }
+        return dict(zip(self._fields, self._values(self)))
 
 
 def support(p: Poset, z: MarkedTriple) -> SupportRegion:

@@ -264,6 +264,12 @@ def small_poset_classes():
 
 
 @pytest.fixture(scope="session")
+def poset_classes():
+    """One representative per isomorphism class for every n <= 6: 405 posets."""
+    return [p for n in range(1, 7) for p in enumerate_posets(n)]
+
+
+@pytest.fixture(scope="session")
 def medium_corpus():
     """60 random marked posets with 4 <= n <= 7 for module-level tests."""
     return corpus(60, 4, 7, seed=20240)

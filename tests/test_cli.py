@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 
@@ -338,6 +339,47 @@ def test_unreadable_file_exits_two(tmp_path, shape):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        ["table", "--poset", "-"],
+        ["vanish", "--k", "1", "--l", "1"],
+        ["check", "--ineq", "cpc"],
+        ["check", "--ineq", "stanley"],
+        ["verify-injections"],
+        ["volume-mc", "--s", "1/5", "--t", "1/5"],
+    ],
+)
+def test_non_utf8_stdin_exits_two(argv):
+    # stdin with a strict UTF-8 decoder, as PYTHONIOENCODING=utf-8:strict
+    # gives: the decode error is a data error, as for --poset FILE
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = main(argv, stdin=stdin, stdout=out, stderr=err)
+    assert code == 2 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read stdin: ")
+
+
+class _FullDisk(io.StringIO):
+    """A stdout on a device with no space left."""
+
+    def writelines(self, lines):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("argv", [["table"], ["check", "--ineq", "cpc2", "--all"]])
+def test_a_write_error_exits_two_with_one_error_line(argv):
+    # exit 2 whatever the verdicts would have given (cpc2 --all fails: 1)
+    _, family_out, _ = run_cli(["family", "--id", "cpc2-witness", "--k", "1", "--l", "2"])
+    err = io.StringIO()
+    code = main(argv, stdin=io.StringIO(family_out), stdout=_FullDisk(), stderr=err)
+    lines = err.getvalue().splitlines()
+    assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+    assert "No space left on device" in lines[0]
 
 
 @pytest.mark.parametrize(

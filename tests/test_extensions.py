@@ -242,13 +242,56 @@ def test_signed_and_pair_tables_match_oracle_on_any_marks(medium_corpus):
                 assert n_vector(p, m).counts == positions[m]
 
 
-def test_pair_gap_consistency(medium_corpus):
-    # summing F over the second gap reproduces the two-mark count
-    for p, z in medium_corpus:
+def _gap_sums(F, gap) -> dict[int, int]:
+    """F summed over the cells with one gap(k, l), zeros dropped."""
+    sums = Counter()
+    for (k, l), v in F.entries.items():
+        sums[gap(k, l)] += v
+    return {g: v for g, v in sums.items() if v}
+
+
+def test_pair_gap_consistency(medium_corpus, poset_classes):
+    # F's row, column and anti-diagonal sums are the Kahn-Saks sequences of
+    # (z1, z2), (z2, z3) and (z1, z3): the two-mark counts of pair_gap_table
+    marked = [(p, z) for p in poset_classes for z in chain_triples(p)]
+    assert len(marked) == 1380
+    for p, z in medium_corpus + marked:
         F = f_table(p, z)
-        pair = pair_gap_table(p, z.z1, z.z2)
-        for k in range(1, p.n):
-            assert sum(v for (kk, l), v in F.entries.items() if kk == k) == pair.get(k, 0)
+        for gap, (x, y) in (
+            (lambda k, l: k, (z.z1, z.z2)),
+            (lambda k, l: l, (z.z2, z.z3)),
+            (lambda k, l: k + l, (z.z1, z.z3)),
+        ):
+            assert _gap_sums(F, gap) == {g: v for g, v in pair_gap_table(p, x, y).items() if v}
+
+
+def test_n_vectors_are_log_concave(poset_classes):
+    # Stanley (1981): N_k^2 >= N_{k-1} N_{k+1} for every element
+    points = 0
+    for p in poset_classes:
+        for a in range(p.n):
+            nv = n_vector(p, a)
+            for k in range(2, p.n):
+                assert nv.get(k) ** 2 >= nv.get(k - 1) * nv.get(k + 1), (p, a, k)
+                points += 1
+    assert points == 8720
+
+
+def test_mixed_volume_determinants_are_nonnegative(poset_classes):
+    # the slice-volume polynomial is Lorentzian (Alexandrov-Fenchel), so the
+    # symmetric matrix M(k, l) = [[a, e, f], [e, b, g], [f, g, c]] of the
+    # cells below has at most one positive eigenvalue, hence det M >= 0
+    points = 0
+    for p in poset_classes:
+        for z in chain_triples(p):
+            F = f_table(p, z)
+            for k, l in F.grid(margin=0):
+                a, e, f = F.get(k + 2, l), F.get(k + 1, l + 1), F.get(k + 1, l)
+                b, g, c = F.get(k, l + 2), F.get(k, l + 1), F.get(k, l)
+                det = a * (b * c - g * g) - e * (e * c - g * f) + f * (e * g - b * f)
+                assert det >= 0, (p, z, k, l)
+                points += 1
+    assert points == 13188
 
 
 def test_n_vector_examples_and_sum(medium_corpus):

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import flat_threshold, width_bruteforce, width_five_poset
 from posetlab.errors import BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge
-from posetlab.extensions import FTable, IdealLattice, count_extensions, f_table, lattice, n_vector
-from posetlab.families import build_family, family_cpc2_witness
+from posetlab.extensions import (
+    FTable, IdealLattice, NVector, count_extensions, f_table, lattice, n_vector,
+)
+from posetlab.families import FamilyInstance, build_family, family_cpc2_witness
 from posetlab.geometry import McEstimate
 from posetlab.inequalities import check_cpc2
 from posetlab.injections import InjectionCertificate, verify_injections
@@ -34,8 +36,10 @@ from posetlab.posets import (
     thin_threshold,
     width,
 )
-from posetlab.search import Certificate, SearchJob, canonical_key, random_instance, run
-from posetlab.vanishing import support
+from posetlab.search import (
+    Certificate, SearchJob, SearchSummary, canonical_key, random_instance, run,
+)
+from posetlab.vanishing import SupportRegion, support
 
 
 @st.composite
@@ -431,6 +435,35 @@ def test_record_defaults_are_fresh_containers():
     first.errors.append("x")
     first.collisions.append("y")
     assert second.errors == [] and second.collisions == []
+    one, other = SearchSummary("cpc"), SearchSummary("cpc")
+    one.min_slack.append(1)
+    one.critical.append({"index": 0})
+    assert other.min_slack == [] and other.critical == [] and other.instances == 0
+    fam, twin = (FamilyInstance("antichain", {}, chain(3)) for _ in range(2))
+    fam.extras["ratio"] = 1
+    assert twin.extras == {} and twin.z is None and twin.experimental is False
+    nv, nv_twin = NVector(3, 0), NVector(3, 0)
+    nv.counts[1] = 1
+    assert nv_twin.counts == {}
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [(FTable, (3, MarkedTriple(0, 1, 2))), (SupportRegion, (1, 2, 3, 4, 5, 6))],
+    ids=["mutable", "frozen"],
+)
+def test_record_initializer_names_the_field_at_fault(cls, args):
+    first, last = cls._fields[0], cls._fields[len(args) - 1]
+    keywords = dict(zip(cls._fields[1:], args[1:]))
+    assert cls(*args) == cls(args[0], **keywords) == cls(**{first: args[0]}, **keywords)
+    with pytest.raises(TypeError, match="has no field 'colour'"):
+        cls(*args, colour=1)
+    with pytest.raises(TypeError, match=f"got field '{first}' twice"):
+        cls(*args, **{first: args[0]})
+    with pytest.raises(TypeError, match=f"lacks field '{last}'"):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match=f"takes {len(cls._fields)} fields, got"):
+        cls(*args, *[0] * (len(cls._fields) - len(args) + 1))
 
 
 def test_thin_flat_definitions():
