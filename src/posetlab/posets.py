@@ -424,22 +424,23 @@ def _max_matching(n: int, adj: tuple[int, ...]) -> int:
     """Maximum bipartite matching, left/right both 0..n-1, adj as bitmasks."""
     match_r = [-1] * n
 
-    def augment(v: int, seen: list[bool]) -> bool:
-        bits = adj[v]
+    def augment(v: int) -> bool:
+        nonlocal seen
+        bits = adj[v] & ~seen
         while bits:
-            u = (bits & -bits).bit_length() - 1
-            bits &= bits - 1
-            if seen[u]:
-                continue
-            seen[u] = True
-            if match_r[u] < 0 or augment(match_r[u], seen):
+            low = bits & -bits
+            seen |= low
+            u = low.bit_length() - 1
+            if match_r[u] < 0 or augment(match_r[u]):
                 match_r[u] = v
                 return True
+            bits &= ~seen  # the failed call marked the vertices it tried
         return False
 
     size = 0
     for v in range(n):
-        if augment(v, [False] * n):
+        seen = 0  # right vertices this augmentation has tried, as a bitmask
+        if augment(v):
             size += 1
     return size
 

@@ -16,13 +16,16 @@ parts into the same summary.  With ``job.out`` set, each certificate is
 appended and flushed as soon as it is found, so a killed run keeps
 everything found before it stopped.
 
-The scan drops an instance with no 3-chain from its drawn rows, before any
-poset is built, and one wider than ``width_max`` before its triple is
-drawn.  It takes F as dense rows from ``extensions._f_rows``, one forward
-pass over the order ideals that builds no lattice and keeps nothing on the
-poset, since the scan needs F once per poset and nothing else.  It reads
-the cells once per (k, l), compares the cpc, cpc1 and cpc2 products as
-integers, and makes a Certificate only for a failure.
+``_scan_instance`` draws an instance and drops it when its drawn rows
+hold no 3-chain, before any poset is built, or when it is wider than
+``width_max``, before its triple is drawn.  ``_scan_table`` takes a usable
+instance's F as dense rows from ``extensions._f_rows``, one forward pass
+over the order ideals that builds no lattice and keeps nothing on the
+poset, since the scan needs F once per poset and nothing else.  It walks
+the (k, l) grid once: each point reads its six cells once, a point whose
+six cells are zero counts as vacuous, and cpc, cpc1 and cpc2 are decided
+by integer products and booleans, with no call, tuple or verdict string
+per point.  A Certificate is made only for a failure.
 
 Violations of the generalized product comparison (``gcpc``) are located
 through the signed-gap reduction: a ``cpc2`` violation at (k, l) yields,
@@ -48,7 +51,7 @@ from contextlib import nullcontext
 
 from .errors import BadChain, BadParams, MalformedInput, TooLarge
 from .extensions import _build_lattice, _f_rows, enumerate_extensions, f_table, f_table_signed
-from .inequalities import FAILS, HOLDS, TABLE_CHECKS, VACUOUS, check_gcpc
+from .inequalities import FAILS, TABLE_CHECKS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, _FrozenRecord, _Record, build
 from .posets import _json_int, _json_object, is_normalized, load_poset
 
@@ -283,72 +286,74 @@ def _chains(p: Poset) -> list:
     return chains
 
 
-_ALL_VACUOUS = ((VACUOUS, 0, 0),) * 3
-
-
-def _cpc_trio(rows: list, k: int, l: int) -> tuple:
-    """(verdict, lhs, rhs) of cpc, cpc1 and cpc2 at (k, l), in that order.
-
-    ``rows[k][l]`` is F(k, l), zero-padded so that k + 2 and l + 2 are in
-    range.  Same cells, orientation and vacuity rule (all four cells zero)
-    as check_cpc, check_cpc1 and check_cpc2, in integers only.
-    """
-    r0, r1 = rows[k], rows[k + 1]
-    f_kl, f_kl1, f_kl2 = r0[l], r0[l + 1], r0[l + 2]
-    f_k1l, f_k1l1 = r1[l], r1[l + 1]
-    f_k2l = rows[k + 2][l]
-    shared = f_k1l or f_kl1 or f_k1l1  # read by all three comparisons
-    if not (shared or f_kl or f_k2l or f_kl2):
-        return _ALL_VACUOUS
-    lhs, rhs = f_kl * f_k1l1, f_k1l * f_kl1
-    cpc = (HOLDS if lhs <= rhs else FAILS, lhs, rhs) if shared or f_kl else (VACUOUS, 0, 0)
-    lhs, rhs = f_k2l * f_kl1, f_k1l * f_k1l1
-    cpc1 = (HOLDS if lhs <= rhs else FAILS, lhs, rhs) if shared or f_k2l else (VACUOUS, 0, 0)
-    lhs, rhs = f_kl2 * f_k1l, f_kl1 * f_k1l1
-    cpc2 = (HOLDS if lhs <= rhs else FAILS, lhs, rhs) if shared or f_kl2 else (VACUOUS, 0, 0)
-    return cpc, cpc1, cpc2
-
-
-_TRIO_SLOT = {"cpc": 0, "cpc1": 1, "cpc2": 2, "gcpc": 2}
-
-
 def _scan_instance(job: SearchJob, index: int, summary: SearchSummary, rng: random.Random) -> list:
     """Scan one instance into ``summary``; returns its certificates.  The
-    instance is ``random_instance``'s, drawn with ``rng``."""
+    instance is ``random_instance``'s, drawn with ``rng``; a usable one goes
+    to ``_scan_table``."""
     summary.instances += 1
-    certs: list[Certificate] = []
     drawn = _draw_rows(rng, job.seed, index, job.n_min, job.n_max)
     if not _linked(drawn):  # every index reseeds, so draws skipped here move no stream
-        return certs
+        return []
     p = Poset(len(drawn), tuple(drawn))
     if job.width_max is not None and p.width > job.width_max:
-        return certs
+        return []
     chains = _chains(p)
     z = MarkedTriple(*chains[_below(rng.getrandbits, len(chains))])
     summary.usable += 1
+    return _scan_table(job, index, summary, p, z)
+
+
+def _scan_table(job: SearchJob, index: int, summary: SearchSummary, p: Poset, z: MarkedTriple) -> list:
+    """Scan F's (k, l) grid, 1 <= k, l and k + l <= n, into ``summary``
+    for ``job.target`` (gcpc through cpc2); returns the certificates.
+
+    Each point reads its six cells once from ``extensions._f_rows``.  cpc,
+    cpc1 and cpc2 each compare a corner cell of their own (F(k, l),
+    F(k+2, l), F(k, l+2)) times one of the three cells they share against
+    the product of the other two, in check_cpc's, check_cpc1's and
+    check_cpc2's orientation, and each is vacuous when its four cells are
+    zero.  So where the shared cells are zero no product is nonzero:
+    nothing fails, and the target holds with slack 0 or is vacuous as its
+    own corner is nonzero or zero.  Elsewhere no comparison is vacuous.
+    """
     rows = _f_rows(p, z)
-    slot = _TRIO_SLOT[job.target]
+    target = job.target
+    cpc, cpc1 = target == "cpc", target == "cpc1"
+    cpc2 = not (cpc or cpc1)  # gcpc fails exactly where cpc2 does
+    certs: list[Certificate] = []
     min_slack = summary.min_slack
     cutoff = min_slack[4] if len(min_slack) == 5 else None
     holds = vacuous = 0
-    for k in range(1, p.n):
-        for l in range(1, p.n - k + 1):
-            trio = _cpc_trio(rows, k, l)
-            if trio is _ALL_VACUOUS:
-                vacuous += 1
+    n = p.n
+    for k in range(1, n):
+        r0, r1, r2 = rows[k], rows[k + 1], rows[k + 2]
+        for l in range(1, n - k + 1):
+            f_kl, f_kl1, f_kl2 = r0[l], r0[l + 1], r0[l + 2]
+            f_k1l, f_k1l1, f_k2l = r1[l], r1[l + 1], r2[l]
+            if not (f_k1l or f_kl1 or f_k1l1):
+                if cpc and f_kl or cpc1 and f_k2l or cpc2 and f_kl2:
+                    holds += 1
+                else:
+                    vacuous += 1
                 continue
+            lhs0, rhs0 = f_kl * f_k1l1, f_k1l * f_kl1  # cpc
+            lhs1, rhs1 = f_k2l * f_kl1, f_k1l * f_k1l1  # cpc1
+            lhs2, rhs2 = f_kl2 * f_k1l, f_kl1 * f_k1l1  # cpc2
+            fail0, fail1, fail2 = lhs0 > rhs0, lhs1 > rhs1, lhs2 > rhs2
             # a double failure among {cpc, cpc1, cpc2} is impossible; if one
             # ever shows up it is logged as critical, never discarded
-            if (trio[0][0] == FAILS) + (trio[1][0] == FAILS) + (trio[2][0] == FAILS) >= 2:
+            if fail0 + fail1 + fail2 >= 2:
                 summary.critical.append(
                     {"covers": [list(c) for c in p.covers], "z": list(z.as_tuple()),
                      "k": k, "l": l, "index": index}
                 )
-            verdict, lhs, rhs = trio[slot]
-            if verdict == VACUOUS:
-                vacuous += 1
-                continue
-            if verdict == HOLDS:
+            if cpc2:
+                failed, lhs, rhs = fail2, lhs2, rhs2
+            elif cpc:
+                failed, lhs, rhs = fail0, lhs0, rhs0
+            else:
+                failed, lhs, rhs = fail1, lhs1, rhs1
+            if not failed:
                 holds += 1
                 slack = rhs - lhs
                 if slack > 0 and (cutoff is None or slack < cutoff):
@@ -358,7 +363,7 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary, rng: rand
                         cutoff = min_slack[4]
                 continue
             summary.fails += 1
-            if job.target == "gcpc":
+            if target == "gcpc":
                 # signed-gap reduction: swap z1, z2 and translate indices; the
                 # signed cells there are cpc2's cells, so lhs and rhs carry over
                 a, b = -k - 1, k + l + 1
@@ -366,7 +371,7 @@ def _scan_instance(job: SearchJob, index: int, summary: SearchSummary, rng: rand
                 indices = {"k": a, "l": b, "p": a + 1, "q": b + 1}
             else:
                 marks, indices = z, {"k": k, "l": l}
-            certs.append(Certificate(job.target, p, marks, indices, lhs, rhs, index))
+            certs.append(Certificate(target, p, marks, indices, lhs, rhs, index))
             summary.certificates += 1
     summary.holds += holds
     summary.vacuous += vacuous

@@ -199,6 +199,13 @@ def test_width_two_routes_agree(p: Poset):
     assert width(p) == width_bruteforce(p)
 
 
+def test_width_matches_the_largest_antichain_on_drawn_instances():
+    # every drawn instance, chainless ones too
+    for i in range(5000):
+        p, _ = random_instance(5, i, 3, 10)
+        assert p.width == width_bruteforce(p), p.covers
+
+
 def test_width_examples():
     assert width(chain(5)) == 1
     assert width(antichain(5)) == 5

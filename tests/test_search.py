@@ -14,7 +14,7 @@ from posetlab.errors import (
     BadChain, BadParams, CycleDetected, IndexOutOfRange, MalformedInput, TooLarge,
 )
 from posetlab.extensions import _f_rows, count_extensions, f_table
-from posetlab.inequalities import FAILS, HOLDS, check_cpc, check_cpc1, check_cpc2
+from posetlab.inequalities import FAILS, HOLDS, VACUOUS, check_cpc, check_cpc1, check_cpc2
 from posetlab.posets import MarkedTriple, Poset, build
 from posetlab.search import (
     Certificate,
@@ -266,7 +266,7 @@ def test_search_deterministic_across_index_chunks():
 
 
 def test_fast_path_matches_check_reports():
-    checkers = (check_cpc, check_cpc1, check_cpc2)
+    checkers = {"cpc": check_cpc, "cpc1": check_cpc1, "cpc2": check_cpc2}
     seen = set()
     for p, z in marked_sample():
         if p.up not in seen:
@@ -280,21 +280,38 @@ def test_fast_path_matches_check_reports():
             ]
             assert search._chains(p) == loop
         F = f_table(p, z)
-        rows = _f_rows(p, z)
-        for k in range(1, p.n):
-            for l in range(1, p.n - k + 1):
-                trio = search._cpc_trio(rows, k, l)
-                for check, fast in zip(checkers, trio):
-                    rep = check(F, k, l)
-                    assert (rep.verdict, rep.lhs, rep.rhs) == fast, (p.covers, z, k, l)
+        grid = [(k, l) for k in range(1, p.n) for l in range(1, p.n - k + 1)]
+        for target, check in checkers.items():
+            summary = SearchSummary(target)
+            certs = search._scan_table(SearchJob(target, 8, 0, 0), 0, summary, p, z)
+            reps = [check(F, k, l) for k, l in grid]
+            verdicts = [rep.verdict for rep in reps]
+            where = (p.covers, z, target)
+            assert (summary.holds, summary.fails, summary.vacuous) == (
+                verdicts.count(HOLDS), verdicts.count(FAILS), verdicts.count(VACUOUS)
+            ), where
+            assert [(c.indices, c.lhs, c.rhs) for c in certs] == [
+                ({"k": rep.k, "l": rep.l}, rep.lhs, rep.rhs) for rep in reps if rep.verdict == FAILS
+            ], where
+            assert all(c.ineq == target and c.poset is p and c.z is z for c in certs)
+            slacks = sorted(rep.rhs - rep.lhs for rep in reps if rep.verdict == HOLDS)
+            assert summary.min_slack == [s for s in slacks if s > 0][:5], where
+            assert summary.critical == []
 
 
 def test_a_double_failure_is_logged_as_critical(monkeypatch):
     # no table is known to fail two of cpc, cpc1 and cpc2 at one cell, so
-    # every cell is made to report two failures; the cpc failure of each
-    # cell also makes a certificate that names the same instance and cell
-    fails, holds = (FAILS, 2, 1), (HOLDS, 1, 2)
-    monkeypatch.setattr(search, "_cpc_trio", lambda rows, k, l: (fails, fails, holds))
+    # every table is made F(1,1) = F(1,2) = F(2,2) = F(3,1) = 1 and 0
+    # elsewhere: at (1, 1) cpc and cpc1 both fail, and nowhere else does any
+    # of the three fail; the cpc failure makes a certificate that names the
+    # same instance and cell
+    def rows(p, z):
+        rows = [[0] * (p.n + 2) for _ in range(p.n + 2)]
+        for k, l in ((1, 1), (1, 2), (2, 2), (3, 1)):
+            rows[k][l] = 1
+        return rows
+
+    monkeypatch.setattr(search, "_f_rows", rows)
     certs, summary = run(SearchJob("cpc", n_max=5, seed=42, budget=3))
     assert certs and len(summary.critical) == len(certs) == summary.fails
     assert summary.to_json_obj()["critical"] == [
@@ -302,6 +319,29 @@ def test_a_double_failure_is_logged_as_critical(monkeypatch):
          "k": cert.indices["k"], "l": cert.indices["l"], "index": cert.index}
         for cert in certs
     ]
+
+
+def test_cpc1_certificates_are_cpc2_failures_of_the_dual():
+    # F of the dual with the marks reversed is F transposed, so a cpc1
+    # failure at (k, l) is a cpc2 failure at (l, k) there, with the same
+    # products
+    certs, summary = run(SearchJob("cpc1", n_max=7, seed=42, budget=4000))
+    assert len(certs) == summary.fails == 75
+    for cert in certs:
+        assert verify_certificate(cert)
+        k, l = cert.indices["k"], cert.indices["l"]
+        rep = check_cpc2(f_table(cert.poset.dual(), cert.z.reversed()), l, k)
+        assert (rep.verdict, rep.lhs, rep.rhs) == (FAILS, cert.lhs, cert.rhs)
+
+
+@pytest.mark.parametrize("target", search.SEARCH_TARGETS)
+def test_every_grid_point_of_a_usable_instance_is_counted_once(target):
+    _, summary = run(SearchJob(target, 8, 7, 2000, width_max=3))
+    usable = [p for p, z in (random_instance(7, i, 3, 8) for i in range(2000))
+              if z is not None and p.width <= 3]
+    assert summary.usable == len(usable) == 712
+    points = sum(p.n * (p.n - 1) // 2 for p in usable)
+    assert summary.holds + summary.fails + summary.vacuous == points == 10745
 
 
 def test_gcpc_on_width_two_reverifies():
