@@ -15,7 +15,7 @@ Families:
 * ``cpc2-witness``    width-3 family on which F(k,l+2) F(k+1,l) exceeds
   F(k,l+1) F(k+1,l+1) by the exact factor (l+1)/l.
 * ``stanley-tight``   width-2 family whose position counts make the
-  single-element ratio bound an equality.
+  single-element ratio bound an equality, for 3 <= k <= n-1.
 * ``converse-tight``  family whose cross-product ratio grows linearly
   in n, matching the converse bound up to a bounded factor.
 """
@@ -31,12 +31,10 @@ from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, _Record, build
 
 class FamilyInstance(_Record):
     __slots__ = (
-        "family", "params", "poset", "z", "a",
-        "expected_cells", "expected_positions", "extras", "experimental",
+        "family", "params", "poset", "z", "a", "expected_cells", "expected_positions", "extras",
     )
     _defaults = {
-        "z": None, "a": None, "expected_cells": dict, "expected_positions": dict,
-        "extras": dict, "experimental": False,
+        "z": None, "a": None, "expected_cells": dict, "expected_positions": dict, "extras": dict,
     }
 
     def to_json_obj(self) -> dict:
@@ -59,8 +57,6 @@ class FamilyInstance(_Record):
             expected["N"] = [[k, str(v)] for k, v in sorted(self.expected_positions.items())]
         expected.update({key: str(v) for key, v in self.extras.items()})
         out["expected"] = expected
-        if self.experimental:
-            out["experimental"] = True
         return out
 
 
@@ -122,15 +118,12 @@ def family_stanley_tight(n: int, k: int) -> FamilyInstance:
     """Width-2 family with N_{k-1} = n-k, N_k = (k-1)(n-k), N_{k+1} = k-1.
 
     Chain x_1 < ... < x_{k-2} < a < y_1 < ... < y_{n-k-1} with pendants
-    v < y_1 and w above the x adjacent to a, v < w.  The w-pendant must
-    hang off the top of the x-chain: anchoring it lower admits extra
-    words into N_{k+1} and breaks the closed form.  For k = 2 (no x's)
-    the anchor degrades to a itself; for k = n-1 (no y's) the v-anchor
-    disappears; both edge cases are marked experimental since the closed
-    forms need nonempty chains on both sides.
+    v < y_1 (when there is a y) and w above x_{k-2}, v < w.  The w-pendant
+    must hang off the top of the x-chain: anchoring it lower admits extra
+    words into N_{k+1} and breaks the closed form, so k >= 3.
     """
-    if not 2 <= k <= n - 1 or n < 4:
-        raise BadParams("stanley-tight family needs 2 <= k <= n-1, n >= 4")
+    if not 3 <= k <= n - 1:
+        raise BadParams("stanley-tight family needs 3 <= k <= n-1")
     a, v, w = 0, 1, 2
     nx, ny = k - 2, n - k - 1
     xs = list(range(3, 3 + nx))
@@ -139,15 +132,12 @@ def family_stanley_tight(n: int, k: int) -> FamilyInstance:
     pairs = list(zip(spine, spine[1:]))
     if ys:
         pairs.append((v, ys[0]))
-    pairs.append((xs[-1] if xs else a, w))
-    pairs.append((v, w))
-    experimental = not xs or not ys
+    pairs += [(xs[-1], w), (v, w)]
     positions = {k - 1: n - k, k: (k - 1) * (n - k), k + 1: k - 1}
     return FamilyInstance(
         "stanley-tight", {"n": n, "k": k}, build(n, pairs), a=a,
         expected_positions=positions,
         extras={"ratio_rhs": (k - 1) * (n - k)},
-        experimental=experimental,
     )
 
 

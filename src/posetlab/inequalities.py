@@ -281,7 +281,10 @@ def check_main(F: FTable, k: int, l: int) -> CheckReport:
 def check_thin_flat(F: FTable, p: Poset, t: int, k: int, l: int) -> CheckReport:
     """A >= (1/2 + 1/(16 t (t+1)^3)) B for posets that are t-thin or t-flat
     with respect to the marked triple.  Vacuous when neither holds or B = 0.
+    BadParams for t < 1: the bound is stated for t >= 1 only.
     """
+    if t < 1:
+        raise BadParams(f"thin check needs t >= 1, got {t}")
     A, B, cells = ab_products(F, k, l)
     if not (is_thin(p, F.z, t) or is_flat(p, F.z, t)) or B == 0:
         return _report("thin", k, l, 0, 0, cells, vacuous=True, extra={"t": t})

@@ -462,10 +462,7 @@ def params(p: Poset) -> Poset:
 
 def is_thin(p: Poset, z: MarkedTriple, t: int) -> bool:
     """Every element outside the marked set has n - b(u) - b*(u) <= t - 1."""
-    marked = set(z.as_tuple())
-    return all(
-        p.n - p.b[u] - p.b_star[u] <= t - 1 for u in range(p.n) if u not in marked
-    )
+    return thin_threshold(p, z) <= t
 
 
 def is_flat(p: Poset, z: MarkedTriple, t: int) -> bool:

@@ -169,37 +169,27 @@ def verify_certificate(cert: Certificate) -> bool:
     return rep.lhs == cert.lhs and rep.rhs == cert.rhs and rep.verdict == FAILS
 
 
+_COUNTERS = ("instances", "usable", "holds", "fails", "vacuous", "certificates")
+
+
 class SearchSummary(_Record):
-    __slots__ = (
-        "target", "instances", "usable", "holds", "fails", "vacuous", "certificates",
-        "min_slack", "critical",
-    )
+    __slots__ = ("target", *_COUNTERS, "min_slack", "critical")
     _defaults = {
-        "instances": 0, "usable": 0, "holds": 0, "fails": 0, "vacuous": 0, "certificates": 0,
+        **dict.fromkeys(_COUNTERS, 0),
         "min_slack": list,  # up to 5 smallest positive slacks
         "critical": list,  # two-of-three violations (never expected)
     }
 
     def absorb(self, other: "SearchSummary") -> None:
-        for name in ("instances", "usable", "holds", "fails", "vacuous", "certificates"):
+        for name in _COUNTERS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.min_slack = sorted(self.min_slack + other.min_slack)[:5]
         self.critical.extend(other.critical)
 
     def to_json_obj(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "type": "summary",
-            "target": self.target,
-            "instances": self.instances,
-            "usable": self.usable,
-            "holds": self.holds,
-            "fails": self.fails,
-            "vacuous": self.vacuous,
-            "certificates": self.certificates,
-            "min_slack": [str(s) for s in self.min_slack],
-            "critical": self.critical,
-        }
+        obj = {"schema": SCHEMA, "type": "summary", **dict(zip(self._fields, self._values(self)))}
+        obj["min_slack"] = [str(s) for s in self.min_slack]
+        return obj
 
 
 def random_instance(seed: int, index: int, n_min: int, n_max: int):

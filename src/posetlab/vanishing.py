@@ -33,14 +33,14 @@ class SupportRegion(_FrozenRecord):
             and self.s_lo <= k + l <= self.s_hi
         )
 
-    def box(self):
-        """Integer points of the bounding box [k_lo, k_hi] x [l_lo, l_hi]."""
-        for k in range(self.k_lo, self.k_hi + 1):
-            for l in range(self.l_lo, self.l_hi + 1):
-                yield (k, l)
-
     def points(self) -> set[tuple[int, int]]:
-        return {kl for kl in self.box() if self.membership(*kl)}
+        """The members among the integer points of [k_lo, k_hi] x [l_lo, l_hi]."""
+        return {
+            (k, l)
+            for k in range(self.k_lo, self.k_hi + 1)
+            for l in range(self.l_lo, self.l_hi + 1)
+            if self.membership(k, l)
+        }
 
     def bounds_dict(self) -> dict[str, int]:
         return dict(zip(self._fields, self._values(self)))

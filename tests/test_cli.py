@@ -403,12 +403,15 @@ def test_a_write_error_exits_two_with_one_error_line(argv):
         ["family", "--id", "converse-tight", "--k", "2"],  # --n and --l missing
         ["family", "--id", "antichain", "--k", "1", "--l", "1", "--n", "9"],  # --n unread
         ["family", "--id", "antichain", "--k", "10000000000", "--l", "1"],
+        ["family", "--id", "stanley-tight", "--n", "6", "--k", "2"],  # N_3 = 0, not k - 1
+        ["check", "--ineq", "thin", "--t", "0", "--all"],  # the bound needs t >= 1
+        ["check", "--ineq", "thin", "--t", "-2"],
     ],
 )
 def test_bad_numeric_argument_exits_two(argv):
     code, out, err = run_cli(argv, stdin_text=chain3_json())
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", "-5"], ["--width-max", "0"]])

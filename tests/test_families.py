@@ -15,6 +15,7 @@ from posetlab.families import (
     family_cpc2_witness,
     family_stanley_tight,
 )
+from posetlab.inequalities import check_stanley
 from posetlab.posets import params, width
 
 
@@ -41,14 +42,16 @@ def test_cpc2_witness_matches_dp_and_width():
 
 
 def test_stanley_tight_matches_dp():
-    for n in range(5, 9):
-        for k in range(3, n - 1):
+    # every instance is exact, k = n - 1 (no chain above a) included
+    for n in range(4, 10):
+        for k in range(3, n):
             inst = family_stanley_tight(n, k)
-            assert not inst.experimental
             assert width(inst.poset) == 2
             nv = n_vector(inst.poset, inst.a)
             for pos, expect in inst.expected_positions.items():
                 assert nv.get(pos) == expect, (n, k, pos)
+            rep = check_stanley(nv, k)
+            assert rep.verdict == "holds" and rep.slack == 0, (n, k)
 
 
 def test_converse_tight_matches_dp():
@@ -88,20 +91,18 @@ def test_bad_params():
     with pytest.raises(BadParams):
         family_stanley_tight(5, 5)
     with pytest.raises(BadParams):
+        family_stanley_tight(5, 2)
+    with pytest.raises(BadParams):
         family_converse_tight(6, 2, 1)  # m = 0
     with pytest.raises(BadParams):
         build_family("nope", k=1)
 
 
-def test_experimental_edges_flagged():
-    assert family_stanley_tight(6, 2).experimental
-    assert family_stanley_tight(6, 5).experimental
-    assert not family_stanley_tight(6, 3).experimental
-
-
-def test_experimental_flag_reaches_the_json_line():
-    assert family_stanley_tight(5, 2).to_json_obj()["experimental"] is True
-    assert "experimental" not in family_stanley_tight(5, 3).to_json_obj()
+def test_stanley_tight_refuses_k_2_and_flags_no_instance():
+    # k = 2 leaves no chain below a for w to hang off; N_3 is then 0, not k - 1
+    with pytest.raises(BadParams, match="3 <= k <= n-1"):
+        family_stanley_tight(6, 2)
+    assert "experimental" not in family_stanley_tight(6, 5).to_json_obj()
 
 
 def test_element_layout_is_stable():

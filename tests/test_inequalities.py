@@ -224,6 +224,16 @@ def test_thin_vacuous_when_threshold_too_small():
         assert check_thin_flat(F, prm, t - 1, 1, 3).verdict == VACUOUS
 
 
+def test_thin_refuses_t_below_one():
+    # the bound 1/2 + 1/(16 t (t+1)^3) is stated for t >= 1; at t = 0 or -1 it divides by 0
+    inst = family_cpc2_witness(1, 3)
+    F = f_table(inst.poset, inst.z)
+    for t in (0, -1, -5):
+        with pytest.raises(BadParams, match=f"thin check needs t >= 1, got {t}"):
+            check_thin_flat(F, inst.poset, t, 1, 3)
+    assert check_thin_flat(F, inst.poset, 1, 1, 3).extra == {"t": 1}
+
+
 def test_converse_on_tight_family():
     inst = family_converse_tight(8, 2, 1)
     F = f_table(inst.poset, inst.z)

@@ -18,7 +18,7 @@ from conftest import chain_triples, tau, words_by_position
 from posetlab import injections
 from posetlab.cli import main
 from posetlab.errors import (
-    BadParams, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError, TooLarge,
+    BadParams, CaseExhaustion, HypothesesNotMet, IndexOutOfRange, NoPivot, PosetLabError, TooLarge,
 )
 from posetlab.extensions import (
     WORD_BUDGET, FTable, enumerate_extensions, f_table, lattice, n_vector, word_classes,
@@ -32,6 +32,7 @@ from posetlab.injections import (
     interval_total,
     phi_stanley,
     phi_stanley_inverse,
+    psi_grow,
     psi_shrink,
     psi_transfer,
     shrink_intervals,
@@ -205,6 +206,60 @@ def test_transfer_refuses_a_word_from_another_gap_class():
     word = word_classes(p, z)[0][(1, 2)][0]  # the domain of transfer at (1, 1) is F(2, 2)
     with pytest.raises(HypothesesNotMet, match="gaps 1,2, expected 2,2"):
         psi_transfer(p, z, 1, 1, word)
+
+
+def _raises(kind, message, call, *args):
+    with pytest.raises(kind) as info:
+        call(*args)
+    assert type(info.value) is kind and str(info.value) == message
+
+
+def test_moves_refuse_blocked_swaps_and_a_target_they_never_pass():
+    comp, free = chain(5).comparable, antichain(3).comparable
+    right, left = injections._move_right_past, injections._move_left_before
+    _raises(CaseExhaustion, "blocked swap (0,1)", right, comp, (0, 1, 2, 3, 4), 0, 3)
+    _raises(CaseExhaustion, "blocked swap (3,4)", left, comp, (0, 1, 2, 3, 4), 4, 0)
+    _raises(CaseExhaustion, "ran off the word while moving right", right, free, (0, 1, 2), 1, 0)
+    _raises(CaseExhaustion, "ran off the word while moving left", left, free, (0, 1, 2), 1, 2)
+
+
+def test_maps_without_a_pivot_raise_no_pivot():
+    # on a chain no element can move: every map runs out of pivots
+    p, z, word = chain(5), MarkedTriple(0, 2, 4), (0, 1, 2, 3, 4)
+    _raises(NoPivot, "every element before the mark lies below it", phi_stanley, p, 2, word)
+    _raises(NoPivot, "no case-2 pivot; F(k,l+2) must vanish", psi_transfer, p, z, 1, 1, word)
+    _raises(NoPivot, "no case-2 pivot; F(k,l) must vanish", psi_shrink, p, z, 1, 2, word)
+    _raises(NoPivot, "no case-2 pivot; F(k+2,l) must vanish", psi_grow, p, z, 1, 2, word)
+    # the free 1 keeps the middle block out of (z1, z3), and the first block
+    # holds only 2, which lies between z1 = 0 and z2 = 3
+    p, z = build(5, [(0, 2), (2, 3), (3, 4)]), MarkedTriple(0, 3, 4)
+    _raises(NoPivot, "no case-3 pivot; F(k,l) must vanish", psi_shrink, p, z, 1, 2, (0, 2, 3, 1, 4))
+
+
+def test_maps_whose_second_move_finds_no_pivot_raise_case_exhaustion():
+    # the first move succeeds and leaves nothing for the second: F(1, 3) = 0
+    # in the first poset and F(3, 2) = 0 in the second
+    p, z, word = build(5, [(0, 3), (1, 3), (3, 4)]), MarkedTriple(0, 3, 4), (0, 1, 3, 2, 4)
+    message = "case 2.2 pivot missing; F(k,l+2) must vanish"
+    _raises(CaseExhaustion, message, psi_transfer, p, z, 1, 1, word)
+    p = build(5, [(0, 3), (3, 4)])
+    _raises(CaseExhaustion, "case 2.2 without a tail pivot", psi_grow, p, z, 1, 2, word)
+
+
+def test_words_that_are_no_extension_reach_the_payload_and_middle_guards():
+    # no linear extension reaches these two.  The elements phi_stanley's pivot
+    # passes are below the mark and incomparable to the pivot, so r <= t(a).
+    # psi_shrink reaches case 3 only when a middle element lies outside
+    # (z1, z3); in an extension that element is incomparable to z1 or z3 and
+    # is a middle pivot.
+    _raises(
+        CaseExhaustion, "stanley payload 2 outside [1, t(a)=1]", phi_stanley, chain(3), 1, (2, 0, 1)
+    )
+    p = build(5, [(0, 1), (1, 2), (0, 3), (2, 4)])  # 4 lies above z3 = 2 but before it
+    _raises(
+        CaseExhaustion, "case 3 without a middle pivot",
+        psi_shrink, p, MarkedTriple(0, 1, 2), 1, 2, (0, 3, 1, 4, 2),
+    )
 
 
 def test_shrink_handles_conditional_final_swap():

@@ -373,6 +373,12 @@ def test_cached_params_match_reference(medium_corpus):
         assert not {"t", "t_star", "width"} & set(fresh.__dict__)
 
 
+def test_cached_rows_read_on_the_class_give_the_descriptor():
+    # help() and pydoc read the row's docstring through the class
+    assert Poset.width.__doc__ == "Maximum antichain size, via minimum chain cover (Dilworth)."
+    assert Poset.b is Poset.__dict__["b"]
+
+
 def test_marked_triple_validation_and_normalize():
     with pytest.raises(BadParams):
         MarkedTriple(0, 0, 1)
@@ -448,7 +454,7 @@ def test_record_defaults_are_fresh_containers():
     assert other.min_slack == [] and other.critical == [] and other.instances == 0
     fam, twin = (FamilyInstance("antichain", {}, chain(3)) for _ in range(2))
     fam.extras["ratio"] = 1
-    assert twin.extras == {} and twin.z is None and twin.experimental is False
+    assert twin.extras == {} and twin.z is None
     nv, nv_twin = NVector(3, 0), NVector(3, 0)
     nv.counts[1] = 1
     assert nv_twin.counts == {}
