@@ -98,11 +98,25 @@ def test_bad_params():
         build_family("nope", k=1)
 
 
-def test_stanley_tight_refuses_k_2_and_flags_no_instance():
-    # k = 2 leaves no chain below a for w to hang off; N_3 is then 0, not k - 1
+def test_experimental_edges_flagged():
+    # the old edge cases: k = 2 leaves no chain below a for w to hang off
+    # (N_3 is then 0, not k - 1), so it is refused; k = n - 1 is exact
     with pytest.raises(BadParams, match="3 <= k <= n-1"):
         family_stanley_tight(6, 2)
-    assert "experimental" not in family_stanley_tight(6, 5).to_json_obj()
+    for k in (3, 5):
+        inst = family_stanley_tight(6, k)
+        assert not hasattr(inst, "experimental"), k
+        nv = n_vector(inst.poset, inst.a)
+        for pos, expect in inst.expected_positions.items():
+            assert nv.get(pos) == expect, (k, pos)
+
+
+def test_experimental_flag_reaches_the_json_line():
+    # every instance is exact, so no JSON line carries the key
+    with pytest.raises(BadParams, match="3 <= k <= n-1"):
+        build_family("stanley-tight", n=5, k=2)
+    for k in (3, 4):
+        assert "experimental" not in build_family("stanley-tight", n=5, k=k).to_json_obj()
 
 
 def test_element_layout_is_stable():
