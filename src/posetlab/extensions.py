@@ -21,9 +21,9 @@ bytes; wider slots, and every slot on a big-endian host, are converted one
 word at a time.  ``_cells`` keeps the nonzero ones: it is the one decode
 behind every count below.  The search, which needs F once per poset and
 nothing else, takes it from ``_f_rows`` instead: one forward pass over the
-ideals, layer by layer, that builds no lattice, keeps nothing on the poset
-and hands F's slots over as rows.  It and ``_fold`` share their layout and
-shift rule (``_plan``).
+ideals, layer by layer, that reads the closed relation rows alone (no
+``Poset``), builds no lattice and hands F's slots over as rows.  It and
+``_fold`` share their layout and shift rule (``_plan``).
 
 Every fold is a gap-phase fold over a chain of marks, which enter every
 extension in order, so each gap only grows: the first while only the
@@ -306,17 +306,19 @@ class FTable(_Record):
         return FTable(n, z, entries)
 
 
-def _gap_axis(p: Poset, u: int, v: int) -> int:
-    """The values pos(v) - pos(u), u < v in p, takes in a fold: it starts
-    at 0, only grows, and, as all of down[u] comes before u and all of
-    up[v] after v, ends at most n - 1 - |up[v]| - |down[u]|."""
-    return p.n - p.up[v].bit_count() - p.down[u].bit_count()
+def _gap_axis(up, down, u: int, v: int) -> int:
+    """The values pos(v) - pos(u), u < v in the order closed as ``up`` and
+    ``down``, takes in a fold: it starts at 0, only grows, and, as all of
+    down[u] comes before u and all of up[v] after v, ends at most
+    n - 1 - |up[v]| - |down[u]|."""
+    return len(up) - up[v].bit_count() - down[u].bit_count()
 
 
-def _plan(p: Poset, links: tuple, count: int) -> tuple:
+def _plan(up, down, links: tuple, count: int) -> tuple:
     """(nbytes, slots, sizes, shift, mark_mask): the layout of a fold by
-    the gaps between consecutive marks of a chain of p, one digit per link
-    (u, v) in ``links``, whose counts are at most ``count``.
+    the gaps between consecutive marks of a chain of the order closed as
+    ``up`` and ``down``, one digit per link (u, v) in ``links``, whose
+    counts are at most ``count``.
 
     The links are the mixed-radix digits of one slot number c (first one
     least significant), and ``sizes[d]`` is the ``_gap_axis`` of digit d,
@@ -335,7 +337,7 @@ def _plan(p: Poset, links: tuple, count: int) -> tuple:
     for u, v in links:
         held |= 1 << u
         shift[held] = width * slots  # one step of this link's digit
-        sizes.append(_gap_axis(p, u, v))
+        sizes.append(_gap_axis(up, down, u, v))
         slots *= sizes[-1]
     held |= 1 << v
     shift[held] = 0
@@ -373,7 +375,7 @@ def _fold(p: Poset, links: tuple) -> tuple[int, int, int, list[int]]:
     if kept is not None and kept[0] == links:
         return kept[1]
     lat = lattice(p)
-    nbytes, slots, sizes, shift, mark_mask = _plan(p, links, lat.count)
+    nbytes, slots, sizes, shift, mark_mask = _plan(p.up, p.down, links, lat.count)
     if lat.widest * slots > STATE_BUDGET:
         raise TooLarge(f"{lat.widest} ideals x {slots} slots exceeds state budget {STATE_BUDGET}")
     ideals, addable, ways, above = lat.ideals, lat.addable, lat.ways, lat.above
@@ -446,10 +448,12 @@ def f_table(p: Poset, z: MarkedTriple) -> FTable:
     return FTable(p.n, z, dict(_cells(p, ((z1, z2), (z2, z3)))))
 
 
-def _f_rows(p: Poset, z: MarkedTriple) -> list:
+def _f_rows(up, down, cover_up, width: int, marks: tuple) -> list:
     """F as rows zero-padded to (n + 2) x (n + 2), ``rows[k][l]`` = F(k, l),
-    counted by one forward pass over the order ideals, layer by layer, that
-    keeps nothing on the poset: no lattice, no fold.  BadChain as
+    for the marks (z1, z2, z3) of the order of the given width closed as
+    ``up``, ``down`` and ``cover_up`` by ``posets._close``, counted by one
+    forward pass over the order ideals, layer by layer, that needs no
+    ``Poset`` and keeps nothing: no lattice, no fold.  BadChain as
     ``f_table``.
 
     Each layer is a dict from ideal to its packed counts, laid out by
@@ -473,12 +477,12 @@ def _f_rows(p: Poset, z: MarkedTriple) -> list:
     S1-th slot from slot k, S1 the size of the first axis.  The rows past
     the last gap k are one shared zero row, for readers only.
     """
-    if not is_normalized(p, z):
+    z1, z2, z3 = marks
+    if not up[z1] >> z2 & up[z2] >> z3 & 1:
         raise BadChain("f_table requires z1 < z2 < z3; call normalize() first")
-    z1, z2, z3 = z.as_tuple()
-    n, down, cover_up, width = p.n, p.down, p.cover_up, p.width
+    n = len(up)
     bound = factorial(width) * width ** (n - width)
-    nbytes, slots, sizes, shift, mark_mask = _plan(p, ((z1, z2), (z2, z3)), bound)
+    nbytes, slots, sizes, shift, mark_mask = _plan(up, down, ((z1, z2), (z2, z3)), bound)
     cap = STATE_BUDGET // slots  # ideals one layer may hold
     vals = {0: 1}
     adds = {0: sum(1 << x for x, below in enumerate(down) if not below)}

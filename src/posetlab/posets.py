@@ -7,11 +7,14 @@ frozen (assigning a field raises AttributeError) and safe to share across
 threads.  ``_Record`` and ``_FrozenRecord`` give them and every other record
 class of the package equality, repr, copying and pickling over its fields.
 
-``Poset(n, rows)`` is the one constructor: it closes any acyclic relation
-in one walk that takes each element once its successors are closed, and
-raises CycleDetected on a cycle, a self-pair included.  The walk also fills
-in ``cover_up[x]`` (the upper covers of x) and ``down[y]`` (elements
-strictly below y), so both rows are attributes of every poset.  Everything
+``Poset(n, rows)`` is the one constructor: it checks n and the rows and
+closes any acyclic relation by ``_close``, the one closure walk, which
+takes each element once its successors are closed and raises
+CycleDetected on a cycle, a self-pair included.  The walk also gives
+``cover_up[x]`` (the upper covers of x) and ``down[y]`` (elements strictly
+below y), so both rows are attributes of every poset.  The search calls
+``_close`` and ``_max_matching`` on bare rows and builds a poset only for
+an instance that fails.  Everything
 else is computed on first read and kept in the instance dict (where
 ``extensions`` also keeps what it counts): ``comparable``, ``covers``
 (read off ``cover_up``) and the order parameters of the bounds:
@@ -147,43 +150,14 @@ class Poset(_FrozenRecord):
 
     # its own: it closes the relation and sets slots that are not fields
     def __init__(self, n: int, up: tuple[int, ...]) -> None:
-        rows = up  # as given; ``up`` below is the closed relation
         _check_size(n)
-        if len(rows) != n:
-            raise IndexOutOfRange(f"{len(rows)} relation rows for n={n}")
-        full = pending = (1 << n) - 1  # pending: elements not closed yet
-        for x, row in enumerate(rows):
+        if len(up) != n:
+            raise IndexOutOfRange(f"{len(up)} relation rows for n={n}")
+        full = (1 << n) - 1
+        for x, row in enumerate(up):
             if row & ~full:
                 raise IndexOutOfRange(f"relation row {x} mentions elements >= n")
-        up, down, cover_up, order = [0] * n, [0] * n, [0] * n, []
-        while pending:
-            before = left = pending
-            while left:  # highest first: one sweep closes 0 < 1 < ... < n-1
-                x = left.bit_length() - 1
-                bit = 1 << x
-                left ^= bit
-                row = rows[x]
-                if row & pending:  # a successor is still open
-                    continue
-                above, rest = 0, row
-                while rest:  # a y already inside ``above`` adds nothing
-                    y = rest & -rest
-                    above |= up[y.bit_length() - 1]
-                    rest &= ~above & (rest ^ y)
-                up[x] = row | above
-                cover_up[x] = row & ~above
-                pending ^= bit
-                order.append(x)
-            if pending == before:  # every open element has an open successor
-                for _ in range(n):  # n steps along open successors end on the cycle
-                    x = (rows[x] & pending).bit_length() - 1
-                raise CycleDetected(f"element {x} lies on a cycle")
-        for x in reversed(order):  # lower covers first, so down[x] is complete
-            below, above = down[x] | 1 << x, cover_up[x]
-            while above:
-                y = above & -above
-                above ^= y
-                down[y.bit_length() - 1] |= below
+        up, down, cover_up = _close(n, up)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "up", tuple(up))
         object.__setattr__(self, "down", tuple(down))
@@ -251,6 +225,44 @@ class Poset(_FrozenRecord):
 
     def to_json_obj(self) -> dict:
         return {"schema": SCHEMA, "n": self.n, "covers": [list(c) for c in self.covers]}
+
+
+def _close(n: int, rows) -> tuple[list[int], list[int], list[int]]:
+    """(up, down, cover_up) of the closure of ``rows``, the bitmask rows of
+    an acyclic relation on 0..n-1, closed or not, by one walk that takes
+    each element once its successors are closed.  CycleDetected on a
+    cycle, a self-pair included.  ``Poset`` checks n and the rows first."""
+    pending = (1 << n) - 1  # elements not closed yet
+    up, down, cover_up, order = [0] * n, [0] * n, [0] * n, []
+    while pending:
+        before = left = pending
+        while left:  # highest first: one sweep closes 0 < 1 < ... < n-1
+            x = left.bit_length() - 1
+            bit = 1 << x
+            left ^= bit
+            row = rows[x]
+            if row & pending:  # a successor is still open
+                continue
+            above, rest = 0, row
+            while rest:  # a y already inside ``above`` adds nothing
+                y = rest & -rest
+                above |= up[y.bit_length() - 1]
+                rest &= ~above & (rest ^ y)
+            up[x] = row | above
+            cover_up[x] = row & ~above
+            pending ^= bit
+            order.append(x)
+        if pending == before:  # every open element has an open successor
+            for _ in range(n):  # n steps along open successors end on the cycle
+                x = (rows[x] & pending).bit_length() - 1
+            raise CycleDetected(f"element {x} lies on a cycle")
+    for x in reversed(order):  # lower covers first, so down[x] is complete
+        below, above = down[x] | 1 << x, cover_up[x]
+        while above:
+            y = above & -above
+            above ^= y
+            down[y.bit_length() - 1] |= below
+    return up, down, cover_up
 
 
 def _check_size(n: int) -> None:
@@ -366,7 +378,7 @@ def load_poset(obj_or_text) -> tuple[Poset, "MarkedTriple | None", int | None]:
 class MarkedTriple(_FrozenRecord):
     __slots__ = ("z1", "z2", "z3")
 
-    # its own: one per usable search instance, ~0.9 us sooner than _Record's
+    # its own: it refuses repeated marks, which _Record.__init__ does not check
     def __init__(self, z1: int, z2: int, z3: int) -> None:
         if len({z1, z2, z3}) != 3:
             raise BadParams("marked elements must be distinct")

@@ -16,16 +16,18 @@ parts into the same summary.  With ``job.out`` set, each certificate is
 appended and flushed as soon as it is found, so a killed run keeps
 everything found before it stopped.
 
-``_scan_instance`` draws an instance and drops it when its drawn rows
-hold no 3-chain, before any poset is built, or when it is wider than
-``width_max``, before its triple is drawn.  ``_scan_table`` takes a usable
-instance's F as dense rows from ``extensions._f_rows``, one forward pass
-over the order ideals that builds no lattice and keeps nothing on the
-poset, since the scan needs F once per poset and nothing else.  It walks
-the (k, l) grid once: each point reads its six cells once, a point whose
-six cells are zero counts as vacuous, and cpc, cpc1 and cpc2 are decided
-by integer products and booleans, with no call, tuple or verdict string
-per point.  A Certificate is made only for a failure.
+``_scan_instance`` decides an instance on its relation rows.  One pass
+over the drawn rows (``_linked``) drops it, before any closure, when they
+hold no 3-chain or more than ``width_max`` sources or sinks, which are
+antichains of the closure.  The rest are closed by ``posets._close``; the
+width comes from ``posets._max_matching``, the triple from ``_chains`` and
+F's dense rows from ``extensions._f_rows``, all on the closed rows, with
+no lattice.  ``_scan_table`` walks the (k, l) grid once: each point reads
+its six cells once, a point whose six cells are zero counts as vacuous,
+and cpc, cpc1 and cpc2 are decided by integer products and booleans, with
+no call, tuple or verdict string per point.  Only at the first failure
+does it build the instance's ``Poset`` and ``MarkedTriple``, which its
+certificates and ``critical`` entries share.
 
 Violations of the generalized product comparison (``gcpc``) are located
 through the signed-gap reduction: a ``cpc2`` violation at (k, l) yields,
@@ -53,7 +55,7 @@ from .errors import BadChain, BadParams, MalformedInput, TooLarge
 from .extensions import _build_lattice, _f_rows, enumerate_extensions, f_table, f_table_signed
 from .inequalities import FAILS, TABLE_CHECKS, check_gcpc
 from .posets import MAX_ELEMENTS, SCHEMA, MarkedTriple, Poset, _FrozenRecord, _Record, build
-from .posets import _json_int, _json_object, is_normalized, load_poset
+from .posets import _close, _json_int, _json_object, _max_matching, is_normalized, load_poset
 
 SEARCH_TARGETS = ("cpc", "cpc1", "cpc2", "gcpc")
 
@@ -198,7 +200,7 @@ def random_instance(seed: int, index: int, n_min: int, n_max: int):
     rng = random.Random()
     rows = _draw_rows(rng, seed, index, n_min, n_max)
     p = Poset(len(rows), tuple(rows))
-    chains = _chains(p)
+    chains = _chains(p.up)
     if not chains:
         return p, None
     return p, MarkedTriple(*chains[_below(rng.getrandbits, len(chains))])
@@ -243,10 +245,12 @@ def _draw_rows(rng: random.Random, seed: int, index: int, n_min: int, n_max: int
     return rows
 
 
-def _linked(rows: list) -> int:
-    """Nonzero exactly when the closure of ``rows`` has a 3-chain: that is
-    when the rows hold a path u -> v -> w, so when some element is the head
-    of a pair and has a nonempty row of its own."""
+def _linked(rows: list, width_max: int | None = None) -> int:
+    """Nonzero exactly when the closure of ``rows`` has a 3-chain, that is
+    when the rows hold a path u -> v -> w (some element is the head of a
+    pair and has a nonempty row of its own), and, with ``width_max`` given,
+    at most ``width_max`` sources (in no row) and sinks (empty rows): the
+    minimal and the maximal elements of the closure, two antichains."""
     heads = tails = 0
     bit = 1
     for row in rows:
@@ -254,16 +258,16 @@ def _linked(rows: list) -> int:
             heads |= row
             tails |= bit
         bit <<= 1
+    if width_max is not None and min(heads.bit_count(), tails.bit_count()) < len(rows) - width_max:
+        return 0
     return heads & tails
 
 
-def _chains(p: Poset) -> list:
-    """All 3-chains a < b < c in lexicographic order, found by walking the
-    bits of up[a] and up[b] upwards."""
-    up = p.up
+def _chains(up) -> list:
+    """All 3-chains a < b < c of the closed rows ``up`` in lexicographic
+    order, found by walking the bits of up[a] and up[b] upwards."""
     chains = []
-    for a in range(p.n):
-        above_a = up[a]
+    for a, above_a in enumerate(up):
         while above_a:
             low = above_a & -above_a
             above_a ^= low
@@ -279,34 +283,43 @@ def _chains(p: Poset) -> list:
 def _scan_instance(job: SearchJob, index: int, summary: SearchSummary, rng: random.Random) -> list:
     """Scan one instance into ``summary``; returns its certificates.  The
     instance is ``random_instance``'s, drawn with ``rng``; a usable one goes
-    to ``_scan_table``."""
+    to ``_scan_table`` as F's rows."""
     summary.instances += 1
     drawn = _draw_rows(rng, job.seed, index, job.n_min, job.n_max)
-    if not _linked(drawn):  # every index reseeds, so draws skipped here move no stream
+    width_max = job.width_max
+    if not _linked(drawn, width_max):  # every index reseeds, so draws skipped here move no stream
         return []
-    p = Poset(len(drawn), tuple(drawn))
-    if job.width_max is not None and p.width > job.width_max:
+    n = len(drawn)
+    up, down, cover_up = _close(n, drawn)
+    width = n - _max_matching(n, up)
+    if width_max is not None and width > width_max:
         return []
-    chains = _chains(p)
-    z = MarkedTriple(*chains[_below(rng.getrandbits, len(chains))])
+    chains = _chains(up)
+    marks = chains[_below(rng.getrandbits, len(chains))]
     summary.usable += 1
-    return _scan_table(job, index, summary, p, z)
+    rows = _f_rows(up, down, cover_up, width, marks)
+    return _scan_table(
+        job, index, summary, rows, lambda: (Poset(n, tuple(drawn)), MarkedTriple(*marks))
+    )
 
 
-def _scan_table(job: SearchJob, index: int, summary: SearchSummary, p: Poset, z: MarkedTriple) -> list:
+def _scan_table(job: SearchJob, index: int, summary: SearchSummary, rows: list, instance) -> list:
     """Scan F's (k, l) grid, 1 <= k, l and k + l <= n, into ``summary``
     for ``job.target`` (gcpc through cpc2); returns the certificates.
+    ``rows`` is F as ``extensions._f_rows`` gives it, and ``instance()``
+    gives the instance's ``Poset`` and ``MarkedTriple``: it is called at
+    the first failure, and every certificate and critical entry of the
+    instance shares what it gave.
 
-    Each point reads its six cells once from ``extensions._f_rows``.  cpc,
-    cpc1 and cpc2 each compare a corner cell of their own (F(k, l),
-    F(k+2, l), F(k, l+2)) times one of the three cells they share against
-    the product of the other two, in check_cpc's, check_cpc1's and
-    check_cpc2's orientation, and each is vacuous when its four cells are
-    zero.  So where the shared cells are zero no product is nonzero:
-    nothing fails, and the target holds with slack 0 or is vacuous as its
-    own corner is nonzero or zero.  Elsewhere no comparison is vacuous.
+    Each point reads its six cells once.  cpc, cpc1 and cpc2 each compare
+    a corner cell of their own (F(k, l), F(k+2, l), F(k, l+2)) times one
+    of the three cells they share against the product of the other two,
+    in check_cpc's, check_cpc1's and check_cpc2's orientation, and each is
+    vacuous when its four cells are zero.  So where the shared cells are
+    zero no product is nonzero: nothing fails, and the target holds with
+    slack 0 or is vacuous as its own corner is nonzero or zero.  Elsewhere
+    no comparison is vacuous.
     """
-    rows = _f_rows(p, z)
     target = job.target
     cpc, cpc1 = target == "cpc", target == "cpc1"
     cpc2 = not (cpc or cpc1)  # gcpc fails exactly where cpc2 does
@@ -314,7 +327,8 @@ def _scan_table(job: SearchJob, index: int, summary: SearchSummary, p: Poset, z:
     min_slack = summary.min_slack
     cutoff = min_slack[4] if len(min_slack) == 5 else None
     holds = vacuous = 0
-    n = p.n
+    n = len(rows) - 2
+    p = z = None
     for k in range(1, n):
         r0, r1, r2 = rows[k], rows[k + 1], rows[k + 2]
         for l in range(1, n - k + 1):
@@ -333,6 +347,7 @@ def _scan_table(job: SearchJob, index: int, summary: SearchSummary, p: Poset, z:
             # a double failure among {cpc, cpc1, cpc2} is impossible; if one
             # ever shows up it is logged as critical, never discarded
             if fail0 + fail1 + fail2 >= 2:
+                p, z = instance() if p is None else (p, z)
                 summary.critical.append(
                     {"covers": [list(c) for c in p.covers], "z": list(z.as_tuple()),
                      "k": k, "l": l, "index": index}
@@ -353,6 +368,8 @@ def _scan_table(job: SearchJob, index: int, summary: SearchSummary, p: Poset, z:
                         cutoff = min_slack[4]
                 continue
             summary.fails += 1
+            if p is None:
+                p, z = instance()
             if target == "gcpc":
                 # signed-gap reduction: swap z1, z2 and translate indices; the
                 # signed cells there are cpc2's cells, so lhs and rhs carry over

@@ -131,7 +131,7 @@ def test_f_table_state_budget(monkeypatch):
     # poset, so no kept fold answers
     inst = family_cpc2_witness(1, 2)
     q, z = inst.poset, inst.z
-    slots = prod(_gap_axis(q, u, v) for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
+    slots = prod(_gap_axis(q.up, q.down, u, v) for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
     budget = lattice(q).widest * slots
     monkeypatch.setattr("posetlab.extensions.STATE_BUDGET", budget)
     assert f_table(Poset(q.n, q.up), z).entries == f_table(q, z).entries
@@ -148,19 +148,20 @@ def test_f_rows_raise_where_f_table_does_and_keep_nothing(monkeypatch):
     inst, wide = family_cpc2_witness(1, 2), width_five_poset()
     for q, z in ((inst.poset, inst.z), (wide, chain_triples(wide)[0])):
         lat = lattice(q)
-        slots = prod(_gap_axis(q, u, v) for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
+        slots = prod(_gap_axis(q.up, q.down, u, v) for u, v in ((z.z1, z.z2), (z.z2, z.z3)))
         for name, fits in (("STATE_BUDGET", lat.widest * slots), ("IDEAL_BUDGET", len(lat.ideals))):
             with monkeypatch.context() as m:
                 m.setattr(f"posetlab.extensions.{name}", fits)
                 p = Poset(q.n, q.up)
-                assert _f_rows(p, z) == dense_rows(f_table(Poset(q.n, q.up), z))
+                rows = _f_rows(p.up, p.down, p.cover_up, p.width, z.as_tuple())
+                assert rows == dense_rows(f_table(Poset(q.n, q.up), z))
                 assert "_lattice" not in p.__dict__ and "_fold" not in p.__dict__
                 m.setattr(f"posetlab.extensions.{name}", fits - 1)
                 with pytest.raises(TooLarge, match=f"exceeds .*{fits - 1}"):
                     f_table(Poset(q.n, q.up), z)
                 p = Poset(q.n, q.up)
                 with pytest.raises(TooLarge, match=f"exceeds .*{fits - 1}"):
-                    _f_rows(p, z)
+                    _f_rows(p.up, p.down, p.cover_up, p.width, z.as_tuple())
                 assert "_lattice" not in p.__dict__ and "_fold" not in p.__dict__
 
 
@@ -169,7 +170,8 @@ def test_f_rows_match_enumeration_on_every_small_class(small_poset_classes):
         for p in reps:
             for z in chain_triples(p):
                 expected = dense_rows(FTable(p.n, z, oracle_f_entries(p, z)))
-                assert _f_rows(p, z) == expected, (p.covers, z)
+                rows = _f_rows(p.up, p.down, p.cover_up, p.width, z.as_tuple())
+                assert rows == expected, (p.covers, z)
 
 
 def test_support_inside_valid_window(medium_corpus):
@@ -206,10 +208,10 @@ def test_translation_identity_via_signed_table(medium_corpus):
         assert {(-a, a + b): v for (a, b), v in signed.items()} == F.entries
         assert F.total() == sum(signed.values()) == count_extensions(p)
     # so the relabelling is checked by more than itself: every order of each
-    # big chain triple against F from the lattice-free pass on a fresh
-    # poset, moved cell by cell to the positions of the marks
+    # big chain triple against F from the lattice-free pass, which reads no
+    # kept fold, moved cell by cell to the positions of the marks
     for p, z in _width_five_instances():
-        rows = _f_rows(Poset(p.n, p.up), z)
+        rows = _f_rows(p.up, p.down, p.cover_up, p.width, z.as_tuple())
         for a, b, c in permutations(z.as_tuple()):
             expected = {}
             for k, row in enumerate(rows):
@@ -624,7 +626,7 @@ def test_kept_folds_match_fresh_posets_and_enumeration(instance, data):
             if name == "f_table":
                 results.append(f_table(q, MarkedTriple(*marks)).entries)
             elif name == "_f_rows":
-                rows = _f_rows(q, MarkedTriple(*marks))
+                rows = _f_rows(q.up, q.down, q.cover_up, q.width, marks)
                 cells = {(k, l): v for k, row in enumerate(rows) for l, v in enumerate(row) if v}
                 results.append(cells)
             elif name == "f_table_signed":
@@ -902,13 +904,14 @@ def test_f_rows_match_the_dict_oracle(cast, monkeypatch):
         monkeypatch.setattr("posetlab.extensions._WORD_CODES", {})
         monkeypatch.setattr("posetlab.extensions._WORD_BYTES", {})
     for p, z in marked_sample():
-        assert _f_rows(p, z) == dense_rows(f_table(p, z)), (p.covers, z)
+        rows = _f_rows(p.up, p.down, p.cover_up, p.width, z.as_tuple())
+        assert rows == dense_rows(f_table(p, z)), (p.covers, z)
     p, z, marks, lengths = _width_case(9, ordinal=True)
     u, _ = _check_ordinal_sum(p, z, marks, lengths, lengths)
     assert count_extensions(u) >= 2**64
-    assert _f_rows(u, z) == dense_rows(f_table(u, z))
+    assert _f_rows(u.up, u.down, u.cover_up, u.width, z.as_tuple()) == dense_rows(f_table(u, z))
     with pytest.raises(BadChain):
-        _f_rows(u, MarkedTriple(z.z2, z.z1, z.z3))
+        _f_rows(u.up, u.down, u.cover_up, u.width, (z.z2, z.z1, z.z3))
 
 
 @pytest.mark.slow

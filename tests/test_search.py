@@ -5,8 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from functools import reduce
+from itertools import combinations
+from operator import and_, or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import marked_sample
 from posetlab import extensions, search
@@ -157,10 +162,10 @@ def test_row_test_finds_exactly_the_instances_with_a_3_chain():
         for index in range(10_000):
             rows = search._draw_rows(rng, 5, index, 3, n_max)
             p = Poset(len(rows), tuple(rows))
-            assert bool(search._linked(rows)) == bool(search._chains(p)), (n_max, index)
+            assert bool(search._linked(rows)) == bool(search._chains(p.up)), (n_max, index)
     for n in range(1, 6):
         for p in enumerate_posets(n):
-            has_chain = bool(search._chains(p))
+            has_chain = bool(search._chains(p.up))
             assert bool(search._linked(p.cover_up)) == has_chain, p.covers
             assert bool(search._linked(p.up)) == has_chain, p.covers
 
@@ -175,6 +180,110 @@ def test_search_keeps_the_usable_instances_of_random_instance():
     drawn = [random_instance(7, index, 3, 8) for index in range(4000)]
     assert summary.usable == sum(z is not None and p.width <= 3 for p, z in drawn)
     assert summary.usable == SEED_7_USABLE
+
+
+@st.composite
+def acyclic_rows(draw, max_n: int = 12):
+    """(n, rows): the bitmask rows of a relation on 1 <= n <= max_n elements,
+    acyclic along a random labelling and not closed, each pair kept with
+    probability 1/2, 1/4 or 1/8."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    label = draw(st.permutations(range(n)))
+    pairs = list(combinations(range(n), 2))
+    masks = st.integers(min_value=0, max_value=(1 << len(pairs)) - 1)
+    kept = reduce(and_, draw(st.lists(masks, min_size=1, max_size=3)))
+    rows = [0] * n
+    for bit, (i, j) in enumerate(pairs):
+        if kept >> bit & 1:
+            rows[label[i]] |= 1 << label[j]
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(acyclic_rows())
+def test_the_sources_and_sinks_of_the_drawn_rows_bound_the_width(instance):
+    # the search drops an instance with more than width_max sources (in no
+    # row) or sinks (empty row) before closing it; both are antichains of
+    # the closure, so the shortcut drops only instances that are too wide
+    n, rows = instance
+    width = Poset(n, tuple(rows)).width
+    heads = reduce(or_, rows, 0)
+    sources, sinks = n - heads.bit_count(), rows.count(0)
+    assert sources <= width and sinks <= width
+    for width_max in range(1, n + 1):
+        kept = bool(search._linked(rows)) and max(sources, sinks) <= width_max
+        assert bool(search._linked(rows, width_max)) == kept, width_max
+
+
+def _reference_gcpc_run(seed: int, budget: int, n_max: int, width_max):
+    """The gcpc search by the plain route: ``random_instance``, ``p.width``,
+    ``f_table`` and ``check_cpc2`` at every grid point, and each failure
+    carried to the signed table with z1 and z2 swapped."""
+    summary, certs, slacks = SearchSummary("gcpc"), [], []
+    for index in range(budget):
+        summary.instances += 1
+        p, z = random_instance(seed, index, 3, n_max)
+        if z is None or width_max is not None and p.width > width_max:
+            continue
+        summary.usable += 1
+        F = f_table(p, z)
+        for k in range(1, p.n):
+            for l in range(1, p.n - k + 1):
+                rep = check_cpc2(F, k, l)
+                if rep.verdict == HOLDS:
+                    summary.holds += 1
+                    slacks.append(rep.rhs - rep.lhs)
+                elif rep.verdict == VACUOUS:
+                    summary.vacuous += 1
+                else:
+                    summary.fails += 1
+                    a, b = -k - 1, k + l + 1
+                    indices = {"k": a, "l": b, "p": a + 1, "q": b + 1}
+                    certs.append(
+                        Certificate("gcpc", p, z.swapped12(), indices, rep.lhs, rep.rhs, index)
+                    )
+    summary.certificates = len(certs)
+    summary.min_slack = sorted(s for s in slacks if s > 0)[:5]
+    return certs, summary
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_search_matches_the_plain_route_at_every_width_cap(seed):
+    # the width shortcut on sources and sinks, the closure on bare rows and
+    # the records built only at a failure leave every output as it was
+    for width_max in (1, 2, 3, None):
+        certs, summary = run(SearchJob("gcpc", 9, seed, 2000, width_max=width_max))
+        ref_certs, ref_summary = _reference_gcpc_run(seed, 2000, 9, width_max)
+        assert summary.to_json_obj() == ref_summary.to_json_obj(), width_max
+        assert [c.to_json_obj() for c in certs] == [c.to_json_obj() for c in ref_certs]
+
+
+def test_the_search_builds_records_only_for_an_instance_that_fails(monkeypatch):
+    # a usable instance is decided on its closed rows; its Poset and
+    # MarkedTriple are built once, at its first failure
+    index, built = [None], {"Poset": [], "MarkedTriple": []}
+    draw_rows = search._draw_rows
+
+    def drawing(rng, seed, i, n_min, n_max):
+        index[0] = i
+        return draw_rows(rng, seed, i, n_min, n_max)
+
+    def counted(name):
+        cls = getattr(search, name)
+
+        def make(*args):
+            built[name].append(index[0])
+            return cls(*args)
+
+        return make
+
+    monkeypatch.setattr(search, "_draw_rows", drawing)
+    for name in built:
+        monkeypatch.setattr(search, name, counted(name))
+    certs, summary = run(SearchJob("gcpc", 8, 42, 4000, width_max=3))
+    failing = sorted({c.index for c in certs})
+    assert failing and len(failing) < summary.usable
+    assert sorted(built["Poset"]) == sorted(built["MarkedTriple"]) == failing
 
 
 def test_enumerate_posets_keeps_no_lattice(monkeypatch):
@@ -278,12 +387,13 @@ def test_fast_path_matches_check_reports():
                 for c in range(p.n)
                 if p.less(a, b) and p.less(b, c)
             ]
-            assert search._chains(p) == loop
+            assert search._chains(p.up) == loop
         F = f_table(p, z)
         grid = [(k, l) for k in range(1, p.n) for l in range(1, p.n - k + 1)]
         for target, check in checkers.items():
             summary = SearchSummary(target)
-            certs = search._scan_table(SearchJob(target, 8, 0, 0), 0, summary, p, z)
+            rows = _f_rows(p.up, p.down, p.cover_up, p.width, z.as_tuple())
+            certs = search._scan_table(SearchJob(target, 8, 0, 0), 0, summary, rows, lambda: (p, z))
             reps = [check(F, k, l) for k, l in grid]
             verdicts = [rep.verdict for rep in reps]
             where = (p.covers, z, target)
@@ -305,8 +415,8 @@ def test_a_double_failure_is_logged_as_critical(monkeypatch):
     # elsewhere: at (1, 1) cpc and cpc1 both fail, and nowhere else does any
     # of the three fail; the cpc failure makes a certificate that names the
     # same instance and cell
-    def rows(p, z):
-        rows = [[0] * (p.n + 2) for _ in range(p.n + 2)]
+    def rows(up, down, cover_up, width, marks):
+        rows = [[0] * (len(up) + 2) for _ in range(len(up) + 2)]
         for k, l in ((1, 1), (1, 2), (2, 2), (3, 1)):
             rows[k][l] = 1
         return rows
